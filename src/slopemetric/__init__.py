@@ -41,6 +41,7 @@ from .surfaces import (
     profile_derivative,
     profile_from_callable,
     profile_from_table,
+    profile_second_derivative,
     surface_from_json,
     two_sheet_hyperboloid,
 )

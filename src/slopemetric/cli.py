@@ -327,14 +327,13 @@ def cmd_indicatrix(args) -> int:
 
 
 def _rays_csv(rays) -> str:
-    lines = ["ray_id,t,x,y,F"]
+    # "%.17g" formats a float exactly as _fmt does, one row per format call
+    row = "%d,%.17g,%.17g,%.17g,%.17g\n"
+    parts = ["ray_id,t,x,y,F\n"]
     for rid, ray in enumerate(rays):
-        for k in range(len(ray.t)):
-            lines.append(
-                f"{rid},{_fmt(ray.t[k])},{_fmt(ray.points[k, 0])},"
-                f"{_fmt(ray.points[k, 1])},{_fmt(ray.F_values[k])}"
-            )
-    return "\n".join(lines) + "\n"
+        table = np.column_stack([np.full(len(ray.t), rid), ray.t, ray.points, ray.F_values])
+        parts.extend(row % tuple(r) for r in table.tolist())
+    return "".join(parts)
 
 
 def cmd_geodesic(args) -> int:

@@ -268,7 +268,7 @@ def _unit_directions(n: int) -> np.ndarray:
 
 
 def _pd_margins(surf, x, y, dirs, nav, step):
-    g11, g12, g22 = hessian_field(surf, x, y, dirs, nav, step=step, order=2)
+    g11, g12, g22 = hessian_field(surf, x, y, dirs, nav, step=step)
     return g11 + g22, g11 * g22 - g12 * g12
 
 

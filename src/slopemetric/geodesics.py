@@ -1,15 +1,16 @@
 """Time-minimizing trajectories, indicatrix sampling, and propagating fronts.
 
-Geodesics are extremals of the energy E = F^2/2, integrated as the
-Euler-Lagrange system g_ij * a^j = dE/dx_i - (d^2E/dv_i dx_j) v_j with a
-classic 4th-order Runge-Kutta step; every derivative of F^2 comes from the
-same central-difference stencils as the fundamental tensor (at 4th order
-here, so force noise stays far below the integrator's truncation error).
+Geodesics solve xddot^i + 2 G^i(x, xdot) = 0, integrated with a classic
+4th-order Runge-Kutta step.  The slope metric is a Matsumoto
+(alpha, beta)-metric, F = alpha * phi(beta/alpha) with phi(s) = 1/(v - w*s)
+and beta = df closed, so its spray G has an exact closed form in the
+surface gradient and Hessian (Matsumoto 1989; Chern & Shen,
+*Riemann-Finsler Geometry*, 2005); no derivative of F is taken numerically.
 Paths run at unit F-speed, so arclength equals travel time, and they halt
 at the strong-convexity boundary where extremals stop being minimizers.
 
-Rays of a front are independent; the integrator advances them as one
-batch, which is equivalent to running them in parallel.
+Rays of a front are independent; the integrator advances the live ones as
+one batch, which is equivalent to running them in parallel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .convexity import CRITERION_BAND, THRESHOLD, Verdict, is_strongly_convex_at
 from .errors import OutOfDomain, StepTooLarge, ZeroVector
-from .metric import NORMALIZED, NavigationParams, hessian_field, induced_metric, slope_metric_F
+from .metric import NORMALIZED, NavigationParams, induced_metric, slope_metric_F
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -38,12 +39,6 @@ __all__ = [
 
 STATUS_COMPLETE = "complete"
 STATUS_LEFT_DOMAIN = "left_convex_domain"
-
-# relative step for the 4th-order force stencils
-_FORCE_STEP = 2e-3
-
-_D1_OFF = np.array([-2.0, -1.0, 1.0, 2.0])
-_D1_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
 @dataclass(frozen=True)
@@ -81,60 +76,50 @@ def conservation_drift(path: GeodesicPath) -> float:
     return float(np.max(rel / np.maximum(path.t[1:], path.step)))
 
 
-def _energy(surf, x, y, tv, nav):
-    return 0.5 * np.square(slope_metric_F(surf, x, y, tv, nav))
+def _spray_accel(surf, p, v, nav):
+    """Acceleration -2 G(p, v) of the geodesic spray for a batch of states.
 
+    p, v: (n, 2).  With q = |grad f|^2, H = Hess f, s = beta/alpha and
+    b^i = f_i / (1 + q) the dual of beta, the spray of an (alpha, beta)-metric
+    with closed beta is
 
-def _el_accel(surf, p, v, nav, rel=_FORCE_STEP):
-    """Acceleration of the Euler-Lagrange flow for a batch of states.
+        G^i = (f_i / 2 + Theta * y^i / alpha + Psi * b^i) * r00,
+        r00 = y^T H y / (1 + q),
 
-    p, v: (n, 2).  Returns (n, 2); rows where the direction Hessian is not
-    positive definite come back NaN (the ray has slipped past the convexity
-    boundary between checks).
+    where for phi(s) = 1/(v - w*s) the Chern-Shen coefficients reduce to
+    Theta = w (v - 4ws) / (2N) and Psi = w^2 / N with
+    N = v^2 - 3vws + 2w^2 b^2,  b^2 = q / (1 + q).  N has the sign of
+    det g_ij, so rows with N <= 0 (or v - w*s <= 0, where F itself breaks
+    down) come back NaN: the ray has slipped past the convexity boundary
+    between checks.
     """
-    hx = rel * np.maximum(1.0, np.linalg.norm(p, axis=-1))  # (n,)
-    hy = rel * np.linalg.norm(v, axis=-1)
-
-    g11, g12, g22 = hessian_field(surf, p[:, 0], p[:, 1], v, nav, step=rel, order=4)
-
-    eye = np.eye(2)
-    # dE/dx_j: nodes (n, j, k) at p + off_k*hx*e_j, direction fixed
-    px = p[:, None, None, :] + hx[:, None, None, None] * _D1_OFF[None, None, :, None] * eye[None, :, None, :]
-    Ex = _energy(surf, px[..., 0], px[..., 1], v[:, None, None, :], nav)
-    dEdx = (Ex @ _D1_W) / hx[:, None]  # (n, 2)
-
-    # M_ij = d^2E / dv_i dx_j: cross grid over x-offsets (j,k) and v-offsets (i,l)
-    pxx = p[:, None, None, None, None, :] + (
-        hx[:, None, None, None, None, None]
-        * _D1_OFF[None, None, None, None, :, None]
-        * eye[None, None, :, None, None, :]
-    )  # (n, 1, j, 1, k, 2)
-    vvv = v[:, None, None, None, None, :] + (
-        hy[:, None, None, None, None, None]
-        * _D1_OFF[None, None, None, :, None, None]
-        * eye[None, :, None, None, None, :]
-    )  # (n, i, 1, l, 1, 2)
-    Exy = _energy(surf, pxx[..., 0], pxx[..., 1], vvv, nav)  # (n, i, j, l, k)
-    M = np.einsum("nijlk,l,k->nij", Exy, _D1_W, _D1_W) / (hx * hy)[:, None, None]
-
-    rhs = dEdx - np.einsum("nij,nj->ni", M, v)
-    det = g11 * g22 - g12 * g12
+    px, py = p[:, 0], p[:, 1]
+    fx, fy = surf.gradient(px, py)
+    fxx, fxy, fyy = surf.hessian(px, py)
+    y1, y2 = v[:, 0], v[:, 1]
+    q1 = 1.0 + fx * fx + fy * fy
+    b = fx * y1 + fy * y2
+    al = np.sqrt(y1 * y1 + y2 * y2 + b * b)
+    s = b / al
+    r00 = (fxx * y1 * y1 + 2.0 * fxy * y1 * y2 + fyy * y2 * y2) / q1
+    vn, wn = nav.v, nav.w
+    N = vn * vn - 3.0 * vn * wn * s + 2.0 * wn * wn * (1.0 - 1.0 / q1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a1 = (rhs[:, 0] * g22 - rhs[:, 1] * g12) / det
-        a2 = (g11 * rhs[:, 1] - g12 * rhs[:, 0]) / det
-    acc = np.stack([a1, a2], axis=-1)
-    acc[det <= 0.0] = np.nan
+        along_f = (0.5 + wn * wn / (N * q1)) * r00
+        along_y = wn * (vn - 4.0 * wn * s) / (2.0 * N * al) * r00
+    acc = -2.0 * np.stack([along_f * fx + along_y * y1, along_f * fy + along_y * y2], axis=-1)
+    acc[(N <= 0.0) | (vn - wn * s <= 0.0)] = np.nan
     return acc
 
 
 def _rk4_step(surf, p, v, h, nav):
-    k1p, k1v = v, _el_accel(surf, p, v, nav)
+    k1p, k1v = v, _spray_accel(surf, p, v, nav)
     k2p = v + 0.5 * h * k1v
-    k2v = _el_accel(surf, p + 0.5 * h * k1p, k2p, nav)
+    k2v = _spray_accel(surf, p + 0.5 * h * k1p, k2p, nav)
     k3p = v + 0.5 * h * k2v
-    k3v = _el_accel(surf, p + 0.5 * h * k2p, k3p, nav)
+    k3v = _spray_accel(surf, p + 0.5 * h * k2p, k3p, nav)
     k4p = v + h * k3v
-    k4v = _el_accel(surf, p + h * k3p, k4p, nav)
+    k4v = _spray_accel(surf, p + h * k3p, k4p, nav)
     p_new = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
     v_new = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
     return p_new, v_new
@@ -162,26 +147,21 @@ def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
     t = np.minimum(np.arange(m + 1) * step, length)
     pos[0], vel[0] = p0, v0
     fv[0] = slope_metric_F(surf, p0[:, 0], p0[:, 1], v0, nav)
-    alive = np.ones(n, dtype=bool)
     halt = np.full(n, m, dtype=int)
+    live = np.arange(n)
 
     for k, h in enumerate(hs):
-        p_new, v_new = _rk4_step(surf, pos[k], vel[k], h, nav)
-        bad = ~np.isfinite(p_new).all(axis=-1) | ~np.isfinite(v_new).all(axis=-1)
-        ok = ~bad
+        p_new, v_new = _rk4_step(surf, pos[k, live], vel[k, live], h, nav)
+        ok = np.isfinite(p_new).all(axis=-1) & np.isfinite(v_new).all(axis=-1)
         ok[ok] &= _inside_convex(surf, p_new[ok, 0], p_new[ok, 1])
-        newly_dead = alive & ~ok
-        halt[newly_dead] = k
-        alive &= ok
-        pos[k + 1] = np.where(alive[:, None], p_new, pos[k])
-        vel[k + 1] = np.where(alive[:, None], v_new, vel[k])
-        fv[k + 1] = np.where(
-            alive,
-            slope_metric_F(surf, pos[k + 1][:, 0], pos[k + 1][:, 1], vel[k + 1], nav),
-            fv[k],
-        )
-        if not alive.any():
+        halt[live[~ok]] = k
+        live, p_new, v_new = live[ok], p_new[ok], v_new[ok]
+        if not live.size:
             break
+        # a ray's nodes past its halt step are never read, so dead rays stop here
+        pos[k + 1, live] = p_new
+        vel[k + 1, live] = v_new
+        fv[k + 1, live] = slope_metric_F(surf, p_new[:, 0], p_new[:, 1], v_new, nav)
 
     paths = []
     for i in range(n):

@@ -286,17 +286,11 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
 
 # --- direction-Hessian stencils -------------------------------------------
 
-# 2nd order: center, +-e1, +-e2, and the four corners for the mixed term
+# center, +-e1, +-e2, and the four corners for the mixed term
 _OFFS2 = np.array([
     (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
     (1, 1), (1, -1), (-1, 1), (-1, -1),
 ], dtype=float)
-
-# 4th order: five-point second derivative along each axis + 4x4 cross grid
-_D1_OFF = np.array([-2.0, -1.0, 1.0, 2.0])
-_D1_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-_D2_OFF = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-_D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def _f2_at(surf, x, y, nodes, nav):
@@ -311,13 +305,13 @@ def _f2_at(surf, x, y, nodes, nav):
 
 
 def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams | None = None,
-                  step: float = 1e-4, order: int = 2):
+                  step: float = 1e-4):
     """g_ij for a batch of directions, shape (n, 2) -> three (n,) arrays.
 
     x, y may be scalars (one chart point for the whole fan) or (n,) arrays
     pairing each direction with its own point.  The workhorse behind
-    ``fundamental_tensor``, the positive-definiteness sweeps and the
-    geodesic right-hand side; one vectorized F^2 evaluation per batch.
+    ``fundamental_tensor`` and the positive-definiteness sweeps; one
+    vectorized F^2 evaluation per batch on a 2nd-order stencil.
     """
     nav = nav or NORMALIZED
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -329,36 +323,17 @@ def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams | None = 
     h = step * np.linalg.norm(dirs, axis=-1)
     if np.any(h == 0.0):
         raise ZeroVector("direction must be nonzero")
-    if order == 2:
-        nodes = dirs[:, None, :] + h[:, None, None] * _OFFS2[None, :, :]
-        E = 0.5 * _f2_at(surf, x, y, nodes, nav)
-        h2 = h * h
-        g11 = (E[:, 1] - 2.0 * E[:, 0] + E[:, 2]) / h2
-        g22 = (E[:, 3] - 2.0 * E[:, 0] + E[:, 4]) / h2
-        g12 = (E[:, 5] - E[:, 6] - E[:, 7] + E[:, 8]) / (4.0 * h2)
-        return g11, g12, g22
-    if order == 4:
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        nodes = np.concatenate([
-            dirs[:, None, :] + h[:, None, None] * _D2_OFF[None, :, None] * e1,
-            dirs[:, None, :] + h[:, None, None] * _D2_OFF[None, :, None] * e2,
-            dirs[:, None, :] + h[:, None, None] * (
-                _D1_OFF[:, None, None] * e1 + _D1_OFF[None, :, None] * e2
-            ).reshape(-1, 2)[None, :, :],
-        ], axis=1)
-        E = 0.5 * _f2_at(surf, x, y, nodes, nav)
-        h2 = h * h
-        g11 = E[:, 0:5] @ _D2_W / h2
-        g22 = E[:, 5:10] @ _D2_W / h2
-        w_cross = np.outer(_D1_W, _D1_W).ravel()
-        g12 = E[:, 10:26] @ w_cross / h2
-        return g11, g12, g22
-    raise ValueError("order must be 2 or 4")
+    nodes = dirs[:, None, :] + h[:, None, None] * _OFFS2[None, :, :]
+    E = 0.5 * _f2_at(surf, x, y, nodes, nav)
+    h2 = h * h
+    g11 = (E[:, 1] - 2.0 * E[:, 0] + E[:, 2]) / h2
+    g22 = (E[:, 3] - 2.0 * E[:, 0] + E[:, 4]) / h2
+    g12 = (E[:, 5] - E[:, 6] - E[:, 7] + E[:, 8]) / (4.0 * h2)
+    return g11, g12, g22
 
 
 def fundamental_tensor(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None,
-                       step: float = 1e-4, order: int = 2) -> FundamentalTensor:
+                       step: float = 1e-4) -> FundamentalTensor:
     """Half the direction-Hessian of F^2 at (point, direction), by central differences.
 
     The step is relative (scaled by |tv|).  Symmetric by construction,
@@ -368,5 +343,5 @@ def fundamental_tensor(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None
     tv = np.asarray(tv, dtype=float)
     if tv.shape != (2,):
         raise ValueError("fundamental_tensor expects a single direction of shape (2,)")
-    g11, g12, g22 = hessian_field(surf, x, y, tv[None, :], nav, step=step, order=order)
+    g11, g12, g22 = hessian_field(surf, x, y, tv[None, :], nav, step=step)
     return FundamentalTensor(g11=float(g11[0]), g12=float(g12[0]), g22=float(g22[0]))

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ApexSingularity,
@@ -47,6 +46,7 @@ __all__ = [
     "profile_from_callable",
     "eval_profile",
     "profile_derivative",
+    "profile_second_derivative",
     "invert_profile",
     "gradient",
     "flat_surface",
@@ -61,6 +61,11 @@ _APEX_SLOPE_TOL = 1e-8
 
 # Bisection tolerance for profile inversion, absolute in s.
 _INVERT_TOL = 1e-12
+
+# Second derivatives by differences of first derivatives use steps this many
+# times fd_step, so the first derivative's own rounding noise (~eps/fd_step
+# when it is numeric) stays small against the outer step.
+_HESSIAN_STEP_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,10 @@ class ProfileCurve:
         Shape coefficients, kept for reporting and serialization.
     fd_step : float
         Base step for numeric differentiation (> 0).
+    d2phi : callable or None
+        Closed-form second derivative; None switches
+        ``profile_second_derivative`` to central differences of
+        ``profile_derivative``.
     """
 
     kind: str
@@ -90,6 +99,7 @@ class ProfileCurve:
     domain: tuple[float, float]
     params: dict = field(default_factory=dict)
     fd_step: float = 1e-5
+    d2phi: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -120,6 +130,7 @@ def paraboloid(h: float = 100.0, s_max: float = math.inf) -> ProfileCurve:
         kind="paraboloid",
         phi=lambda s: h - np.square(s),
         dphi=lambda s: -2.0 * np.asarray(s, dtype=float),
+        d2phi=lambda s: np.full_like(np.asarray(s, dtype=float), -2.0),
         domain=(0.0, s_max),
         params={"h": float(h)},
     )
@@ -133,6 +144,7 @@ def cone(a: float, s_max: float = math.inf) -> ProfileCurve:
         kind="cone",
         phi=lambda s: a * np.asarray(s, dtype=float),
         dphi=lambda s: np.full_like(np.asarray(s, dtype=float), a),
+        d2phi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         domain=(0.0, s_max),
         params={"a": float(a)},
     )
@@ -146,6 +158,7 @@ def ellipsoid(a: float, c: float) -> ProfileCurve:
         kind="ellipsoid",
         phi=lambda s: (c / a) * np.sqrt(a * a - np.square(s)),
         dphi=lambda s: -(c / a) * np.asarray(s, dtype=float) / np.sqrt(a * a - np.square(s)),
+        d2phi=lambda s: -(c * a) / (a * a - np.square(s)) ** 1.5,
         domain=(0.0, a),
         params={"a": float(a), "c": float(c)},
     )
@@ -159,6 +172,7 @@ def two_sheet_hyperboloid(a: float, b: float, s_max: float = math.inf) -> Profil
         kind="hyperboloid2",
         phi=lambda s: a * np.sqrt(np.square(s) + b * b),
         dphi=lambda s: a * np.asarray(s, dtype=float) / np.sqrt(np.square(s) + b * b),
+        d2phi=lambda s: a * b * b / (np.square(s) + b * b) ** 1.5,
         domain=(0.0, s_max),
         params={"a": float(a), "b": float(b)},
     )
@@ -177,6 +191,7 @@ def one_sheet_hyperboloid(a: float, b: float, s_max: float = math.inf) -> Profil
         kind="hyperboloid1",
         phi=lambda s: a * np.sqrt(np.square(s) - b * b),
         dphi=lambda s: a * np.asarray(s, dtype=float) / np.sqrt(np.square(s) - b * b),
+        d2phi=lambda s: -a * b * b / (np.square(s) - b * b) ** 1.5,
         domain=(b, s_max),
         params={"a": float(a), "b": float(b)},
     )
@@ -189,6 +204,7 @@ def gaussian_bump(s_max: float = math.inf) -> ProfileCurve:
         kind="gaussian",
         phi=lambda s: amp * np.exp(-np.square(s)),
         dphi=lambda s: -2.0 * amp * np.asarray(s, dtype=float) * np.exp(-np.square(s)),
+        d2phi=lambda s: amp * (4.0 * np.square(s) - 2.0) * np.exp(-np.square(s)),
         domain=(0.0, s_max),
         params={},
     )
@@ -198,9 +214,12 @@ def profile_from_table(s: Sequence[float], z: Sequence[float]) -> ProfileCurve:
     """Cubic-spline profile through sampled (s, phi(s)) rows.
 
     Requires at least 64 rows with strictly increasing s; the spline and its
-    derivative are exact on [s[0], s[-1]] (closed at the top so the last row
-    stays usable).
+    first two derivatives are exact on [s[0], s[-1]] (closed at the top so
+    the last row stays usable).
     """
+    # scipy costs most of the package's import time and only tables need it
+    from scipy.interpolate import CubicSpline
+
     s = np.asarray(s, dtype=float)
     z = np.asarray(z, dtype=float)
     if s.ndim != 1 or s.shape != z.shape:
@@ -212,12 +231,12 @@ def profile_from_table(s: Sequence[float], z: Sequence[float]) -> ProfileCurve:
     if s[0] < 0:
         raise ConfigError("table radii must be nonnegative")
     spline = CubicSpline(s, z)
-    dspline = spline.derivative()
     # np.nextafter keeps the last table row inside the half-open domain.
     return ProfileCurve(
         kind="custom",
         phi=spline,
-        dphi=dspline,
+        dphi=spline.derivative(),
+        d2phi=spline.derivative(2),
         domain=(float(s[0]), float(np.nextafter(s[-1], np.inf))),
         params={"rows": int(s.size), "s_min": float(s[0]), "s_max": float(s[-1])},
     )
@@ -257,6 +276,39 @@ def _phi_even(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
     return np.asarray(p.phi(np.abs(s)), dtype=float)
 
 
+def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
+    """A closed-form derivative at s; non-finite values become typed errors."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.asarray(fn(s_arr), dtype=float)
+    if not np.all(np.isfinite(d)):
+        lo = p.domain[0]
+        if lo > 0.0 and np.any(s_arr == lo):
+            # closed-form slope diverges at a positive inner edge (waist)
+            raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
+        raise NonDifferentiable(f"closed-form derivative non-finite at s={s!r}")
+    return float(d) if d.ndim == 0 else d
+
+
+def _central_difference(p: ProfileCurve, f, s_arr: np.ndarray, s, fd_step: float):
+    """4th-order central difference of f at s, step ``fd_step * max(1, |s|)``.
+
+    The step shrinks near a finite domain edge.  On an axis domain (s_min = 0)
+    only the upper edge limits it, so f must accept the reflected nodes s < 0.
+    """
+    lo, hi = p.domain
+    h = fd_step * np.maximum(1.0, np.abs(s_arr))
+    if math.isfinite(hi):
+        h = np.minimum(h, (hi - s_arr) / 2.5)
+    if lo != 0.0:
+        h = np.minimum(h, (s_arr - lo) / 2.5)
+    if np.any(h <= 0):
+        raise NonDifferentiable(f"no room for a difference stencil at s={s!r}")
+    d = (f(s_arr - 2 * h) - 8 * f(s_arr - h) + 8 * f(s_arr + h) - f(s_arr + 2 * h)) / (12 * h)
+    if not np.all(np.isfinite(d)):
+        raise NonDifferentiable(f"numeric derivative non-finite at s={s!r}")
+    return float(d) if d.ndim == 0 else d
+
+
 def profile_derivative(p: ProfileCurve, s):
     """dphi/ds, closed form when available, else 4th-order central differences.
 
@@ -266,36 +318,28 @@ def profile_derivative(p: ProfileCurve, s):
     """
     s_arr = np.asarray(s, dtype=float)
     _check_in_domain(p, s_arr)
-    lo, hi = p.domain
     if p.dphi is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.asarray(p.dphi(s_arr), dtype=float)
-        if not np.all(np.isfinite(d)):
-            if lo > 0.0 and np.any(s_arr == lo):
-                # closed-form slope diverges at a positive inner edge (waist)
-                raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
-            raise NonDifferentiable(f"closed-form derivative non-finite at s={s!r}")
-        return float(d) if d.ndim == 0 else d
-
-    h = p.fd_step * np.maximum(1.0, np.abs(s_arr))
-    if lo == 0.0:
-        # even reflection makes every stencil node evaluable on the left
-        room_hi = (hi - s_arr) / 2.5 if math.isfinite(hi) else np.full_like(s_arr, np.inf)
-        h = np.minimum(h, room_hi)
-        if np.any(h <= 0):
-            raise NonDifferentiable(f"no room for a difference stencil at s={s!r}")
+        return _closed_form(p, p.dphi, s_arr, s)
+    if p.domain[0] == 0.0:
         f = lambda q: _phi_even(p, q)
     else:
-        room_lo = (s_arr - lo) / 2.5
-        room_hi = (hi - s_arr) / 2.5 if math.isfinite(hi) else np.full_like(s_arr, np.inf)
-        h = np.minimum(h, np.minimum(room_lo, room_hi))
-        if np.any(h <= 0):
-            raise NonDifferentiable(f"no room for a difference stencil at s={s!r}")
         f = lambda q: np.asarray(p.phi(q), dtype=float)
-    d = (f(s_arr - 2 * h) - 8 * f(s_arr - h) + 8 * f(s_arr + h) - f(s_arr + 2 * h)) / (12 * h)
-    if not np.all(np.isfinite(d)):
-        raise NonDifferentiable(f"numeric derivative non-finite at s={s!r}")
-    return float(d) if d.ndim == 0 else d
+    return _central_difference(p, f, s_arr, s, p.fd_step)
+
+
+def profile_second_derivative(p: ProfileCurve, s):
+    """d^2phi/ds^2, closed form when available, else central differences of
+    ``profile_derivative`` (odd reflection across the axis, steps
+    ``_HESSIAN_STEP_FACTOR`` times wider than the first derivative's)."""
+    s_arr = np.asarray(s, dtype=float)
+    _check_in_domain(p, s_arr)
+    if p.d2phi is not None:
+        return _closed_form(p, p.d2phi, s_arr, s)
+    if p.domain[0] == 0.0:
+        f = lambda q: np.sign(q) * profile_derivative(p, np.abs(q))
+    else:
+        f = lambda q: np.asarray(profile_derivative(p, q))
+    return _central_difference(p, f, s_arr, s, _HESSIAN_STEP_FACTOR * p.fd_step)
 
 
 @dataclass(frozen=True)
@@ -443,6 +487,29 @@ class SurfaceOfRevolution:
             return float(fx), float(fy)
         return fx, fy
 
+    def hessian(self, x, y):
+        """(f_xx, f_xy, f_yy) of phi''(s) u u^T + (phi'(s)/s) (I - u u^T), u = (x, y)/s.
+
+        On a smooth axis the Hessian is phi''(0) I; at a non-smooth axis point
+        it raises ApexSingularity, as ``gradient`` does.
+        """
+        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        s = np.hypot(x_arr, y_arr)
+        on_axis = s == 0.0
+        if np.any(on_axis) and not self.apex_smooth:
+            raise ApexSingularity(f"Hessian undefined on the axis of a '{self.kind}' surface")
+        s_safe = np.where(on_axis, 1.0, s)
+        d2 = np.asarray(profile_second_derivative(self.profile, s))
+        radial = np.where(on_axis, d2, np.asarray(profile_derivative(self.profile, s)) / s_safe)
+        ux, uy = x_arr / s_safe, y_arr / s_safe
+        bend = d2 - radial
+        fxx = radial + bend * ux * ux
+        fxy = bend * ux * uy
+        fyy = radial + bend * uy * uy
+        if fxx.ndim == 0:
+            return float(fxx), float(fxy), float(fyy)
+        return fxx, fxy, fyy
+
     def bounding_box(self) -> tuple[float, float, float, float]:
         lo, hi = self.profile.domain
         r = min(hi, _FINITE_CLIP)
@@ -483,6 +550,27 @@ class GraphSurface:
         if np.ndim(fx) == 0:
             return float(fx), float(fy)
         return fx, fy
+
+    def hessian(self, x, y):
+        """(f_xx, f_xy, f_yy) by 4th-order central differences of ``gradient``.
+
+        Steps are ``_HESSIAN_STEP_FACTOR * fd_step * max(1, |x|)`` (and |y|);
+        f_xy averages the two mixed differences, so the result is symmetric.
+        """
+        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        step = _HESSIAN_STEP_FACTOR * self.fd_step
+        hx = step * np.maximum(1.0, np.abs(x_arr))
+        hy = step * np.maximum(1.0, np.abs(y_arr))
+        off = np.array([-2.0, -1.0, 1.0, 2.0]).reshape((4,) + (1,) * x_arr.ndim)
+        w = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+        gx_x, gy_x = self.gradient(x_arr + off * hx, y_arr)
+        gx_y, gy_y = self.gradient(x_arr, y_arr + off * hy)
+        fxx = np.tensordot(w, gx_x, axes=1) / hx
+        fyy = np.tensordot(w, gy_y, axes=1) / hy
+        fxy = 0.5 * (np.tensordot(w, gy_x, axes=1) / hx + np.tensordot(w, gx_y, axes=1) / hy)
+        if fxx.ndim == 0:
+            return float(fxx), float(fxy), float(fyy)
+        return fxx, fxy, fyy
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return self.bbox
@@ -572,8 +660,5 @@ def surface_from_json(spec) -> SurfaceOfRevolution:
             raise ConfigError(
                 f"requested domain [{lo}, {hi}) exceeds the natural domain [{base_lo}, {base_hi})"
             )
-        profile = ProfileCurve(
-            kind=profile.kind, phi=profile.phi, dphi=profile.dphi,
-            domain=(lo, hi), params=profile.params, fd_step=profile.fd_step,
-        )
+        profile = replace(profile, domain=(lo, hi))
     return SurfaceOfRevolution(profile)

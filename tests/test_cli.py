@@ -2,11 +2,16 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slopemetric.cli import main
+import slopemetric
+from slopemetric.cli import _rays_csv, main
+from slopemetric.geodesics import GeodesicPath
 
 PARAB = '{"kind": "paraboloid", "params": {"h": 100}}'
 PARAB_NEAR = '{"kind": "paraboloid", "params": {"h": 100}, "domain": [0, 1]}'
@@ -259,6 +264,29 @@ class TestConfigAndDeterminism:
         _, out3, _ = run(capsys, args_json)
         _, out4, _ = run(capsys, args_json)
         assert out3 == out4
+
+    def test_rays_csv_matches_per_value_format(self):
+        def ray(values):
+            a = np.asarray(values, dtype=float)
+            return GeodesicPath(t=a[:, 0], points=a[:, 1:3], velocities=a[:, 1:3],
+                                F_values=a[:, 3], step=1e-3, status="complete")
+
+        rays = [ray([[0.0, -0.0, 5e-324, 1.0 / 3.0], [1e-3, 1e308, -1e308, 2.0]]),
+                ray([[0.0, 0.1, -2.5e-17, 1.0]])]
+        reference = ["ray_id,t,x,y,F"]
+        for rid, r in enumerate(rays):
+            for k in range(len(r.t)):
+                vals = (r.t[k], r.points[k, 0], r.points[k, 1], r.F_values[k])
+                reference.append(",".join([str(rid)] + [format(float(v), ".17g") for v in vals]))
+        assert _rays_csv(rays) == "\n".join(reference) + "\n"
+
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(slopemetric.__file__).resolve().parent.parent)
+        code = (f"import sys; sys.path.insert(0, {src!r}); import slopemetric.cli; "
+                "print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dom.json"

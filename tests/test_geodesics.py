@@ -7,21 +7,86 @@ import numpy as np
 import pytest
 
 from slopemetric import (
+    GraphSurface,
+    NavigationParams,
     OutOfDomain,
     StepTooLarge,
     SurfaceOfRevolution,
     ZeroVector,
     cone,
     conservation_drift,
+    gaussian_bump,
     geodesic_shoot,
     indicatrix,
+    paraboloid,
+    profile_from_table,
     slope_metric_F,
     wavefront,
 )
+from slopemetric.geodesics import _spray_accel
 
 # slope cosine coefficient at the paraboloid point (0.1, 0):
 # k = sqrt(q/(1+q)) with q = |grad f|^2 = 0.04
 K_PARAB = 0.19611613513818402
+
+# 4th-order central-difference weights for the stencil oracle
+_D1_OFF = np.array([-2.0, -1.0, 1.0, 2.0])
+_D1_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+_D2_OFF = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+_D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
+
+def stencil_accel(surf, p, v, nav, rel=2e-3):
+    """Oracle: the Euler-Lagrange acceleration of E = F^2/2 with every
+    derivative by 4th-order central differences of F, solving
+    g_ij a^j = dE/dx_i - (d^2E/dv_i dx_j) v_j row by row.  Independent of the
+    closed-form spray: it never touches the surface Hessian."""
+    def energy(x, y, tv):
+        return 0.5 * np.square(slope_metric_F(surf, x, y, tv, nav))
+
+    hx = rel * np.maximum(1.0, np.linalg.norm(p, axis=-1))
+    hy = rel * np.linalg.norm(v, axis=-1)
+    eye = np.eye(2)
+
+    # g_ij = d^2E/dv_i dv_j at fixed position
+    x1, y1 = p[:, 0, None], p[:, 1, None]
+    axis_nodes = lambda e: v[:, None, :] + hy[:, None, None] * _D2_OFF[None, :, None] * e
+    g11 = energy(x1, y1, axis_nodes(eye[0])) @ _D2_W / hy**2
+    g22 = energy(x1, y1, axis_nodes(eye[1])) @ _D2_W / hy**2
+    corners = _D1_OFF[:, None, None] * eye[0] + _D1_OFF[None, :, None] * eye[1]  # (4, 4, 2)
+    Ec = energy(x1[..., None], y1[..., None], v[:, None, None, :] + hy[:, None, None, None] * corners)
+    g12 = np.einsum("nkl,k,l->n", Ec, _D1_W, _D1_W) / hy**2
+
+    # dE/dx_j: nodes (n, j, k) at p + off_k*hx*e_j, direction fixed
+    px = p[:, None, None, :] + hx[:, None, None, None] * _D1_OFF[None, None, :, None] * eye[None, :, None, :]
+    Ex = energy(px[..., 0], px[..., 1], v[:, None, None, :])
+    dEdx = (Ex @ _D1_W) / hx[:, None]
+
+    # M_ij = d^2E / dv_i dx_j: cross grid over x-offsets (j,k) and v-offsets (i,l)
+    pxx = p[:, None, None, None, None, :] + (
+        hx[:, None, None, None, None, None]
+        * _D1_OFF[None, None, None, None, :, None]
+        * eye[None, None, :, None, None, :]
+    )
+    vvv = v[:, None, None, None, None, :] + (
+        hy[:, None, None, None, None, None]
+        * _D1_OFF[None, None, None, :, None, None]
+        * eye[None, :, None, None, None, :]
+    )
+    Exy = energy(pxx[..., 0], pxx[..., 1], vvv)
+    M = np.einsum("nijlk,l,k->nij", Exy, _D1_W, _D1_W) / (hx * hy)[:, None, None]
+
+    rhs = dEdx - np.einsum("nij,nj->ni", M, v)
+    g = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
+    return np.linalg.solve(g, rhs[..., None])[..., 0]
+
+
+def bumpy_table_surface():
+    """Spline table of the builtin gaussian plus a small sinusoid."""
+    s = np.linspace(0.0, 3.0, 256)
+    z = (np.exp(-s * s) / (2.0 * math.sqrt(6.0))
+         + 0.00453935808476718 * np.sin(2.0 * s + 1.7483137865656933))
+    return SurfaceOfRevolution(profile_from_table(s, z))
 
 
 class TestGeodesicShoot:
@@ -72,6 +137,14 @@ class TestGeodesicShoot:
         with pytest.raises(ZeroVector):
             geodesic_shoot(parab_surface, (0.1, 0.0), (0.0, 0.0), length=0.1)
 
+    def test_table_profile_conservation(self):
+        # spline tables once drifted ~1.5e-6 per unit length from force-stencil
+        # noise across knots
+        path = geodesic_shoot(bumpy_table_surface(), (0.7574251960933144, -0.8064707576745129),
+                              (0.049441478975768074, 0.9987770222410449), length=0.3, step=1e-3)
+        assert path.status == "complete"
+        assert conservation_drift(path) <= 1e-6
+
     def test_reversal_asymmetry(self, parab_surface):
         fwd = geodesic_shoot(parab_surface, (0.1, 0.0), (0.0, 1.0), length=0.3, step=1e-3)
         back = geodesic_shoot(
@@ -82,6 +155,55 @@ class TestGeodesicShoot:
         # reversed path takes a different route on sloped ground
         assert np.linalg.norm(mid_f - mid_b) > 1e-3
         assert np.linalg.norm(back.points[-1] - fwd.points[0]) > 1e-3
+
+
+def _uniform_radii(lo, hi):
+    return lambda rng, n: rng.uniform(lo, hi, n)
+
+
+def _knot_midpoint_radii(rng, n):
+    # The spline is one cubic between knots (spacing 3/255); the oracle's
+    # 4th-order stencils assume smoothness, so keep every stencil node (within
+    # 2 * 2e-3 of the state for |p| <= 1) between the same two knots.
+    return (rng.integers(8, 84, n) + 0.5) * (3.0 / 255.0)
+
+
+class TestSpray:
+    SURFACES = {
+        "paraboloid": (lambda: SurfaceOfRevolution(paraboloid(100.0)), _uniform_radii(0.02, 0.25)),
+        "gaussian": (lambda: SurfaceOfRevolution(gaussian_bump()), _uniform_radii(0.1, 2.5)),
+        "table": (bumpy_table_surface, _knot_midpoint_radii),
+        "graph": (lambda: GraphSurface(f=lambda x, y: 0.2 * np.sin(x) * np.cos(0.7 * y) + 0.1 * x),
+                  _uniform_radii(0.1, 2.5)),
+    }
+
+    @pytest.mark.parametrize("nav", [(1.0, 1.0), (1.0, 0.5)], ids=["nav11", "nav105"])
+    @pytest.mark.parametrize("name", list(SURFACES))
+    def test_matches_stencil_oracle(self, name, nav):
+        make, radii = self.SURFACES[name]
+        surf = make()
+        nav = NavigationParams(*nav)
+        rng = np.random.default_rng(7)
+        n = 256
+        r = radii(rng, n)
+        th, ph = rng.uniform(0, 2 * math.pi, (2, n))
+        p = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        v = rng.uniform(0.5, 2.0, n)[:, None] * np.stack([np.cos(ph), np.sin(ph)], axis=-1)
+        spray = _spray_accel(surf, p, v, nav)
+        oracle = stencil_accel(surf, p, v, nav)
+        err = np.linalg.norm(spray - oracle, axis=-1)
+        assert np.max(err) <= 1e-7 * np.max(np.linalg.norm(oracle, axis=-1))
+
+    def test_flat_ground_has_no_force(self, flat):
+        p = np.array([[0.3, -0.2], [1.0, 2.0]])
+        v = np.array([[1.0, 0.5], [-0.2, 0.9]])
+        assert np.all(_spray_accel(flat, p, v, NavigationParams()) == 0.0)
+
+    def test_past_convexity_is_nan(self, parab_surface):
+        # q = 4 s^2 = 0.64 > 1/3: det g_ij <= 0 for the uphill direction
+        acc = _spray_accel(parab_surface, np.array([[0.4, 0.0]]), np.array([[-1.0, 0.0]]),
+                           NavigationParams())
+        assert np.all(np.isnan(acc))
 
 
 class TestIndicatrix:
@@ -183,3 +305,16 @@ class TestWavefront:
     def test_seed_outside_domain(self, parab_surface):
         with pytest.raises(OutOfDomain):
             wavefront(parab_surface, (0.5, 0.0), total_time=0.1)
+
+    def test_rays_match_solo_shots(self, parab_surface):
+        # rays that die stop advancing; the live ones must be unaffected
+        seed, n = (0.2, 0.05), 16
+        wf = wavefront(parab_surface, seed, total_time=0.2, n_rays=n, step=1e-3)
+        assert 0 < wf.statuses.count("left_convex_domain") < n
+        th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        for ray, a in zip(wf.rays, th):
+            solo = geodesic_shoot(parab_surface, seed, (math.cos(a), math.sin(a)),
+                                  length=0.2, step=1e-3)
+            assert solo.status == ray.status
+            assert solo.points.shape == ray.points.shape
+            np.testing.assert_allclose(ray.points, solo.points, rtol=0, atol=1e-12)

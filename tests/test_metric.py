@@ -282,15 +282,6 @@ class TestFundamentalTensor:
         g = fundamental_tensor(flat, 0.0, 0.0, np.array([1.0, 0.0]), step=0.05)
         assert g.is_positive_definite() is True
 
-    def test_stencil_orders_agree(self, parab_surface):
-        from slopemetric import hessian_field
-
-        dirs = np.array([[0.3, 0.7], [-1.0, 0.2]])
-        g2 = hessian_field(parab_surface, 0.1, 0.05, dirs, step=1e-4, order=2)
-        g4 = hessian_field(parab_surface, 0.1, 0.05, dirs, step=2e-3, order=4)
-        for a, b in zip(g2, g4):
-            np.testing.assert_allclose(a, b, atol=1e-6)
-
 
 class TestConcurrency:
     def test_parallel_evaluation_matches_serial(self, parab_surface):

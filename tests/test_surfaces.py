@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from slopemetric import (
     ApexSingularity,
     ConfigError,
+    GraphSurface,
     NotInvertible,
     OutOfDomain,
     OutOfRange,
@@ -25,6 +26,8 @@ from slopemetric import (
     paraboloid,
     profile_derivative,
     profile_from_callable,
+    profile_from_table,
+    profile_second_derivative,
     surface_from_json,
     two_sheet_hyperboloid,
 )
@@ -211,6 +214,67 @@ class TestGradient:
         fx, fy = surf.gradient(s * math.cos(th), s * math.sin(th))
         d = profile_derivative(p, s)
         assert fx * fx + fy * fy == pytest.approx(d * d, rel=1e-12, abs=1e-15)
+
+
+def _gradient_differences(surf, x, y, h=1e-5):
+    """(f_xx, f_xy, f_yy) by 2nd-order central differences of the gradient."""
+    gxp, gyp = surf.gradient(x + h, y)
+    gxm, gym = surf.gradient(x - h, y)
+    gxu, gyu = surf.gradient(x, y + h)
+    gxd, gyd = surf.gradient(x, y - h)
+    return ((gxp - gxm) / (2 * h), 0.5 * ((gyp - gym) + (gxu - gxd)) / (2 * h), (gyu - gyd) / (2 * h))
+
+
+class TestHessian:
+    def test_second_derivative_closed_vs_central_difference(self, builtin_profile):
+        # numeric twin: closed-form slope, second derivative by differences of it
+        numeric = profile_from_callable(builtin_profile.phi, builtin_profile.domain,
+                                        dphi=builtin_profile.dphi)
+        for s in interior_radii(builtin_profile):
+            d2 = profile_second_derivative(builtin_profile, s)
+            assert profile_second_derivative(numeric, s) == pytest.approx(d2, rel=1e-6, abs=1e-9)
+
+    def test_second_derivative_fully_numeric(self):
+        numeric = profile_from_callable(lambda s: np.exp(-np.square(s)), (0.0, math.inf))
+        s = np.array([0.0, 0.3, 1.0, 2.5])
+        exact = (4.0 * s * s - 2.0) * np.exp(-s * s)
+        np.testing.assert_allclose(profile_second_derivative(numeric, s), exact, atol=1e-6)
+
+    def test_matches_gradient_differences(self, builtin_profile):
+        surf = SurfaceOfRevolution(builtin_profile)
+        for k, s in enumerate(interior_radii(builtin_profile)):
+            th = 0.4 + 0.9 * k
+            x, y = s * math.cos(th), s * math.sin(th)
+            got = surf.hessian(x, y)
+            want = _gradient_differences(surf, x, y)
+            scale = 1.0 + max(abs(w) for w in want)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-6 * scale
+
+    def test_table_and_graph_match_gradient_differences(self):
+        s = np.linspace(0.0, 3.0, 128)
+        table = SurfaceOfRevolution(profile_from_table(s, np.exp(-s * s) * np.cos(s)))
+        graph = GraphSurface(f=lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x * y)
+        x = np.array([0.3, -1.1, 0.8, 1.7])
+        y = np.array([0.2, 0.5, -1.3, 0.4])
+        for surf in (table, graph):
+            got = surf.hessian(x, y)
+            want = _gradient_differences(surf, x, y)
+            np.testing.assert_allclose(got, want, atol=1e-5)
+
+    def test_smooth_axis_is_isotropic(self, parab_surface, gauss_surface):
+        assert parab_surface.hessian(0.0, 0.0) == (-2.0, 0.0, -2.0)
+        assert gauss_surface.hessian(0.0, 0.0) == (-2.0 * GAUSS_PEAK, 0.0, -2.0 * GAUSS_PEAK)
+
+    def test_cone_apex_raises(self):
+        with pytest.raises(ApexSingularity):
+            SurfaceOfRevolution(cone(0.5)).hessian(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+
+    def test_domain_override_keeps_second_derivative(self):
+        surf = surface_from_json({"kind": "ellipsoid", "params": {"a": 1, "c": 1},
+                                  "domain": [0, 0.5]})
+        assert surf.profile.domain == (0.0, 0.5)
+        assert surf.profile.d2phi is not None
+        assert profile_second_derivative(surf.profile, 0.3) == pytest.approx(-1.0 / 0.91**1.5, rel=1e-14)
 
 
 class TestSurfaceFromJson:
