@@ -34,7 +34,6 @@ from .surfaces import (
     eval_profile,
     flat_surface,
     gaussian_bump,
-    gradient,
     invert_profile,
     one_sheet_hyperboloid,
     paraboloid,
@@ -69,6 +68,8 @@ from .convexity import (
     cartesian_condition,
     condition_asymptote,
     convexity_domain,
+    convexity_threshold,
+    criterion_verdict,
     is_strongly_convex_at,
     pd_oracle,
     trig_condition,

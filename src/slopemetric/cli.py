@@ -183,6 +183,7 @@ def cmd_analyze(args) -> int:
     rc = _run_config(args, default_resolution=64, default_band=cx.CRITERION_BAND,
                      bbox=None)
     surf, resolution, band = rc.surface, rc.resolution, rc.band
+    threshold = cx.convexity_threshold(rc.nav)
     bbox_raw = rc.extra("bbox")
     if bbox_raw is None:
         bbox = surf.bounding_box()
@@ -204,12 +205,7 @@ def cmd_analyze(args) -> int:
     if inside.any():
         d = np.asarray(cx.cartesian_condition(profile, S[inside]))
         q[inside] = d
-    with np.errstate(invalid="ignore"):
-        verdict = np.where(
-            ~inside, "outside",
-            np.where(q < cx.THRESHOLD - band, "true",
-                     np.where(q > cx.THRESHOLD + band, "false", "indeterminate")),
-        )
+    verdict = np.where(inside, cx.criterion_verdict(q, band, threshold), "outside")
 
     # radial profile of the criterion with the threshold line
     dom = cx.convexity_domain(profile, resolution=max(256, resolution), s_max=None)
@@ -222,7 +218,7 @@ def cmd_analyze(args) -> int:
             "bbox": list(bbox),
             "resolution": resolution,
             "band": band,
-            "threshold": cx.THRESHOLD,
+            "threshold": threshold,
             "x": xs, "y": ys,
             "grad_norm2": q,
             "verdict": verdict,
@@ -238,7 +234,7 @@ def cmd_analyze(args) -> int:
         lines.append("")
         lines.append("s,condition,threshold")
         for k in range(len(s_grid)):
-            lines.append(f"{_fmt(s_grid[k])},{_fmt(cond[k])},{_fmt(cx.THRESHOLD)}")
+            lines.append(f"{_fmt(s_grid[k])},{_fmt(cond[k])},{_fmt(threshold)}")
         _emit("\n".join(lines) + "\n", rc.out)
     return 0
 
@@ -248,7 +244,8 @@ def cmd_domain(args) -> int:
     surf = rc.surface
     smax = rc.extra("smax")
     dom = cx.convexity_domain(surf.profile, resolution=rc.resolution,
-                              s_max=float(smax) if smax is not None else None)
+                              s_max=float(smax) if smax is not None else None,
+                              threshold=cx.convexity_threshold(rc.nav))
     if rc.format == "json":
         payload = {
             "surface": _surface_echo(surf),
@@ -267,17 +264,17 @@ def cmd_domain(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config_file(args.config)
     rc = _run_config(args, need_surface=False,
-                     samples=200, directions=64, threshold=cx.THRESHOLD)
+                     samples=200, directions=64, threshold=None, surfaces=None)
 
-    surfaces_raw = args.surface or cfg.get("surfaces")
+    surfaces_raw = args.surface or rc.extra("surfaces")
     if surfaces_raw:
         jobs = [(None, s, None) for s in surfaces_raw]
     else:
         jobs = BUILTIN_VERIFY_SUITE
 
-    threshold = float(rc.extra("threshold"))
+    threshold = rc.extra("threshold")
+    threshold = cx.convexity_threshold(rc.nav) if threshold is None else float(threshold)
     reports = []
     total_disagreements = 0
     for label, desc, s_range in jobs:
@@ -442,7 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--directions", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None,
-                   help="analytic threshold override (test hook; default 1/3)")
+                   help="analytic threshold override (test hook; default the nav's "
+                        "bound, 1/3 at v = w)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("indicatrix", help="sample the unit curve and fit the limacon")

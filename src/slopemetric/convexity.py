@@ -1,10 +1,14 @@
 """Where the slope metric is strongly convex, decided by three routes.
 
-The pointwise criterion f_x^2 + f_y^2 < 1/3 (gradient route), the profile
-criteria phi'(s)^2 < 1/3 and m'(u)^2 > 3 (profile routes), and a
-brute-force positive-definiteness sweep of the direction Hessian (oracle
-route) must all agree; ``verify_equivalence`` samples surfaces at random
-and reports any disagreement instead of raising.
+The metric F = alpha^2 / (v*alpha - w*beta) is strongly convex exactly where
+the 1-form beta = df has alpha-norm b = sqrt(q / (1 + q)) < v / (2w), with
+q = f_x^2 + f_y^2 (Matsumoto's bound; Chern & Shen, *Riemann-Finsler
+Geometry*, 2005), i.e. where q < ``convexity_threshold(nav)``, which is 1/3
+at v = w.  The pointwise criterion q < threshold (gradient route), the
+profile criteria phi'(s)^2 < threshold and m'(u)^2 > 1/threshold (profile
+routes), and a brute-force positive-definiteness sweep of the direction
+Hessian (oracle route) must all agree; ``verify_equivalence`` samples
+surfaces at random and reports any disagreement instead of raising.
 
 Scans and sweeps are embarrassingly parallel over points; every callee is
 pure, and reports are assembled by a single aggregator afterwards.
@@ -26,6 +30,7 @@ from .errors import (
     NonDifferentiable,
     OutOfDomain,
     OutOfRange,
+    StencilOutOfCone,
 )
 from .metric import NORMALIZED, NavigationParams, hessian_field
 from .surfaces import (
@@ -33,6 +38,7 @@ from .surfaces import (
     SurfaceOfRevolution,
     SurfaceSpec,
     TrigProfile,
+    _scalar,
     profile_derivative,
 )
 
@@ -43,6 +49,8 @@ __all__ = [
     "ConvexityDomain",
     "SamplePlan",
     "EquivalenceReport",
+    "convexity_threshold",
+    "criterion_verdict",
     "is_strongly_convex_at",
     "cartesian_condition",
     "trig_condition",
@@ -52,7 +60,8 @@ __all__ = [
     "verify_equivalence",
 ]
 
-# Strong convexity holds where the squared gradient norm stays below 1/3.
+# Strong convexity holds where the squared gradient norm stays below 1/3
+# (at v = w; ``convexity_threshold`` gives the bound for any nav).
 THRESHOLD = 1.0 / 3.0
 
 # Criterion values within +-this of the threshold are ruled indeterminate.
@@ -71,23 +80,48 @@ class Verdict(enum.Enum):
         raise TypeError("compare Verdict members explicitly; indeterminate is not False")
 
 
+# indexed by criterion_verdict: 0 below the band, 1 above it, 2 inside it
+_VERDICT_VALUES = np.array([v.value for v in (Verdict.CONVEX, Verdict.NOT_CONVEX,
+                                              Verdict.INDETERMINATE)])
+
+
+def convexity_threshold(nav: NavigationParams) -> float:
+    """Bound on q = |grad f|^2 below which the slope metric of ``nav`` is strongly convex.
+
+    det g_ij has the sign of v^2 - 3vws + 2w^2 b^2, with s = beta/alpha and
+    b^2 = q / (1 + q).  That is least along steepest ascent (s = b), where it
+    factors as (v - w*b)(v - 2w*b); so the metric is strongly convex exactly
+    where b < v/(2w), i.e. q < v^2 / (4w^2 - v^2).  That is THRESHOLD
+    (exactly) when v = w, and inf when 2w <= v.
+    """
+    k = nav.w / nav.v
+    if 2.0 * k <= 1.0:
+        return math.inf
+    return 1.0 / (4.0 * k * k - 1.0)
+
+
+def criterion_verdict(q, band: float = CRITERION_BAND, threshold: float = THRESHOLD):
+    """Verdict value(s) of the gradient criterion q < threshold.
+
+    "true" below threshold - band, "false" above threshold + band, and
+    "indeterminate" in between or for NaN; a str for scalar q, else an array
+    of the same shape.  Every strong-convexity test on q goes through here.
+    """
+    q = np.asarray(q, dtype=float)
+    idx = np.where(q < threshold - band, 0, np.where(q > threshold + band, 1, 2))
+    return _VERDICT_VALUES[idx]
+
+
 def is_strongly_convex_at(surf: SurfaceSpec, x, y, band: float = CRITERION_BAND,
                           threshold: float = THRESHOLD) -> Verdict:
     """Pointwise verdict from the gradient criterion f_x^2 + f_y^2 < threshold."""
     fx, fy = surf.gradient(x, y)
-    q = fx * fx + fy * fy
-    if q < threshold - band:
-        return Verdict.CONVEX
-    if q > threshold + band:
-        return Verdict.NOT_CONVEX
-    return Verdict.INDETERMINATE
+    return Verdict(criterion_verdict(fx * fx + fy * fy, band, threshold))
 
 
 def cartesian_condition(p: ProfileCurve, s):
-    """phi'(s)^2; the metric is strongly convex at radius s iff this < 1/3."""
-    d = profile_derivative(p, s)
-    out = np.square(d)
-    return float(out) if np.ndim(out) == 0 else out
+    """phi'(s)^2; the metric is strongly convex at radius s iff this < the threshold."""
+    return _scalar(np.square(profile_derivative(p, s)))
 
 
 def trig_condition(t: TrigProfile, u):
@@ -104,8 +138,7 @@ def trig_condition(t: TrigProfile, u):
             DerivativeBlowupWarning,
             stacklevel=2,
         )
-    out = np.square(arr)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(np.square(arr))
 
 
 @dataclass(frozen=True)
@@ -267,35 +300,31 @@ def _unit_directions(n: int) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
-def _pd_margins(surf, x, y, dirs, nav, step):
-    g11, g12, g22 = hessian_field(surf, x, y, dirs, nav, step=step)
-    return g11 + g22, g11 * g22 - g12 * g12
-
-
 def pd_oracle(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
-              n_directions: int = 64, step: float = 1e-4,
-              include_uphill: bool = True) -> bool:
+              n_directions: int = 64) -> bool:
     """Brute-force positive definiteness of g_ij over a fan of directions.
 
     Sweeps ``n_directions`` equally spaced angles and requires trace > 0 and
     det > 0 for every one.  Convexity of the slope metric is lost first along
     the steepest-uphill direction, and just past the breakdown the indefinite
-    cone around it is narrower than any fixed angular spacing, so by default
-    the uphill angle joins the fan; the verdict still rests purely on
-    Hessian eigenvalue signs.
+    cone around it is narrower than any fixed angular spacing, so the uphill
+    angle joins the fan; the verdict still rests purely on Hessian eigenvalue
+    signs.  A stencil that leaves v*alpha - w*beta > 0 means F is not a norm
+    at the point, so the verdict is False.
     """
     if n_directions < 8:
         raise InsufficientDirections("need at least 8 directions for a meaningful sweep")
     nav = nav or NORMALIZED
     dirs = _unit_directions(n_directions)
-    if include_uphill:
-        fx, fy = surf.gradient(x, y)
-        q = fx * fx + fy * fy
-        if q > 0.0:
-            up = np.array([[fx, fy]]) / math.sqrt(q)
-            dirs = np.concatenate([dirs, up], axis=0)
-    tr, det = _pd_margins(surf, x, y, dirs, nav, step)
-    return bool(np.all(tr > 0.0) and np.all(det > 0.0))
+    fx, fy = surf.gradient(x, y)
+    q = fx * fx + fy * fy
+    if q > 0.0:
+        dirs = np.concatenate([dirs, np.array([[fx, fy]]) / math.sqrt(q)], axis=0)
+    try:
+        g11, g12, g22 = hessian_field(surf, x, y, dirs, nav)
+    except StencilOutOfCone:
+        return False
+    return bool(np.all(g11 + g22 > 0.0) and np.all(g11 * g22 - g12 * g12 > 0.0))
 
 
 @dataclass(frozen=True)
@@ -303,7 +332,8 @@ class SamplePlan:
     """How ``verify_equivalence`` draws its random sample of surface points.
 
     ``band`` excludes points within that radial distance of any predicted
-    convexity boundary; ``threshold`` is a test hook that corrupts the
+    convexity boundary.  ``threshold`` None means ``convexity_threshold`` of
+    the nav being verified; a number is a test hook that corrupts the
     analytic routes (the Hessian oracle never sees it).
     """
 
@@ -313,8 +343,7 @@ class SamplePlan:
     n_directions: int = 64
     s_range: tuple[float, float] | None = None
     bbox: tuple[float, float, float, float] | None = None
-    threshold: float = THRESHOLD
-    hessian_step: float = 1e-4
+    threshold: float | None = None
 
 
 @dataclass
@@ -378,6 +407,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     """
     plan = plan or SamplePlan()
     nav = nav or NORMALIZED
+    threshold = convexity_threshold(nav) if plan.threshold is None else plan.threshold
     rng = np.random.default_rng(plan.seed)
     is_rev = isinstance(surf, SurfaceOfRevolution)
     report = EquivalenceReport(
@@ -391,7 +421,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     trig: TrigProfile | None = None
     if is_rev:
         s_lo, s_hi = _revolution_sample_range(surf, plan)
-        dom = convexity_domain(surf.profile, s_max=s_hi, threshold=plan.threshold)
+        dom = convexity_domain(surf.profile, s_max=s_hi, threshold=threshold)
         roots = tuple(r for r, _ in dom.boundary_roots)
         try:
             trig = TrigProfile.from_profile(surf.profile)
@@ -417,19 +447,19 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
             raise RuntimeError("could not sample a point outside the exclusion band")
 
         verdicts: dict[str, bool | None] = {}
-        analytic = is_strongly_convex_at(surf, x, y, threshold=plan.threshold)
+        fx, fy = surf.gradient(x, y)
+        q = fx * fx + fy * fy
+        analytic = Verdict(criterion_verdict(q, threshold=threshold))
         verdicts["analytic"] = (
             None if analytic is Verdict.INDETERMINATE else analytic is Verdict.CONVEX
         )
         if verdicts["analytic"] is None:
             report.indeterminate += 1
-
-        fx, fy = surf.gradient(x, y)
-        report.worst_margin = min(report.worst_margin, abs(fx * fx + fy * fy - plan.threshold))
+        report.worst_margin = min(report.worst_margin, abs(q - threshold))
 
         if is_rev:
             cond = cartesian_condition(surf.profile, s)
-            verdicts["cartesian"] = bool(cond < plan.threshold)
+            verdicts["cartesian"] = bool(cond < threshold)
             mu = None
             if trig is not None:
                 try:
@@ -443,11 +473,9 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
                 report.trig_skipped += 1
                 verdicts["trig"] = None
             else:
-                verdicts["trig"] = bool(mu > 1.0 / plan.threshold)
+                verdicts["trig"] = bool(mu > 1.0 / threshold)
 
-        verdicts["hessian"] = pd_oracle(
-            surf, x, y, nav, n_directions=plan.n_directions, step=plan.hessian_step
-        )
+        verdicts["hessian"] = pd_oracle(surf, x, y, nav, n_directions=plan.n_directions)
 
         definite = [v for v in verdicts.values() if v is not None]
         if all(definite) or not any(definite):

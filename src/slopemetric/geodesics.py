@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import CRITERION_BAND, THRESHOLD, Verdict, is_strongly_convex_at
+from .convexity import Verdict, convexity_threshold, criterion_verdict, is_strongly_convex_at
 from .errors import OutOfDomain, StepTooLarge, ZeroVector
 from .metric import NORMALIZED, NavigationParams, induced_metric, slope_metric_F
 from .surfaces import SurfaceSpec
@@ -125,12 +125,6 @@ def _rk4_step(surf, p, v, h, nav):
     return p_new, v_new
 
 
-def _inside_convex(surf, x, y) -> np.ndarray:
-    fx, fy = surf.gradient(x, y)
-    q = np.asarray(fx) ** 2 + np.asarray(fy) ** 2
-    return q < THRESHOLD - CRITERION_BAND
-
-
 def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
     """Advance a batch of unit-speed rays; returns per-node arrays and halts."""
     n = p0.shape[0]
@@ -149,11 +143,14 @@ def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
     fv[0] = slope_metric_F(surf, p0[:, 0], p0[:, 1], v0, nav)
     halt = np.full(n, m, dtype=int)
     live = np.arange(n)
+    threshold = convexity_threshold(nav)
 
     for k, h in enumerate(hs):
         p_new, v_new = _rk4_step(surf, pos[k, live], vel[k, live], h, nav)
         ok = np.isfinite(p_new).all(axis=-1) & np.isfinite(v_new).all(axis=-1)
-        ok[ok] &= _inside_convex(surf, p_new[ok, 0], p_new[ok, 1])
+        fx, fy = surf.gradient(p_new[ok, 0], p_new[ok, 1])
+        verdict = criterion_verdict(fx * fx + fy * fy, threshold=threshold)
+        ok[ok] &= verdict == Verdict.CONVEX.value
         halt[live[~ok]] = k
         live, p_new, v_new = live[ok], p_new[ok], v_new[ok]
         if not live.size:
@@ -199,7 +196,8 @@ def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,
     direction = np.asarray(direction, dtype=float).reshape(2)
     if not np.any(direction):
         raise ZeroVector("shooting direction must be nonzero")
-    if is_strongly_convex_at(surf, start[0], start[1]) is not Verdict.CONVEX:
+    if is_strongly_convex_at(surf, start[0], start[1],
+                             threshold=convexity_threshold(nav)) is not Verdict.CONVEX:
         raise OutOfDomain("start point is not strictly inside the strong-convexity domain")
     if length <= 0 or step <= 0:
         raise ValueError("length and step must be positive")
@@ -247,7 +245,8 @@ def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
     """
     nav = nav or NORMALIZED
     seed = np.asarray(seed, dtype=float).reshape(2)
-    if is_strongly_convex_at(surf, seed[0], seed[1]) is not Verdict.CONVEX:
+    if is_strongly_convex_at(surf, seed[0], seed[1],
+                             threshold=convexity_threshold(nav)) is not Verdict.CONVEX:
         raise OutOfDomain("seed point is not strictly inside the strong-convexity domain")
     if n_rays < 3:
         raise ValueError("need at least 3 rays for a front polyline")

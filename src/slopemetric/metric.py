@@ -24,7 +24,7 @@ from .errors import (
     StencilOutOfCone,
     ZeroVector,
 )
-from .surfaces import SurfaceSpec
+from .surfaces import SurfaceSpec, _scalar
 
 __all__ = [
     "NavigationParams",
@@ -58,14 +58,6 @@ class NavigationParams:
         if self.w < 0:
             raise ValueError("slope coefficient w must be nonnegative")
 
-    @classmethod
-    def normalized(cls) -> "NavigationParams":
-        return cls(1.0, 1.0)
-
-    @classmethod
-    def from_gravity(cls, v: float, g: float) -> "NavigationParams":
-        return cls(v, 0.5 * g)
-
 
 NORMALIZED = NavigationParams()
 
@@ -82,20 +74,15 @@ class RiemannMetric2:
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a12
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
     def quad(self, tv) -> float:
         """Quadratic form a_ij tv^i tv^j."""
         vx, vy = _split(tv)
-        q = self.a11 * vx * vx + 2.0 * self.a12 * vx * vy + self.a22 * vy * vy
-        return float(q) if np.ndim(q) == 0 else q
+        return _scalar(self.a11 * vx * vx + 2.0 * self.a12 * vx * vy + self.a22 * vy * vy)
 
     def inner(self, u, t) -> float:
         ux, uy = _split(u)
         tx, ty = _split(t)
-        q = self.a11 * ux * tx + self.a12 * (ux * ty + uy * tx) + self.a22 * uy * ty
-        return float(q) if np.ndim(q) == 0 else q
+        return _scalar(self.a11 * ux * tx + self.a12 * (ux * ty + uy * tx) + self.a22 * uy * ty)
 
 
 @dataclass(frozen=True)
@@ -105,9 +92,6 @@ class FundamentalTensor:
     g11: float
     g12: float
     g22: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.g11, self.g12], [self.g12, self.g22]])
 
     @property
     def trace(self) -> float:
@@ -124,8 +108,7 @@ class FundamentalTensor:
 
     def quad(self, tv) -> float:
         vx, vy = _split(tv)
-        q = self.g11 * vx * vx + 2.0 * self.g12 * vx * vy + self.g22 * vy * vy
-        return float(q) if np.ndim(q) == 0 else q
+        return _scalar(self.g11 * vx * vx + 2.0 * self.g12 * vx * vy + self.g22 * vy * vy)
 
     def is_positive_definite(self, band: float = 1e-7) -> bool | None:
         """True / False, or None when trace or det sits inside the +-band."""
@@ -158,16 +141,14 @@ def alpha(a: RiemannMetric2, tv):
     """Riemannian length sqrt(a_ij tv^i tv^j); 1-homogeneous and positive."""
     vx, vy = _split(tv)
     _require_nonzero(vx, vy)
-    out = np.sqrt(a.quad(tv))
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.sqrt(a.quad(tv)))
 
 
 def beta(surf: SurfaceSpec, x, y, tv):
     """Climb rate f_x*xdot + f_y*ydot of a chart direction; linear in tv."""
     fx, fy = surf.gradient(x, y)
     vx, vy = _split(tv)
-    out = fx * vx + fy * vy
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(fx * vx + fy * vy)
 
 
 def _alpha_beta_parts(surf, x, y, tv):
@@ -209,8 +190,7 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
         raise DegenerateDenominator(
             "v*alpha - w*beta <= 0: slope term overwhelms the base speed"
         )
-    out = a2 / denom
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(a2 / denom)
 
 
 def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
@@ -223,8 +203,7 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     """
     nav = nav or NORMALIZED
     n2, b, a2 = _alpha_beta_parts(surf, x, y, tv)
-    out = a2 - nav.v * np.sqrt(a2) + nav.w * b
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(a2 - nav.v * np.sqrt(a2) + nav.w * b)
 
 
 def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None = None,

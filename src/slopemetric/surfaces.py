@@ -48,7 +48,6 @@ __all__ = [
     "profile_derivative",
     "profile_second_derivative",
     "invert_profile",
-    "gradient",
     "flat_surface",
     "surface_from_json",
 ]
@@ -114,12 +113,6 @@ class ProfileCurve:
 
     def __call__(self, s):
         return eval_profile(self, s)
-
-    def derivative(self, s):
-        return profile_derivative(self, s)
-
-    def trig_profile(self, s_range: tuple[float, float] | None = None) -> "TrigProfile":
-        return TrigProfile.from_profile(self, s_range)
 
 
 def paraboloid(h: float = 100.0, s_max: float = math.inf) -> ProfileCurve:
@@ -253,6 +246,17 @@ def profile_from_callable(
     return ProfileCurve(kind=kind, phi=phi, dphi=dphi, domain=(float(domain[0]), float(domain[1])), fd_step=fd_step)
 
 
+def _scalar(*values):
+    """Python floats for 0-d values, else the arrays themselves.
+
+    The scalar-in, float-out rule of every public function: one value comes
+    back bare, several (of one shape) as a tuple.
+    """
+    if np.ndim(values[0]) == 0:
+        values = tuple(float(v) for v in values)
+    return values[0] if len(values) == 1 else values
+
+
 def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
     lo, hi = p.domain
     bad = (s < lo) | (s >= hi) | ~np.isfinite(s)
@@ -268,7 +272,7 @@ def eval_profile(p: ProfileCurve, s):
     z = np.asarray(p.phi(s_arr), dtype=float)
     if not np.all(np.isfinite(z)):
         raise OutOfDomain(f"profile evaluated non-finite at s={s!r}")
-    return float(z) if z.ndim == 0 else z
+    return _scalar(z)
 
 
 def _phi_even(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
@@ -286,7 +290,7 @@ def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
             # closed-form slope diverges at a positive inner edge (waist)
             raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
         raise NonDifferentiable(f"closed-form derivative non-finite at s={s!r}")
-    return float(d) if d.ndim == 0 else d
+    return _scalar(d)
 
 
 def _central_difference(p: ProfileCurve, f, s_arr: np.ndarray, s, fd_step: float):
@@ -306,7 +310,7 @@ def _central_difference(p: ProfileCurve, f, s_arr: np.ndarray, s, fd_step: float
     d = (f(s_arr - 2 * h) - 8 * f(s_arr - h) + 8 * f(s_arr + h) - f(s_arr + 2 * h)) / (12 * h)
     if not np.all(np.isfinite(d)):
         raise NonDifferentiable(f"numeric derivative non-finite at s={s!r}")
-    return float(d) if d.ndim == 0 else d
+    return _scalar(d)
 
 
 def profile_derivative(p: ProfileCurve, s):
@@ -419,8 +423,7 @@ class TrigProfile:
         # snap exact endpoint hits
         out = np.where(u_flat == phi(np.full_like(u_flat, s_lo)), s_lo, out)
         out = np.where(u_flat == phi(np.full_like(u_flat, s_hi)), s_hi, out)
-        out = out.reshape(shape)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(out.reshape(shape))
 
     def m_prime(self, u):
         """dm/du = 1 / phi'(m(u)); +-inf where the profile slope vanishes."""
@@ -428,7 +431,7 @@ class TrigProfile:
         d = profile_derivative(self.profile, s)
         with np.errstate(divide="ignore"):
             out = np.where(np.asarray(d) == 0.0, np.inf, 1.0 / np.asarray(d, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(out)
 
 
 def invert_profile(p: ProfileCurve, u, s_range: tuple[float, float] | None = None):
@@ -483,9 +486,7 @@ class SurfaceOfRevolution:
             d = profile_derivative(self.profile, s)
         fx = np.asarray(d) * x_arr / s_safe
         fy = np.asarray(d) * y_arr / s_safe
-        if fx.ndim == 0:
-            return float(fx), float(fy)
-        return fx, fy
+        return _scalar(fx, fy)
 
     def hessian(self, x, y):
         """(f_xx, f_xy, f_yy) of phi''(s) u u^T + (phi'(s)/s) (I - u u^T), u = (x, y)/s.
@@ -506,9 +507,7 @@ class SurfaceOfRevolution:
         fxx = radial + bend * ux * ux
         fxy = bend * ux * uy
         fyy = radial + bend * uy * uy
-        if fxx.ndim == 0:
-            return float(fxx), float(fxy), float(fyy)
-        return fxx, fxy, fyy
+        return _scalar(fxx, fxy, fyy)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         lo, hi = self.profile.domain
@@ -530,8 +529,7 @@ class GraphSurface:
 
     def height(self, x, y):
         x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        z = np.asarray(self.f(x_arr, y_arr), dtype=float)
-        return float(z) if z.ndim == 0 else z
+        return _scalar(np.asarray(self.f(x_arr, y_arr), dtype=float))
 
     def gradient(self, x, y):
         x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -547,9 +545,7 @@ class GraphSurface:
                   + 8 * f(x_arr + hx, y_arr) - f(x_arr + 2 * hx, y_arr)) / (12 * hx)
             fy = (f(x_arr, y_arr - 2 * hy) - 8 * f(x_arr, y_arr - hy)
                   + 8 * f(x_arr, y_arr + hy) - f(x_arr, y_arr + 2 * hy)) / (12 * hy)
-        if np.ndim(fx) == 0:
-            return float(fx), float(fy)
-        return fx, fy
+        return _scalar(fx, fy)
 
     def hessian(self, x, y):
         """(f_xx, f_xy, f_yy) by 4th-order central differences of ``gradient``.
@@ -568,20 +564,13 @@ class GraphSurface:
         fxx = np.tensordot(w, gx_x, axes=1) / hx
         fyy = np.tensordot(w, gy_y, axes=1) / hy
         fxy = 0.5 * (np.tensordot(w, gy_x, axes=1) / hx + np.tensordot(w, gx_y, axes=1) / hy)
-        if fxx.ndim == 0:
-            return float(fxx), float(fxy), float(fyy)
-        return fxx, fxy, fyy
+        return _scalar(fxx, fxy, fyy)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return self.bbox
 
 
 SurfaceSpec = SurfaceOfRevolution | GraphSurface
-
-
-def gradient(surf: SurfaceSpec, x, y):
-    """Surface gradient (f_x, f_y) at chart point(s) (x, y)."""
-    return surf.gradient(x, y)
 
 
 def flat_surface(height: float = 0.0) -> GraphSurface:

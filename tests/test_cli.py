@@ -11,6 +11,7 @@ import pytest
 
 import slopemetric
 from slopemetric.cli import _rays_csv, main
+from slopemetric.convexity import is_strongly_convex_at
 from slopemetric.geodesics import GeodesicPath
 
 PARAB = '{"kind": "paraboloid", "params": {"h": 100}}'
@@ -110,6 +111,21 @@ class TestAnalyzeCommand:
                                   "--bbox=-1,1,-1,1"])
         assert code == 2
 
+    def test_verdicts_match_pointwise_criterion(self, capsys):
+        code, out, _ = run(capsys, [
+            "analyze", "--surface", PARAB, "--resolution", "129",
+            "--bbox=-0.5,0.5,-0.5,0.5", "--band", "1e-3",
+        ])
+        assert code == 0
+        d = json.loads(out)
+        verdict = np.array(d["verdict"])
+        assert np.count_nonzero(verdict == "indeterminate") > 0
+        surf = slopemetric.surface_from_json(PARAB)
+        for i, x in enumerate(d["x"]):
+            for j, y in enumerate(d["y"]):
+                if verdict[i, j] != "outside":
+                    assert verdict[i, j] == is_strongly_convex_at(surf, x, y, band=1e-3).value
+
     def test_profile_section_present(self, capsys):
         code, out, _ = run(capsys, ["analyze", "--surface", PARAB, "--resolution", "64",
                                     "--bbox=-1,1,-1,1"])
@@ -133,6 +149,12 @@ class TestVerifyCommand:
         assert code == 1
         d = json.loads(out)
         assert d["total_disagreements"] > 0
+
+    @pytest.mark.parametrize("nav", ["1,0.5", "1,2"])
+    def test_builtin_suite_agrees_at_other_nav(self, capsys, nav):
+        code, out, _ = run(capsys, ["verify", "--nav", nav, "--samples", "100"])
+        assert code == 0
+        assert json.loads(out)["total_disagreements"] == 0
 
     def test_zero_band_reports_and_exits_zero(self, capsys):
         code, out, _ = run(capsys, ["verify", "--surface", PARAB_NEAR,
@@ -232,6 +254,13 @@ class TestFrontCommand:
         d = json.loads(out)
         assert all(s == "complete" for s in d["statuses"])
         assert d["fronts"][-1]["complete"] is True
+
+    def test_seed_outside_nav_domain_exit_three(self, capsys):
+        # at nav (1, 6) convexity needs q < 1/143; the seed has q = 0.04
+        code, _, err = run(capsys, ["front", "--surface", PARAB, "--seed-point", "0.1,0",
+                                    "--nav", "1,6"])
+        assert code == 3
+        assert "seed point is not strictly inside" in err
 
     def test_strict_exit_three_on_truncation(self, capsys):
         code, _, _ = run(capsys, [

@@ -10,14 +10,18 @@ from slopemetric import (
     DerivativeBlowupWarning,
     DoubleRootWarning,
     InsufficientDirections,
+    NavigationParams,
     SamplePlan,
     SurfaceOfRevolution,
+    THRESHOLD,
     TrigProfile,
     Verdict,
     cartesian_condition,
     condition_asymptote,
     cone,
     convexity_domain,
+    convexity_threshold,
+    criterion_verdict,
     ellipsoid,
     gaussian_bump,
     is_strongly_convex_at,
@@ -63,6 +67,29 @@ class TestPointwiseCriterion:
     def test_verdict_not_boolean(self, flat):
         with pytest.raises(TypeError):
             bool(is_strongly_convex_at(flat, 0.0, 0.0))
+
+    def test_criterion_verdict_broadcasts(self):
+        q = np.array([[0.1, 1.0 / 3.0], [0.5, np.nan]])
+        assert criterion_verdict(q).tolist() == [["true", "indeterminate"],
+                                                 ["false", "indeterminate"]]
+        assert criterion_verdict(0.5, threshold=0.8) == "true"
+        assert criterion_verdict(0.35, band=0.1) == "indeterminate"
+
+
+class TestConvexityThreshold:
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 3.7, 250.0])
+    def test_equal_speeds_give_one_third(self, c):
+        assert convexity_threshold(NavigationParams(c, c)) == THRESHOLD
+
+    @pytest.mark.parametrize("v, w", [(1.0, 0.5), (1.0, 0.0), (3.0, 1.0)])
+    def test_unbounded_when_2w_at_most_v(self, v, w):
+        assert convexity_threshold(NavigationParams(v, w)) == math.inf
+
+    @pytest.mark.parametrize("v, w", [(1.0, 0.75), (1.0, 2.0), (2.0, 1.5), (1.0, 6.0)])
+    def test_matsumoto_bound(self, v, w):
+        # at q = threshold the alpha-norm of df sits exactly on v / (2w)
+        q = convexity_threshold(NavigationParams(v, w))
+        assert math.sqrt(q / (1.0 + q)) == pytest.approx(v / (2.0 * w), rel=1e-14)
 
 
 class TestCartesianCondition:
@@ -212,6 +239,10 @@ class TestPdOracle:
         assert pd_oracle(SurfaceOfRevolution(cone(0.7)), 1.0, 1.0) is False
         assert pd_oracle(SurfaceOfRevolution(cone(0.5)), 1.0, 1.0) is True
 
+    def test_outside_the_cone_is_false(self, parab_surface):
+        # at nav (1, 2) F is no norm at s = 0.4: some directions have v*alpha <= w*beta
+        assert pd_oracle(parab_surface, 0.4, 0.0, NavigationParams(1.0, 2.0)) is False
+
     def test_insufficient_directions(self, flat):
         with pytest.raises(InsufficientDirections):
             pd_oracle(flat, 0.0, 0.0, n_directions=4)
@@ -236,6 +267,12 @@ class TestVerifyEquivalence:
         assert rep.ok
         # every sampled point is convex by every route, so far from threshold
         assert rep.worst_margin > 0.03
+
+    def test_threshold_follows_nav(self, parab_surface):
+        plan = SamplePlan(n_points=60, seed=0, s_range=(0.0, 1.0))
+        rep = verify_equivalence(parab_surface, plan, NavigationParams(1.0, 0.75))
+        assert rep.ok
+        assert rep.agreements == 60
 
     def test_corrupted_threshold_detected(self):
         surf = SurfaceOfRevolution(paraboloid(100.0, s_max=1.0))

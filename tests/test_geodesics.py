@@ -306,6 +306,15 @@ class TestWavefront:
         with pytest.raises(OutOfDomain):
             wavefront(parab_surface, (0.5, 0.0), total_time=0.1)
 
+    def test_rays_halt_at_the_nav_boundary(self, parab_surface):
+        # at nav (1, 0.75) convexity holds for q < 0.8, i.e. s < 1/sqrt(5)
+        wf = wavefront(parab_surface, (0.1, 0.0), total_time=0.3, n_rays=64, step=1e-3,
+                       nav=NavigationParams(1.0, 0.75))
+        ends = [math.hypot(*ray.points[-1]) for ray in wf.rays if ray.left_domain]
+        assert ends
+        edge = 1.0 / math.sqrt(5.0)
+        assert all(edge - 2e-3 <= s < edge for s in ends)
+
     def test_rays_match_solo_shots(self, parab_surface):
         # rays that die stop advancing; the live ones must be unaffected
         seed, n = (0.2, 0.05), 16
