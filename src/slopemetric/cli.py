@@ -124,13 +124,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must be two comma-separated numbers, got {text!r}")
+def _parse_numbers(raw, what: str, n: int = 2) -> tuple[float, ...]:
+    """n numbers from a flag's "a,b,..." string or a config file's list of length n."""
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, (list, tuple)) or len(parts) != n:
+        raise ConfigError(f"{what} must be {n} comma-separated numbers, got {raw!r}")
     try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
+        return tuple(float(v) for v in parts)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -164,14 +165,7 @@ def _nav_arg(args, cfg) -> NavigationParams:
     raw = _merged(args, cfg, "nav", None)
     if raw is None:
         return NavigationParams()
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        v, w = float(raw[0]), float(raw[1])
-    else:
-        v, w = _parse_pair(str(raw), "--nav")
-    try:
-        return NavigationParams(v, w)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return NavigationParams(*_parse_numbers(raw, "--nav"))
 
 
 def _surface_echo(surf: SurfaceOfRevolution) -> dict:
@@ -185,13 +179,7 @@ def cmd_analyze(args) -> int:
     surf, resolution, band = rc.surface, rc.resolution, rc.band
     threshold = cx.convexity_threshold(rc.nav)
     bbox_raw = rc.extra("bbox")
-    if bbox_raw is None:
-        bbox = surf.bounding_box()
-    else:
-        vals = [float(v) for v in (bbox_raw.split(",") if isinstance(bbox_raw, str) else bbox_raw)]
-        if len(vals) != 4:
-            raise ConfigError("--bbox must be xmin,xmax,ymin,ymax")
-        bbox = tuple(vals)
+    bbox = surf.bounding_box() if bbox_raw is None else _parse_numbers(bbox_raw, "--bbox", 4)
 
     profile = surf.profile
     lo, hi = profile.domain
@@ -300,7 +288,7 @@ def cmd_indicatrix(args) -> int:
     at = rc.extra("at")
     if at is None:
         raise ConfigError("--at x,y is required")
-    x0, y0 = _parse_pair(at, "--at") if isinstance(at, str) else (float(at[0]), float(at[1]))
+    x0, y0 = _parse_numbers(at, "--at")
     n = int(rc.extra("n"))
     ind = gd.indicatrix(rc.surface, x0, y0, rc.nav, n=n)
     if rc.format == "json":
@@ -340,8 +328,8 @@ def cmd_geodesic(args) -> int:
     direction = rc.extra("dir")
     if start is None or direction is None:
         raise ConfigError("--start x,y and --dir dx,dy are required")
-    start = _parse_pair(start, "--start") if isinstance(start, str) else tuple(map(float, start))
-    direction = _parse_pair(direction, "--dir") if isinstance(direction, str) else tuple(map(float, direction))
+    start = _parse_numbers(start, "--start")
+    direction = _parse_numbers(direction, "--dir")
 
     path = gd.geodesic_shoot(rc.surface, start, direction, float(rc.extra("length")),
                              step=float(rc.extra("step")), nav=rc.nav)
@@ -372,7 +360,7 @@ def cmd_front(args) -> int:
     seed_pt = rc.extra("seed_point")
     if seed_pt is None:
         raise ConfigError("--seed-point x,y is required")
-    seed_pt = _parse_pair(seed_pt, "--seed-point") if isinstance(seed_pt, str) else tuple(map(float, seed_pt))
+    seed_pt = _parse_numbers(seed_pt, "--seed-point")
 
     wf = gd.wavefront(rc.surface, seed_pt, float(rc.extra("time")),
                       n_rays=int(rc.extra("rays")), step=float(rc.extra("step")),

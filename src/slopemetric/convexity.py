@@ -34,6 +34,7 @@ from .errors import (
 )
 from .metric import NORMALIZED, NavigationParams, hessian_field
 from .surfaces import (
+    DEFAULT_SCAN_SMAX,
     ProfileCurve,
     SurfaceOfRevolution,
     SurfaceSpec,
@@ -66,9 +67,6 @@ THRESHOLD = 1.0 / 3.0
 
 # Criterion values within +-this of the threshold are ruled indeterminate.
 CRITERION_BAND = 1e-9
-
-# Unbounded profile domains are clipped to this radius for scanning.
-DEFAULT_SCAN_SMAX = 100.0
 
 
 class Verdict(enum.Enum):
@@ -128,7 +126,8 @@ def trig_condition(t: TrigProfile, u):
     """m'(u)^2; the metric is strongly convex at height u iff this > 3.
 
     Where the Cartesian slope vanishes (hilltop, bump peak) m' diverges and
-    the condition holds by limit: returns +inf and warns.
+    the condition holds by limit: returns +inf and warns.  A square that
+    overflows (far, numerically flat tails) gives the same +inf silently.
     """
     mp = t.m_prime(u)
     arr = np.asarray(mp)
@@ -138,7 +137,8 @@ def trig_condition(t: TrigProfile, u):
             DerivativeBlowupWarning,
             stacklevel=2,
         )
-    return _scalar(np.square(arr))
+    with np.errstate(over="ignore"):
+        return _scalar(np.square(arr))
 
 
 @dataclass(frozen=True)
@@ -464,9 +464,11 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
             if trig is not None:
                 try:
                     u = float(surf.profile.phi(s))
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DerivativeBlowupWarning)
-                        mu = trig_condition(trig, u)
+                    # at a branch end's height (e.g. an underflowed tail) m(u) is not s
+                    if trig.u_range[0] < u < trig.u_range[1]:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", DerivativeBlowupWarning)
+                            mu = trig_condition(trig, u)
                 except (OutOfRange, OutOfDomain):
                     mu = None
             if mu is None:

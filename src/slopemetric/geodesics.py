@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import Verdict, convexity_threshold, criterion_verdict, is_strongly_convex_at
+from .convexity import (Verdict, _unit_directions, convexity_threshold, criterion_verdict,
+                        is_strongly_convex_at)
 from .errors import OutOfDomain, StepTooLarge, ZeroVector
-from .metric import NORMALIZED, NavigationParams, induced_metric, slope_metric_F
+from .metric import NORMALIZED, NavigationParams, _parts, induced_metric, slope_metric_F
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -98,8 +99,8 @@ def _spray_accel(surf, p, v, nav):
     fxx, fxy, fyy = surf.hessian(px, py)
     y1, y2 = v[:, 0], v[:, 1]
     q1 = 1.0 + fx * fx + fy * fy
-    b = fx * y1 + fy * y2
-    al = np.sqrt(y1 * y1 + y2 * y2 + b * b)
+    _, b, a2 = _parts(fx, fy, v)
+    al = np.sqrt(a2)
     s = b / al
     r00 = (fxx * y1 * y1 + 2.0 * fxy * y1 * y2 + fyy * y2 * y2) / q1
     vn, wn = nav.v, nav.w
@@ -250,8 +251,7 @@ def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
         raise OutOfDomain("seed point is not strictly inside the strong-convexity domain")
     if n_rays < 3:
         raise ValueError("need at least 3 rays for a front polyline")
-    th = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    dirs = _unit_directions(n_rays)
     F0 = slope_metric_F(surf, seed[0], seed[1], dirs, nav)
     v0 = dirs / F0[:, None]
     p0 = np.broadcast_to(seed, (n_rays, 2)).copy()
@@ -323,8 +323,7 @@ def indicatrix(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
     nav = nav or NORMALIZED
     if n < 8:
         raise ValueError("need at least 8 samples")
-    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    dirs = _unit_directions(n)
     F = slope_metric_F(surf, x, y, dirs, nav)
     samples = dirs / F[:, None]
     F_check = slope_metric_F(surf, x, y, samples, nav)

@@ -5,6 +5,10 @@ the graph embedding, beta = f_x*xdot + f_y*ydot is the climb rate, v is the
 flat-ground speed and w the slope coefficient (half the gravitational pull).
 Normalized mode v = w = 1 gives the classical form alpha^2 / (alpha - beta).
 
+F, the indicatrix function and the geodesic spray see the point only through
+beta = df: ``_parts``, the one kernel that builds beta and alpha^2 = |tv|^2 +
+beta^2, takes gradient values, so each caller reads the surface once.
+
 Directions are array-likes with a trailing axis of length 2 and may be
 batched: every operation broadcasts over leading axes of the direction and
 of the chart coordinates.  All functions are pure; nothing here mutates
@@ -146,18 +150,22 @@ def alpha(a: RiemannMetric2, tv):
 
 def beta(surf: SurfaceSpec, x, y, tv):
     """Climb rate f_x*xdot + f_y*ydot of a chart direction; linear in tv."""
-    fx, fy = surf.gradient(x, y)
-    vx, vy = _split(tv)
-    return _scalar(fx * vx + fy * vy)
+    _, b, _ = _parts(*surf.gradient(x, y), tv)
+    return _scalar(b)
 
 
-def _alpha_beta_parts(surf, x, y, tv):
-    """norm^2, climb rate b and alpha^2 = norm^2 + b^2, broadcast together."""
-    fx, fy = surf.gradient(x, y)
+def _parts(fx, fy, tv):
+    """|tv|^2, climb rate b = fx*xdot + fy*ydot and alpha^2 = |tv|^2 + b^2, broadcast."""
     vx, vy = _split(tv)
     b = np.asarray(fx) * vx + np.asarray(fy) * vy
     n2 = vx * vx + vy * vy
     return n2, b, n2 + b * b
+
+
+def _limacon(fx, fy, tv, nav: NavigationParams):
+    """alpha^2 - v*alpha + w*beta, the indicatrix function at gradient values."""
+    _, b, a2 = _parts(fx, fy, tv)
+    return a2 - nav.v * np.sqrt(a2) + nav.w * b
 
 
 def _denominator(n2, b, a2, nav: NavigationParams):
@@ -183,7 +191,7 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
     |beta| < alpha always.  Raises ZeroVector / DegenerateDenominator.
     """
     nav = nav or NORMALIZED
-    n2, b, a2 = _alpha_beta_parts(surf, x, y, tv)
+    n2, b, a2 = _parts(*surf.gradient(x, y), tv)
     _require_nonzero(*_split(tv))
     denom, _ = _denominator(n2, b, a2, nav)
     if np.any(denom <= 0.0):
@@ -202,8 +210,7 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     r = v + w*sin(incline)*cos(theta).
     """
     nav = nav or NORMALIZED
-    n2, b, a2 = _alpha_beta_parts(surf, x, y, tv)
-    return _scalar(a2 - nav.v * np.sqrt(a2) + nav.w * b)
+    return _scalar(_limacon(*surf.gradient(x, y), tv, nav))
 
 
 def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None = None,
@@ -213,7 +220,8 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     Newton iteration on lam = 1/F with a bisection fallback on [1e-12, 1e6];
     converged when |h| <= 1e-12 * (1 + |direction|^2).  This route never
     touches the closed-form quotient, so it independently cross-checks
-    ``slope_metric_F``.
+    ``slope_metric_F``.  Reads the surface once; raises NoRoot exactly where
+    the quotient's denominator test raises DegenerateDenominator.
     """
     nav = nav or NORMALIZED
     d = np.asarray(direction, dtype=float)
@@ -223,11 +231,12 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     # solve for the unit-Euclid direction; the root scales by 1-homogeneity
     scale = float(np.linalg.norm(d))
     dn = d / scale
-    n2, b, a2 = _alpha_beta_parts(surf, x, y, dn)
-    if nav.v * math.sqrt(a2) - nav.w * b <= 0.0:
+    fx, fy = surf.gradient(x, y)
+    n2, b, a2 = _parts(fx, fy, dn)
+    if _denominator(n2, b, a2, nav)[0] <= 0.0:
         raise NoRoot("degenerate denominator: no positive root of the indicatrix equation")
 
-    f = lambda lam: limacon_h(surf, x, y, lam * dn, nav)
+    f = lambda lam: float(_limacon(fx, fy, lam * dn, nav))
     # |h| threshold alone under-resolves lam where F/alpha is large (steep
     # uphill, nearly degenerate denominator), so Newton also runs until the
     # update stalls; the relative-agreement contract is 1e-9.

@@ -52,8 +52,8 @@ __all__ = [
     "surface_from_json",
 ]
 
-# Fallback clip for inversion brackets on profiles with unbounded domains.
-_FINITE_CLIP = 100.0
+# Unbounded profile domains are clipped to this radius (scans, samples, inversion).
+DEFAULT_SCAN_SMAX = 100.0
 
 # |phi'(0+)| below this counts as a smooth axis point (even extension).
 _APEX_SLOPE_TOL = 1e-8
@@ -366,7 +366,7 @@ class TrigProfile:
         lo, hi = p.domain
         auto = s_range is None
         if auto:
-            hi_eff = min(hi, max(_FINITE_CLIP, 2 * lo))
+            hi_eff = min(hi, max(DEFAULT_SCAN_SMAX, 2 * lo))
             if math.isfinite(hi):
                 hi_eff = min(hi_eff, hi - max(1e-12, (hi - lo) * 1e-12))
             s_range = (lo, hi_eff)
@@ -511,7 +511,7 @@ class SurfaceOfRevolution:
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         lo, hi = self.profile.domain
-        r = min(hi, _FINITE_CLIP)
+        r = min(hi, DEFAULT_SCAN_SMAX)
         if math.isfinite(hi):
             r = r * (1 - 1e-12)
         return (-r, r, -r, r)

@@ -163,6 +163,16 @@ class TestVerifyCommand:
         assert code == 0
         assert d["total_disagreements"] == 0
 
+    def test_trig_route_skips_radii_its_height_does_not_identify(self, capsys):
+        # without s_range s runs to 100, but phi underflows to 0 near s = 27.3
+        code, out, err = run(capsys, ["verify", "--surface", '{"kind":"gaussian","params":{}}',
+                                      "--samples", "50"])
+        assert code == 0
+        assert err == ""
+        (report,) = json.loads(out)["reports"]
+        assert report["trig_skipped"] > 0
+        assert report["disagreements"] == []
+
 
 class TestIndicatrixCommand:
     def test_limacon_fit_json(self, capsys):
@@ -342,3 +352,16 @@ class TestConfigAndDeterminism:
         code, _, _ = run(capsys, ["indicatrix", "--surface", PARAB,
                                   "--at", "0.1,0", "--nav", "0,-1"])
         assert code == 2
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("front", {"seed_point": 5}),
+        ("analyze", {"bbox": 3}),
+        ("indicatrix", {"at": [0.1, 0.2, 7]}),
+    ])
+    def test_malformed_number_list_in_config_exit_two(self, capsys, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, [command, "--surface", PARAB, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from slopemetric import (
     DegenerateDenominator,
+    GraphSurface,
     NavigationParams,
+    NoRoot,
     RiemannMetric2,
     SurfaceOfRevolution,
     ZeroVector,
@@ -227,6 +229,35 @@ class TestOkubo:
                         Fc = slope_metric_F(surf, x, y, d)
                         worst = max(worst, abs(Fo - Fc) / Fc)
             assert worst <= 1e-9
+
+    def test_reads_the_gradient_once(self):
+        calls = []
+
+        def grad(x, y):
+            calls.append((x, y))
+            return 0.4 * x, -0.3 * y
+
+        surf = GraphSurface(f=lambda x, y: 0.2 * x * x - 0.15 * y * y, grad=grad)
+        F = okubo_solve(surf, 0.5, 0.3, np.array([0.6, -0.8]))
+        assert len(calls) == 1
+        assert F == pytest.approx(slope_metric_F(surf, 0.5, 0.3, np.array([0.6, -0.8])),
+                                  rel=1e-9)
+
+    def test_no_root_exactly_where_quotient_degenerates(self):
+        # nav (1, 6) puts the cone v*alpha - w*beta <= 0 inside the fan
+        nav = NavigationParams(1.0, 6.0)
+        th = np.linspace(0, 2 * np.pi, 256, endpoint=False)
+        n_degenerate = 0
+        for d in np.stack([np.cos(th), np.sin(th)], axis=-1):
+            try:
+                slope_metric_F(PARAB, 0.3, 0.2, d, nav)
+            except DegenerateDenominator:
+                n_degenerate += 1
+                with pytest.raises(NoRoot):
+                    okubo_solve(PARAB, 0.3, 0.2, d, nav)
+            else:
+                okubo_solve(PARAB, 0.3, 0.2, d, nav)
+        assert 0 < n_degenerate < len(th)
 
 
 class TestFundamentalTensor:
