@@ -29,10 +29,8 @@ from .errors import (
     InsufficientDirections,
     NonDifferentiable,
     OutOfDomain,
-    OutOfRange,
-    StencilOutOfCone,
 )
-from .metric import NORMALIZED, NavigationParams, hessian_field
+from .metric import NORMALIZED, NavigationParams, _direction_hessian
 from .surfaces import (
     DEFAULT_SCAN_SMAX,
     ProfileCurve,
@@ -300,6 +298,26 @@ def _unit_directions(n: int) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
+def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray:
+    """``pd_oracle``'s verdict at each of the (n,) gradient values fx, fy.
+
+    One direction-Hessian stencil covers all n * (n_directions + 1) (point,
+    direction) pairs; a point whose stencil leaves the cone gets NaN entries,
+    which fail the sign tests, so its verdict is False.
+    """
+    if n_directions < 8:
+        raise InsufficientDirections("need at least 8 directions for a meaningful sweep")
+    q = fx * fx + fy * fy
+    fan = np.broadcast_to(_unit_directions(n_directions), (q.size, n_directions, 2))
+    flat = q == 0.0
+    # where the gradient vanishes there is no uphill: repeat the first angle
+    uphill = np.where(flat[:, None], fan[:, 0],
+                      np.stack([fx, fy], axis=-1) / np.sqrt(np.where(flat, 1.0, q))[:, None])
+    dirs = np.concatenate([fan, uphill[:, None, :]], axis=1)
+    g11, g12, g22 = _direction_hessian(fx[:, None], fy[:, None], dirs, nav)
+    return np.all(g11 + g22 > 0.0, axis=1) & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1)
+
+
 def pd_oracle(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
               n_directions: int = 64) -> bool:
     """Brute-force positive definiteness of g_ij over a fan of directions.
@@ -312,19 +330,9 @@ def pd_oracle(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
     signs.  A stencil that leaves v*alpha - w*beta > 0 means F is not a norm
     at the point, so the verdict is False.
     """
-    if n_directions < 8:
-        raise InsufficientDirections("need at least 8 directions for a meaningful sweep")
-    nav = nav or NORMALIZED
-    dirs = _unit_directions(n_directions)
     fx, fy = surf.gradient(x, y)
-    q = fx * fx + fy * fy
-    if q > 0.0:
-        dirs = np.concatenate([dirs, np.array([[fx, fy]]) / math.sqrt(q)], axis=0)
-    try:
-        g11, g12, g22 = hessian_field(surf, x, y, dirs, nav)
-    except StencilOutOfCone:
-        return False
-    return bool(np.all(g11 + g22 > 0.0) and np.all(g11 * g22 - g12 * g12 > 0.0))
+    return bool(_pd_verdicts(np.atleast_1d(fx), np.atleast_1d(fy), nav or NORMALIZED,
+                             n_directions)[0])
 
 
 @dataclass(frozen=True)
@@ -401,9 +409,11 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
 
     For each sampled point the gradient criterion, the Cartesian profile
     condition, the height-parametrized condition (where the profile branch
-    is invertible) and the Hessian-eigenvalue oracle each issue a verdict;
-    any two definite verdicts that differ count as a disagreement (reported,
-    never raised).  Indeterminate verdicts are tallied separately.
+    is invertible and the height identifies the radius) and the
+    Hessian-eigenvalue oracle each issue a verdict; any two definite
+    verdicts that differ count as a disagreement (reported, never raised).
+    Indeterminate verdicts are tallied separately.  The points are drawn
+    first; each route then judges all of them in one array evaluation.
     """
     plan = plan or SamplePlan()
     nav = nav or NORMALIZED
@@ -430,6 +440,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     else:
         bbox = plan.bbox or surf.bounding_box()
 
+    xs, ys, ss = [], [], []
     for _ in range(plan.n_points):
         for _attempt in range(1000):
             if is_rev:
@@ -445,48 +456,51 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
             break
         else:
             raise RuntimeError("could not sample a point outside the exclusion band")
+        xs.append(x)
+        ys.append(y)
+        ss.append(s)
 
-        verdicts: dict[str, bool | None] = {}
-        fx, fy = surf.gradient(x, y)
-        q = fx * fx + fy * fy
-        analytic = Verdict(criterion_verdict(q, threshold=threshold))
-        verdicts["analytic"] = (
-            None if analytic is Verdict.INDETERMINATE else analytic is Verdict.CONVEX
-        )
-        if verdicts["analytic"] is None:
-            report.indeterminate += 1
-        report.worst_margin = min(report.worst_margin, abs(q - threshold))
+    # each route issues its verdicts for every sampled point at once, as
+    # (name, definite, convex) boolean arrays
+    n = plan.n_points
+    s_arr = np.array(ss, dtype=float)
+    fx, fy = surf.gradient(np.array(xs, dtype=float), np.array(ys, dtype=float))
+    q = fx * fx + fy * fy
+    analytic = criterion_verdict(q, threshold=threshold)
+    definite = analytic != Verdict.INDETERMINATE.value
+    routes = [("analytic", definite, analytic == Verdict.CONVEX.value)]
+    report.indeterminate = int(np.count_nonzero(~definite))
+    report.worst_margin = float(np.min(np.abs(q - threshold), initial=math.inf))
 
-        if is_rev:
-            cond = cartesian_condition(surf.profile, s)
-            verdicts["cartesian"] = bool(cond < threshold)
-            mu = None
-            if trig is not None:
-                try:
-                    u = float(surf.profile.phi(s))
-                    # at a branch end's height (e.g. an underflowed tail) m(u) is not s
-                    if trig.u_range[0] < u < trig.u_range[1]:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore", DerivativeBlowupWarning)
-                            mu = trig_condition(trig, u)
-                except (OutOfRange, OutOfDomain):
-                    mu = None
-            if mu is None:
-                report.trig_skipped += 1
-                verdicts["trig"] = None
-            else:
-                verdicts["trig"] = bool(mu > 1.0 / threshold)
+    if is_rev:
+        cond = cartesian_condition(surf.profile, s_arr)
+        routes.append(("cartesian", np.ones(n, dtype=bool), cond < threshold))
+        identified = np.zeros(n, dtype=bool)
+        trig_convex = np.zeros(n, dtype=bool)
+        if trig is not None:
+            u = np.asarray(surf.profile.phi(s_arr), dtype=float)
+            # at a branch end's height (e.g. an underflowed tail) m(u) is not
+            # s, nor at a subnormal one, whose digits are already lost
+            identified = ((trig.u_range[0] < u) & (u < trig.u_range[1])
+                          & (np.abs(u) >= np.finfo(float).tiny))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DerivativeBlowupWarning)
+                trig_convex[identified] = trig_condition(trig, u[identified]) > 1.0 / threshold
+        report.trig_skipped = int(np.count_nonzero(~identified))
+        routes.append(("trig", identified, trig_convex))
 
-        verdicts["hessian"] = pd_oracle(surf, x, y, nav, n_directions=plan.n_directions)
+    routes.append(("hessian", np.ones(n, dtype=bool),
+                   _pd_verdicts(fx, fy, nav, plan.n_directions)))
 
-        definite = [v for v in verdicts.values() if v is not None]
-        if all(definite) or not any(definite):
-            report.agreements += 1
-        else:
-            report.disagreements.append({
-                "x": x,
-                "y": y,
-                "s": s,
-                "predicates": {k: v for k, v in verdicts.items()},
-            })
+    n_definite = sum(d.astype(int) for _, d, _ in routes)
+    n_convex = sum((d & c).astype(int) for _, d, c in routes)
+    agree = (n_convex == 0) | (n_convex == n_definite)
+    report.agreements = int(np.count_nonzero(agree))
+    for i in np.flatnonzero(~agree):
+        report.disagreements.append({
+            "x": xs[i],
+            "y": ys[i],
+            "s": ss[i],
+            "predicates": {name: bool(c[i]) if d[i] else None for name, d, c in routes},
+        })
     return report

@@ -183,6 +183,13 @@ def _denominator(n2, b, a2, nav: NavigationParams):
     return denom, al
 
 
+def _quotient(fx, fy, tv, nav: NavigationParams):
+    """alpha^2 / (v*alpha - w*beta) at gradient values; NaN where v*alpha - w*beta <= 0."""
+    n2, b, a2 = _parts(fx, fy, tv)
+    denom, _ = _denominator(n2, b, a2, nav)
+    return a2 / np.where(denom > 0.0, denom, np.nan)
+
+
 def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     """Travel-time norm alpha^2 / (v*alpha - w*beta) of a chart direction.
 
@@ -191,14 +198,13 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
     |beta| < alpha always.  Raises ZeroVector / DegenerateDenominator.
     """
     nav = nav or NORMALIZED
-    n2, b, a2 = _parts(*surf.gradient(x, y), tv)
+    F = _quotient(*surf.gradient(x, y), tv, nav)
     _require_nonzero(*_split(tv))
-    denom, _ = _denominator(n2, b, a2, nav)
-    if np.any(denom <= 0.0):
+    if np.any(np.isnan(F)):
         raise DegenerateDenominator(
             "v*alpha - w*beta <= 0: slope term overwhelms the base speed"
         )
-    return _scalar(a2 / denom)
+    return _scalar(F)
 
 
 def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
@@ -217,8 +223,9 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
                 max_iter: int = 60) -> float:
     """The unique F > 0 with h(direction/F) = 0, found by root-solving.
 
-    Newton iteration on lam = 1/F with a bisection fallback on [1e-12, 1e6];
-    converged when |h| <= 1e-12 * (1 + |direction|^2).  This route never
+    Newton iteration on lam = 1/F, with the analytic dh/dlam, and a
+    bisection fallback on [1e-12, 1e6]; converged when
+    |h| <= 1e-12 * (1 + |direction|^2).  This route never
     touches the closed-form quotient, so it independently cross-checks
     ``slope_metric_F``.  Reads the surface once; raises NoRoot exactly where
     the quotient's denominator test raises DegenerateDenominator.
@@ -237,16 +244,18 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
         raise NoRoot("degenerate denominator: no positive root of the indicatrix equation")
 
     f = lambda lam: float(_limacon(fx, fy, lam * dn, nav))
+    # h(lam) = lam^2*alpha^2 - v*lam*alpha + w*lam*beta along the unit direction
+    al = math.sqrt(a2)
+    dh = lambda lam: float(2.0 * lam * a2 - nav.v * al + nav.w * b)
     # |h| threshold alone under-resolves lam where F/alpha is large (steep
     # uphill, nearly degenerate denominator), so Newton also runs until the
     # update stalls; the relative-agreement contract is 1e-9.
     tol = 1e-12 * (1.0 + n2)
 
-    lam = 1.0 / math.sqrt(a2)
+    lam = 1.0 / al
     for _ in range(max_iter):
         fl = f(lam)
-        dl = 1e-7 * (1.0 + lam)
-        fp = (f(lam + dl) - f(lam - dl)) / (2.0 * dl)
+        fp = dh(lam)
         if not math.isfinite(fp) or fp == 0.0:
             break
         step_nwt = fl / fp
@@ -281,15 +290,22 @@ _OFFS2 = np.array([
 ], dtype=float)
 
 
-def _f2_at(surf, x, y, nodes, nav):
-    """F^2 on a batch of direction nodes; cone violations become StencilOutOfCone."""
-    try:
-        F = slope_metric_F(surf, x, y, nodes, nav)
-    except DegenerateDenominator as exc:
-        raise StencilOutOfCone(
-            "difference stencil crossed v*alpha - w*beta <= 0"
-        ) from exc
-    return np.square(F)
+def _direction_hessian(fx, fy, dirs, nav: NavigationParams, step: float = 1e-4):
+    """g_ij = half the direction-Hessian of F^2 at gradient values, by a 2nd-order stencil.
+
+    fx, fy broadcast against the leading axes of the nonzero directions
+    ``dirs`` (..., 2); the step is ``step * |dir|``.  F^2 is evaluated one
+    stencil offset at a time over all directions, so a large batch never
+    holds its nine nodes at once.  A direction whose stencil leaves
+    v*alpha - w*beta > 0 gets NaN entries.
+    """
+    h = step * np.linalg.norm(dirs, axis=-1)
+    E = [0.5 * np.square(_quotient(fx, fy, dirs + h[..., None] * off, nav)) for off in _OFFS2]
+    h2 = h * h
+    g11 = (E[1] - 2.0 * E[0] + E[2]) / h2
+    g22 = (E[3] - 2.0 * E[0] + E[4]) / h2
+    g12 = (E[5] - E[6] - E[7] + E[8]) / (4.0 * h2)
+    return g11, g12, g22
 
 
 def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams | None = None,
@@ -298,25 +314,18 @@ def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams | None = 
 
     x, y may be scalars (one chart point for the whole fan) or (n,) arrays
     pairing each direction with its own point.  The workhorse behind
-    ``fundamental_tensor`` and the positive-definiteness sweeps; one
-    vectorized F^2 evaluation per batch on a 2nd-order stencil.
+    ``fundamental_tensor``; raises StencilOutOfCone when a stencil node
+    leaves v*alpha - w*beta > 0.
     """
     nav = nav or NORMALIZED
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if dirs.shape[-1] != 2:
         raise ValueError("directions must have shape (n, 2)")
-    if np.ndim(x) > 0:
-        x = np.asarray(x, dtype=float)[:, None]
-        y = np.asarray(y, dtype=float)[:, None]
-    h = step * np.linalg.norm(dirs, axis=-1)
-    if np.any(h == 0.0):
+    if np.any(step * np.linalg.norm(dirs, axis=-1) == 0.0):
         raise ZeroVector("direction must be nonzero")
-    nodes = dirs[:, None, :] + h[:, None, None] * _OFFS2[None, :, :]
-    E = 0.5 * _f2_at(surf, x, y, nodes, nav)
-    h2 = h * h
-    g11 = (E[:, 1] - 2.0 * E[:, 0] + E[:, 2]) / h2
-    g22 = (E[:, 3] - 2.0 * E[:, 0] + E[:, 4]) / h2
-    g12 = (E[:, 5] - E[:, 6] - E[:, 7] + E[:, 8]) / (4.0 * h2)
+    g11, g12, g22 = _direction_hessian(*surf.gradient(x, y), dirs, nav, step)
+    if np.any(np.isnan(g11) | np.isnan(g12) | np.isnan(g22)):
+        raise StencilOutOfCone("difference stencil crossed v*alpha - w*beta <= 0")
     return g11, g12, g22
 
 

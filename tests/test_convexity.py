@@ -9,9 +9,11 @@ import pytest
 from slopemetric import (
     DerivativeBlowupWarning,
     DoubleRootWarning,
+    GraphSurface,
     InsufficientDirections,
     NavigationParams,
     SamplePlan,
+    StencilOutOfCone,
     SurfaceOfRevolution,
     THRESHOLD,
     TrigProfile,
@@ -24,6 +26,7 @@ from slopemetric import (
     criterion_verdict,
     ellipsoid,
     gaussian_bump,
+    hessian_field,
     is_strongly_convex_at,
     one_sheet_hyperboloid,
     paraboloid,
@@ -33,6 +36,7 @@ from slopemetric import (
     two_sheet_hyperboloid,
     verify_equivalence,
 )
+from slopemetric import convexity
 
 BOUNDARY_PARAB = 0.2886751345948129  # 1/sqrt(12)
 GAUSS_MU_MIN = 32.61938194150854     # 12 * e
@@ -290,3 +294,67 @@ class TestVerifyEquivalence:
         rep = verify_equivalence(flat, SamplePlan(n_points=15, seed=4))
         assert rep.ok
         assert rep.agreements == 15
+
+    def test_reads_the_gradient_once(self):
+        calls = []
+
+        def grad(x, y):
+            calls.append(np.size(x))
+            return -2.0 * x, -2.0 * y
+
+        surf = GraphSurface(f=lambda x, y: 100.0 - x * x - y * y, grad=grad,
+                            bbox=(-1.0, 1.0, -1.0, 1.0))
+        rep = verify_equivalence(surf, SamplePlan(n_points=50, seed=0))
+        assert rep.samples == 50
+        assert calls == [50]
+
+    def test_stencil_out_of_cone_is_a_per_point_false(self, parab_surface, monkeypatch):
+        # at nav (1, 6) the uphill stencil leaves v*alpha - w*beta > 0 beyond s ~ 0.085
+        nav = NavigationParams(1.0, 6.0)
+        seen = {}
+        batch, gradient = convexity._pd_verdicts, SurfaceOfRevolution.gradient
+
+        def spy_batch(fx, fy, nav, n_directions):
+            seen["verdicts"] = batch(fx, fy, nav, n_directions)
+            return seen["verdicts"]
+
+        def spy_gradient(surf, x, y):
+            seen.setdefault("points", (x, y))
+            return gradient(surf, x, y)
+
+        monkeypatch.setattr(convexity, "_pd_verdicts", spy_batch)
+        monkeypatch.setattr(SurfaceOfRevolution, "gradient", spy_gradient)
+        rep = verify_equivalence(parab_surface, SamplePlan(n_points=100, seed=0, s_range=(0.0, 0.3)),
+                                 nav)
+        monkeypatch.undo()
+        assert rep.ok
+
+        def reference(x, y):
+            # per point, through the raising hessian_field: out of the cone is False
+            fx, fy = parab_surface.gradient(x, y)
+            dirs = np.concatenate([convexity._unit_directions(64),
+                                   [[fx / math.hypot(fx, fy), fy / math.hypot(fx, fy)]]])
+            try:
+                g11, g12, g22 = hessian_field(parab_surface, x, y, dirs, nav)
+            except StencilOutOfCone:
+                return None
+            return bool(np.all(g11 + g22 > 0.0) and np.all(g11 * g22 - g12 * g12 > 0.0))
+
+        expected = [reference(x, y) for x, y in zip(*seen["points"])]
+        assert expected.count(None) > 0 and expected.count(True) > 0
+        assert [bool(v) for v in seen["verdicts"]] == [e is True for e in expected]
+
+    def test_subnormal_heights_are_trig_skipped(self, gauss_surface, monkeypatch):
+        # phi(s) = exp(-s^2)/(2 sqrt 6) is subnormal beyond s ~ 26.59 and 0 near
+        # 27.3: its digits are lost, so the height no longer pins the radius
+        sampled = []
+        condition = convexity.cartesian_condition
+        monkeypatch.setattr(convexity, "cartesian_condition",
+                            lambda p, s: sampled.append(s) or condition(p, s))
+        rep = verify_equivalence(gauss_surface,
+                                 SamplePlan(n_points=200, seed=0, s_range=(20.0, 27.3)))
+        (s,) = sampled
+        lost = gauss_surface.profile.phi(s) < np.finfo(float).tiny
+        assert np.count_nonzero(lost & (s < 27.2)) > 0
+        assert rep.trig_skipped == np.count_nonzero(lost)
+        assert rep.ok
