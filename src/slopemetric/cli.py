@@ -63,9 +63,18 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
 
-    def extra(self, key: str, default=None):
+    def extra(self, key: str, kind=None):
+        """A command option's merged value, converted by ``kind`` when one is given."""
         val = self.extras.get(key)
-        return default if val is None else val
+        return val if kind is None else _typed(val, kind, key)
+
+
+def _typed(value, kind, key: str):
+    """kind(value) for an option; a value of the wrong type is a ConfigError (exit 2)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
 
 
 def _run_config(args: argparse.Namespace, default_format: str = "json",
@@ -83,10 +92,10 @@ def _run_config(args: argparse.Namespace, default_format: str = "json",
         nav=_nav_arg(args, cfg),
         out=_merged(args, cfg, "out", None),
         format=_merged(args, cfg, "format", default_format),
-        resolution=int(_merged(args, cfg, "resolution", default_resolution)),
-        seed=int(_merged(args, cfg, "seed", 0)),
-        band=float(_merged(args, cfg, "band", default_band)),
-        strict=bool(_merged(args, cfg, "strict", False)),
+        resolution=_typed(_merged(args, cfg, "resolution", default_resolution), int, "resolution"),
+        seed=_typed(_merged(args, cfg, "seed", 0), int, "seed"),
+        band=_typed(_merged(args, cfg, "band", default_band), float, "band"),
+        strict=_typed(_merged(args, cfg, "strict", False), bool, "strict"),
         extras=extras,
     )
 
@@ -129,10 +138,7 @@ def _parse_numbers(raw, what: str, n: int = 2) -> tuple[float, ...]:
     parts = raw.split(",") if isinstance(raw, str) else raw
     if not isinstance(parts, (list, tuple)) or len(parts) != n:
         raise ConfigError(f"{what} must be {n} comma-separated numbers, got {raw!r}")
-    try:
-        return tuple(float(v) for v in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+    return tuple(_typed(v, float, what) for v in parts)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -232,7 +238,7 @@ def cmd_domain(args) -> int:
     surf = rc.surface
     smax = rc.extra("smax")
     dom = cx.convexity_domain(surf.profile, resolution=rc.resolution,
-                              s_max=float(smax) if smax is not None else None,
+                              s_max=None if smax is None else _typed(smax, float, "smax"),
                               threshold=cx.convexity_threshold(rc.nav))
     if rc.format == "json":
         payload = {
@@ -262,14 +268,17 @@ def cmd_verify(args) -> int:
         jobs = BUILTIN_VERIFY_SUITE
 
     threshold = rc.extra("threshold")
-    threshold = cx.convexity_threshold(rc.nav) if threshold is None else float(threshold)
+    if threshold is None:
+        threshold = cx.convexity_threshold(rc.nav)
+    else:
+        threshold = _typed(threshold, float, "threshold")
     reports = []
     total_disagreements = 0
     for label, desc, s_range in jobs:
         surf = surface_from_json(desc)
         plan = cx.SamplePlan(
-            n_points=int(rc.extra("samples")), seed=rc.seed, band=rc.band,
-            n_directions=int(rc.extra("directions")),
+            n_points=rc.extra("samples", int), seed=rc.seed, band=rc.band,
+            n_directions=rc.extra("directions", int),
             s_range=s_range, threshold=threshold,
         )
         rep = cx.verify_equivalence(surf, plan, rc.nav)
@@ -289,7 +298,7 @@ def cmd_indicatrix(args) -> int:
     if at is None:
         raise ConfigError("--at x,y is required")
     x0, y0 = _parse_numbers(at, "--at")
-    n = int(rc.extra("n"))
+    n = rc.extra("n", int)
     ind = gd.indicatrix(rc.surface, x0, y0, rc.nav, n=n)
     if rc.format == "json":
         payload = {
@@ -311,13 +320,34 @@ def cmd_indicatrix(args) -> int:
     return 0
 
 
+def _distinct_text(columns) -> np.ndarray:
+    """``_fmt`` text of the concatenated columns, formatting each distinct value once.
+
+    Values are told apart by bit pattern, which keeps 0.0 and -0.0 apart.
+    """
+    bits, where = np.unique(np.concatenate(columns).view(np.uint64), return_inverse=True)
+    return np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[where]
+
+
 def _rays_csv(rays) -> str:
-    # "%.17g" formats a float exactly as _fmt does, one row per format call
-    row = "%d,%.17g,%.17g,%.17g,%.17g\n"
+    """CSV rows ``ray_id,t,x,y,F``, each value as ``_fmt`` formats it.
+
+    The rays of a front share one time grid and F is conserved along each
+    ray, so the t and F columns hold few distinct values and are formatted
+    once per value; x and y take one "%" call per ray.
+    """
+    t_text = _distinct_text([np.asarray(ray.t, dtype=float) for ray in rays])
+    f_text = _distinct_text([np.asarray(ray.F_values, dtype=float) for ray in rays])
     parts = ["ray_id,t,x,y,F\n"]
+    start = 0
     for rid, ray in enumerate(rays):
-        table = np.column_stack([np.full(len(ray.t), rid), ray.t, ray.points, ray.F_values])
-        parts.extend(row % tuple(r) for r in table.tolist())
+        n = len(ray.t)
+        cells = np.empty((n, 4), dtype=object)
+        cells[:, 0] = t_text[start:start + n]
+        cells[:, 1:3] = ray.points
+        cells[:, 3] = f_text[start:start + n]
+        parts.append((f"{rid},%s,%.17g,%.17g,%s\n" * n) % tuple(cells.ravel().tolist()))
+        start += n
     return "".join(parts)
 
 
@@ -331,8 +361,8 @@ def cmd_geodesic(args) -> int:
     start = _parse_numbers(start, "--start")
     direction = _parse_numbers(direction, "--dir")
 
-    path = gd.geodesic_shoot(rc.surface, start, direction, float(rc.extra("length")),
-                             step=float(rc.extra("step")), nav=rc.nav)
+    path = gd.geodesic_shoot(rc.surface, start, direction, rc.extra("length", float),
+                             step=rc.extra("step", float), nav=rc.nav)
     if rc.format == "csv":
         _emit(_rays_csv([path]), rc.out)
     else:
@@ -362,9 +392,9 @@ def cmd_front(args) -> int:
         raise ConfigError("--seed-point x,y is required")
     seed_pt = _parse_numbers(seed_pt, "--seed-point")
 
-    wf = gd.wavefront(rc.surface, seed_pt, float(rc.extra("time")),
-                      n_rays=int(rc.extra("rays")), step=float(rc.extra("step")),
-                      nav=rc.nav, n_fronts=int(rc.extra("fronts")))
+    wf = gd.wavefront(rc.surface, seed_pt, rc.extra("time", float),
+                      n_rays=rc.extra("rays", int), step=rc.extra("step", float),
+                      nav=rc.nav, n_fronts=rc.extra("fronts", int))
     if rc.format == "csv":
         _emit(_rays_csv(wf.rays), rc.out)
     else:

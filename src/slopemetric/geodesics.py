@@ -10,7 +10,11 @@ Paths run at unit F-speed, so arclength equals travel time, and they halt
 at the strong-convexity boundary where extremals stop being minimizers.
 
 Rays of a front are independent; the integrator advances the live ones as
-one batch, which is equivalent to running them in parallel.
+one batch, which is equivalent to running them in parallel.  Each RK4
+stage reads the surface once, through its jet (gradient and Hessian from
+one evaluation of phi' and one of phi''); the read at a step's end point
+also judges convexity there, gives F, and serves the next step's first
+stage, so a step costs four surface reads.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .convexity import (Verdict, _unit_directions, convexity_threshold, criterion_verdict,
                         is_strongly_convex_at)
 from .errors import OutOfDomain, StepTooLarge, ZeroVector
-from .metric import NORMALIZED, NavigationParams, _parts, induced_metric, slope_metric_F
+from .metric import NORMALIZED, NavigationParams, _F, _parts, induced_metric, slope_metric_F
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -77,10 +81,11 @@ def conservation_drift(path: GeodesicPath) -> float:
     return float(np.max(rel / np.maximum(path.t[1:], path.step)))
 
 
-def _spray_accel(surf, p, v, nav):
+def _spray_accel(fx, fy, fxx, fxy, fyy, v, nav):
     """Acceleration -2 G(p, v) of the geodesic spray for a batch of states.
 
-    p, v: (n, 2).  With q = |grad f|^2, H = Hess f, s = beta/alpha and
+    Takes the surface jet at p (gradient and Hessian, each (n,)) and the
+    velocities v (n, 2).  With q = |grad f|^2, H = Hess f, s = beta/alpha and
     b^i = f_i / (1 + q) the dual of beta, the spray of an (alpha, beta)-metric
     with closed beta is
 
@@ -94,9 +99,6 @@ def _spray_accel(surf, p, v, nav):
     down) come back NaN: the ray has slipped past the convexity boundary
     between checks.
     """
-    px, py = p[:, 0], p[:, 1]
-    fx, fy = surf.gradient(px, py)
-    fxx, fxy, fyy = surf.hessian(px, py)
     y1, y2 = v[:, 0], v[:, 1]
     q1 = 1.0 + fx * fx + fy * fy
     _, b, a2 = _parts(fx, fy, v)
@@ -108,26 +110,27 @@ def _spray_accel(surf, p, v, nav):
     with np.errstate(divide="ignore", invalid="ignore"):
         along_f = (0.5 + wn * wn / (N * q1)) * r00
         along_y = wn * (vn - 4.0 * wn * s) / (2.0 * N * al) * r00
-    acc = -2.0 * np.stack([along_f * fx + along_y * y1, along_f * fy + along_y * y2], axis=-1)
+    acc = np.empty_like(v)
+    np.multiply(-2.0, along_f * fx + along_y * y1, out=acc[:, 0])
+    np.multiply(-2.0, along_f * fy + along_y * y2, out=acc[:, 1])
     acc[(N <= 0.0) | (vn - wn * s <= 0.0)] = np.nan
     return acc
 
 
-def _rk4_step(surf, p, v, h, nav):
-    k1p, k1v = v, _spray_accel(surf, p, v, nav)
-    k2p = v + 0.5 * h * k1v
-    k2v = _spray_accel(surf, p + 0.5 * h * k1p, k2p, nav)
-    k3p = v + 0.5 * h * k2v
-    k3v = _spray_accel(surf, p + 0.5 * h * k2p, k3p, nav)
-    k4p = v + h * k3v
-    k4v = _spray_accel(surf, p + h * k3p, k4p, nav)
-    p_new = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    v_new = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return p_new, v_new
+def _accel_at(surf, p, v, nav):
+    """Spray acceleration at states (p, v), from one read of the surface jet."""
+    fx, fy, hessian_at = surf._jet(p[:, 0], p[:, 1])
+    return _spray_accel(fx, fy, *hessian_at(), v, nav)
 
 
 def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
-    """Advance a batch of unit-speed rays; returns per-node arrays and halts."""
+    """Advance a batch of unit-speed rays with classic RK4; returns per-node arrays and halts.
+
+    The surface jet is read once per RK4 stage.  The read at each accepted
+    point serves three uses: its gradient judges strong convexity there and
+    gives F, and, for the rays that stay live, its Hessian part feeds the
+    next step's first stage.
+    """
     n = p0.shape[0]
     n_full = int(math.floor(length / step + 1e-9))
     hs = [step] * n_full
@@ -141,25 +144,38 @@ def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
     fv = np.empty((m + 1, n))
     t = np.minimum(np.arange(m + 1) * step, length)
     pos[0], vel[0] = p0, v0
-    fv[0] = slope_metric_F(surf, p0[:, 0], p0[:, 1], v0, nav)
+    fx, fy, hessian_at = surf._jet(p0[:, 0], p0[:, 1])
+    fv[0] = _F(fx, fy, v0, nav)
     halt = np.full(n, m, dtype=int)
     live = np.arange(n)
+    kept = ...  # rows of the last jet read that are still live; all of them at p0
+    p, v = p0, v0
     threshold = convexity_threshold(nav)
 
     for k, h in enumerate(hs):
-        p_new, v_new = _rk4_step(surf, pos[k, live], vel[k, live], h, nav)
-        ok = np.isfinite(p_new).all(axis=-1) & np.isfinite(v_new).all(axis=-1)
-        fx, fy = surf.gradient(p_new[ok, 0], p_new[ok, 1])
-        verdict = criterion_verdict(fx * fx + fy * fy, threshold=threshold)
-        ok[ok] &= verdict == Verdict.CONVEX.value
+        k1v = _spray_accel(fx, fy, *hessian_at(kept), v, nav)
+        k2p = v + 0.5 * h * k1v
+        k2v = _accel_at(surf, p + 0.5 * h * v, k2p, nav)
+        k3p = v + 0.5 * h * k2v
+        k3v = _accel_at(surf, p + 0.5 * h * k2p, k3p, nav)
+        k4p = v + h * k3v
+        k4v = _accel_at(surf, p + h * k3p, k4p, nav)
+        p = p + (h / 6.0) * (v + 2 * k2p + 2 * k3p + k4p)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+
+        ok = np.isfinite(p).all(axis=-1) & np.isfinite(v).all(axis=-1)
+        fx, fy, hessian_at = surf._jet(p[ok, 0], p[ok, 1])
+        kept = criterion_verdict(fx * fx + fy * fy, threshold=threshold) == Verdict.CONVEX.value
+        ok[ok] = kept
         halt[live[~ok]] = k
-        live, p_new, v_new = live[ok], p_new[ok], v_new[ok]
+        live, p, v = live[ok], p[ok], v[ok]
         if not live.size:
             break
         # a ray's nodes past its halt step are never read, so dead rays stop here
-        pos[k + 1, live] = p_new
-        vel[k + 1, live] = v_new
-        fv[k + 1, live] = slope_metric_F(surf, p_new[:, 0], p_new[:, 1], v_new, nav)
+        pos[k + 1, live] = p
+        vel[k + 1, live] = v
+        fx, fy = fx[kept], fy[kept]
+        fv[k + 1, live] = _F(fx, fy, v, nav)
 
     paths = []
     for i in range(n):

@@ -198,13 +198,18 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
     |beta| < alpha always.  Raises ZeroVector / DegenerateDenominator.
     """
     nav = nav or NORMALIZED
-    F = _quotient(*surf.gradient(x, y), tv, nav)
+    return _scalar(_F(*surf.gradient(x, y), tv, nav))
+
+
+def _F(fx, fy, tv, nav: NavigationParams):
+    """``slope_metric_F`` at gradient values, with its ZeroVector / DegenerateDenominator."""
+    F = _quotient(fx, fy, tv, nav)
     _require_nonzero(*_split(tv))
     if np.any(np.isnan(F)):
         raise DegenerateDenominator(
             "v*alpha - w*beta <= 0: slope term overwhelms the base speed"
         )
-    return _scalar(F)
+    return F
 
 
 def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):

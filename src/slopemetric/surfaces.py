@@ -260,7 +260,7 @@ def _scalar(*values):
 def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
     lo, hi = p.domain
     bad = (s < lo) | (s >= hi) | ~np.isfinite(s)
-    if np.any(bad):
+    if bad.any():
         worst = np.asarray(s)[bad].flat[0]
         raise OutOfDomain(f"s={worst!r} outside profile domain [{lo}, {hi})")
 
@@ -284,7 +284,7 @@ def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
     """A closed-form derivative at s; non-finite values become typed errors."""
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.asarray(fn(s_arr), dtype=float)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         lo = p.domain[0]
         if lo > 0.0 and np.any(s_arr == lo):
             # closed-form slope diverges at a positive inner edge (waist)
@@ -472,20 +472,7 @@ class SurfaceOfRevolution:
         At s = 0 the gradient is (0, 0) when the axis is smooth and raises
         ApexSingularity otherwise.
         """
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        s = np.hypot(x_arr, y_arr)
-        on_axis = s == 0.0
-        if np.any(on_axis):
-            if not self.apex_smooth:
-                raise ApexSingularity(f"gradient undefined on the axis of a '{self.kind}' surface")
-            s_safe = np.where(on_axis, 1.0, s)
-            d = profile_derivative(self.profile, np.where(on_axis, 0.0, s))
-            d = np.where(on_axis, 0.0, d)
-        else:
-            s_safe = s
-            d = profile_derivative(self.profile, s)
-        fx = np.asarray(d) * x_arr / s_safe
-        fy = np.asarray(d) * y_arr / s_safe
+        fx, fy, _ = self._jet(x, y)
         return _scalar(fx, fy)
 
     def hessian(self, x, y):
@@ -494,20 +481,39 @@ class SurfaceOfRevolution:
         On a smooth axis the Hessian is phi''(0) I; at a non-smooth axis point
         it raises ApexSingularity, as ``gradient`` does.
         """
+        return _scalar(*self._jet(x, y)[2]())
+
+    def _jet(self, x, y):
+        """Gradient now, Hessian on demand, from one hypot and one phi' evaluation.
+
+        Returns (f_x, f_y, hessian_at).  ``hessian_at(rows)`` gives
+        (f_xx, f_xy, f_yy) at the selected points (all by default) with one
+        phi'' evaluation, reusing s and phi', so a caller that drops points
+        after seeing the gradient never differentiates twice there.
+        """
         x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         s = np.hypot(x_arr, y_arr)
         on_axis = s == 0.0
-        if np.any(on_axis) and not self.apex_smooth:
-            raise ApexSingularity(f"Hessian undefined on the axis of a '{self.kind}' surface")
-        s_safe = np.where(on_axis, 1.0, s)
-        d2 = np.asarray(profile_second_derivative(self.profile, s))
-        radial = np.where(on_axis, d2, np.asarray(profile_derivative(self.profile, s)) / s_safe)
-        ux, uy = x_arr / s_safe, y_arr / s_safe
-        bend = d2 - radial
-        fxx = radial + bend * ux * ux
-        fxy = bend * ux * uy
-        fyy = radial + bend * uy * uy
-        return _scalar(fxx, fxy, fyy)
+        if on_axis.any():
+            if not self.apex_smooth:
+                raise ApexSingularity(f"gradient undefined on the axis of a '{self.kind}' surface")
+            s_safe = np.where(on_axis, 1.0, s)
+            d = np.where(on_axis, 0.0, profile_derivative(self.profile, s))
+        else:
+            s_safe = s
+            d = np.asarray(profile_derivative(self.profile, s))
+        fx = d * x_arr / s_safe
+        fy = d * y_arr / s_safe
+
+        def hessian_at(rows=...):
+            safe = s_safe[rows]
+            d2 = np.asarray(profile_second_derivative(self.profile, s[rows]))
+            radial = np.where(on_axis[rows], d2, d[rows] / safe)
+            ux, uy = x_arr[rows] / safe, y_arr[rows] / safe
+            bend = d2 - radial
+            return radial + bend * ux * ux, bend * ux * uy, radial + bend * uy * uy
+
+        return fx, fy, hessian_at
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         lo, hi = self.profile.domain
@@ -565,6 +571,12 @@ class GraphSurface:
         fyy = np.tensordot(w, gy_y, axes=1) / hy
         fxy = 0.5 * (np.tensordot(w, gy_x, axes=1) / hx + np.tensordot(w, gx_y, axes=1) / hy)
         return _scalar(fxx, fxy, fyy)
+
+    def _jet(self, x, y):
+        """``gradient`` now and ``hessian`` on demand: (f_x, f_y, hessian_at(rows))."""
+        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        fx, fy = self.gradient(x_arr, y_arr)
+        return fx, fy, lambda rows=...: self.hessian(x_arr[rows], y_arr[rows])
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return self.bbox

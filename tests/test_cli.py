@@ -311,7 +311,13 @@ class TestConfigAndDeterminism:
                                 F_values=a[:, 3], step=1e-3, status="complete")
 
         rays = [ray([[0.0, -0.0, 5e-324, 1.0 / 3.0], [1e-3, 1e308, -1e308, 2.0]]),
-                ray([[0.0, 0.1, -2.5e-17, 1.0]])]
+                ray([[0.0, 0.1, -2.5e-17, 1.0]]),
+                # other time grids: 0.5 sits on two of them, -0.0 and 5e-324
+                # must not merge with 0.0, and a ray may revisit a time
+                ray([[-0.0, 0.2, 0.3, 1.5], [0.25, -0.0, 0.5, 5e-324], [0.5, 1.0, 2.0, 3.0]]),
+                ray([[5e-324, 1.0, -1.0, 1.0], [0.5, 2.0, -2.0, 2.0], [1.0 / 3.0, 0.5, 0.5, 0.5],
+                     [5e-324, -0.0, 0.0, 1.0]]),
+                ray([[0.0, 7.0, 8.0, 9.0]])]
         reference = ["ray_id,t,x,y,F"]
         for rid, r in enumerate(rays):
             for k in range(len(r.t)):
@@ -365,3 +371,18 @@ class TestConfigAndDeterminism:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("front", {"seed_point": "0.1,0", "rays": [64]}, "rays"),
+        ("domain", {"resolution": None}, "resolution"),
+        ("geodesic", {"start": "0.1,0", "dir": "0,1", "length": {"t": 1}}, "length"),
+        ("domain", {"smax": "far"}, "smax"),
+        ("verify", {"samples": 1e400}, "samples"),
+    ])
+    def test_wrong_typed_config_value_exit_two(self, capsys, tmp_path, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, [command, "--surface", PARAB, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad {key}:") and err.count("\n") == 1

@@ -2,6 +2,7 @@
 sampling with the limacon fit, and front propagation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from slopemetric import (
     slope_metric_F,
     wavefront,
 )
-from slopemetric.geodesics import _spray_accel
+from slopemetric.geodesics import _accel_at, _integrate
 
 # slope cosine coefficient at the paraboloid point (0.1, 0):
 # k = sqrt(q/(1+q)) with q = |grad f|^2 = 0.04
@@ -189,7 +190,7 @@ class TestSpray:
         th, ph = rng.uniform(0, 2 * math.pi, (2, n))
         p = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         v = rng.uniform(0.5, 2.0, n)[:, None] * np.stack([np.cos(ph), np.sin(ph)], axis=-1)
-        spray = _spray_accel(surf, p, v, nav)
+        spray = _accel_at(surf, p, v, nav)
         oracle = stencil_accel(surf, p, v, nav)
         err = np.linalg.norm(spray - oracle, axis=-1)
         assert np.max(err) <= 1e-7 * np.max(np.linalg.norm(oracle, axis=-1))
@@ -197,13 +198,40 @@ class TestSpray:
     def test_flat_ground_has_no_force(self, flat):
         p = np.array([[0.3, -0.2], [1.0, 2.0]])
         v = np.array([[1.0, 0.5], [-0.2, 0.9]])
-        assert np.all(_spray_accel(flat, p, v, NavigationParams()) == 0.0)
+        assert np.all(_accel_at(flat, p, v, NavigationParams()) == 0.0)
 
     def test_past_convexity_is_nan(self, parab_surface):
         # q = 4 s^2 = 0.64 > 1/3: det g_ij <= 0 for the uphill direction
-        acc = _spray_accel(parab_surface, np.array([[0.4, 0.0]]), np.array([[-1.0, 0.0]]),
+        acc = _accel_at(parab_surface, np.array([[0.4, 0.0]]), np.array([[-1.0, 0.0]]),
                            NavigationParams())
         assert np.all(np.isnan(acc))
+
+
+class TestSurfaceReads:
+    def test_one_surface_read_per_rk4_stage(self):
+        # phi' feeds the gradient and phi'' the Hessian, so their calls count surface reads
+        calls = {"dphi": 0, "d2phi": 0}
+
+        def counted(name, fn):
+            def wrapped(s):
+                calls[name] += 1
+                return fn(s)
+            return wrapped
+
+        base = paraboloid(100.0)
+        surf = SurfaceOfRevolution(replace(base, dphi=counted("dphi", base.dphi),
+                                           d2phi=counted("d2phi", base.d2phi)))
+        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
+        v0 = dirs / slope_metric_F(surf, 0.1, 0.0, dirs)[:, None]
+        p0 = np.tile([0.1, 0.0], (3, 1))
+        calls.update(dphi=0, d2phi=0)
+        n = 20
+        paths = _integrate(surf, p0, v0, n * 1e-3, 1e-3, NavigationParams(), 1e-6)
+        assert [len(path.t) for path in paths] == [n + 1] * 3
+        assert all(path.status == "complete" for path in paths)
+        # four stages per step, the end point's read doubling as the next first
+        # stage; no Hessian is taken at the last end point, which starts no step
+        assert calls == {"dphi": 4 * n + 1, "d2phi": 4 * n}
 
 
 class TestIndicatrix:
