@@ -15,18 +15,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import convexity as cx
 from . import geodesics as gd
-from .errors import ConfigError, SlopeMetricError, StepTooLarge
+from .errors import ConfigError, SlopeMetricError
 from .metric import NavigationParams
 from .surfaces import SurfaceOfRevolution, surface_from_json
 
-__all__ = ["main", "RunConfig", "BUILTIN_VERIFY_SUITE"]
+__all__ = ["main", "BUILTIN_VERIFY_SUITE"]
 
 # default sampling windows for the builtin verification suite: each entry is
 # (label, surface description, radial sample range)
@@ -40,64 +40,131 @@ BUILTIN_VERIFY_SUITE = [
 ]
 
 
-@dataclass
-class RunConfig:
-    """Merged options for one CLI invocation (flags over config over defaults)."""
-
-    command: str
-    surface: object = None
-    nav: NavigationParams = field(default_factory=NavigationParams)
-    out: str | None = None
-    format: str = "json"
-    resolution: int = 2048
-    seed: int = 0
-    band: float = 1e-3
-    strict: bool = False
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.resolution < 64:
-            raise ConfigError("resolution must be at least 64")
-        if self.band < 0:
-            raise ConfigError("band must be nonnegative")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.format!r}")
-
-    def extra(self, key: str, kind=None):
-        """A command option's merged value, converted by ``kind`` when one is given."""
-        val = self.extras.get(key)
-        return val if kind is None else _typed(val, kind, key)
+def _int(raw) -> int:
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
 
 
-def _typed(value, kind, key: str):
-    """kind(value) for an option; a value of the wrong type is a ConfigError (exit 2)."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
+def _finite(raw) -> float:
+    if isinstance(raw, bool):
+        raise ValueError(f"expected a number, got {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
 
 
-def _run_config(args: argparse.Namespace, default_format: str = "json",
-                default_resolution: int = 2048, default_band: float = 1e-3,
-                need_surface: bool = True, **extra_keys) -> RunConfig:
-    """Merge flags over the optional config file over defaults."""
+def _numbers(n: int):
+    """Converter to n finite numbers from a flag's "a,b,..." string or a config file's list."""
+    def convert(raw) -> tuple[float, ...]:
+        parts = raw.split(",") if isinstance(raw, str) else raw
+        if not isinstance(parts, (list, tuple)) or len(parts) != n:
+            raise ValueError(f"must be {n} comma-separated numbers, got {raw!r}")
+        return tuple(_finite(v) for v in parts)
+    return convert
+
+
+def _exactly(cls, what: str):
+    """Converter that passes only instances of ``cls`` (JSON true/false, or a string)."""
+    def convert(raw):
+        if not isinstance(raw, cls):
+            raise ValueError(f"expected {what}, got {raw!r}")
+        return raw
+    return convert
+
+
+FORMATS = ("csv", "json")
+
+
+def _format(raw) -> str:
+    if raw not in FORMATS:
+        raise ValueError(f"unknown format {raw!r}")
+    return raw
+
+
+def _surfaces(raw) -> list[SurfaceOfRevolution]:
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a list of surface descriptions, got {raw!r}")
+    return [surface_from_json(desc) for desc in raw]
+
+
+class Kind(NamedTuple):
+    """``convert`` types a flag's or config file's value, raising on a wrong one;
+    ``flag`` holds the argparse keywords of the option's flag."""
+
+    convert: Callable | None
+    flag: dict
+
+
+_pair = _numbers(2)
+INT = Kind(_int, {"type": int})
+FLOAT = Kind(_finite, {"type": float})
+BOOL = Kind(_exactly(bool, "true or false"), {"action": "store_const", "const": True})
+STR = Kind(_exactly(str, "a string"), {})
+FORMAT = Kind(_format, {"choices": FORMATS})
+PAIR = Kind(_pair, {})
+BOX = Kind(_numbers(4), {})
+NAV = Kind(lambda raw: NavigationParams(*_pair(raw)), {})
+SURFACE = Kind(surface_from_json, {})
+SURFACES = Kind(_surfaces, {"action": "append", "metavar": "SURFACE"})
+CONFIG = Kind(None, {})  # the config file's path, which is not itself a config key
+
+REQUIRED = object()  # the default of an option that has none
+
+
+class Option(NamedTuple):
+    """``key`` names the config key and the attribute the command reads; the
+    default is REQUIRED, None (unset) or a value the kind converts."""
+
+    key: str
+    flag: str
+    kind: Kind
+    default: object
+    help: str | None = None
+
+
+# every subcommand takes these; a command may change their defaults, or
+# replace one by declaring an option with the same flag
+SHARED = (
+    Option("surface", "--surface", SURFACE, REQUIRED, "surface JSON (inline or file path)"),
+    Option("config", "--config", CONFIG, None, "JSON config file; flags override its keys"),
+    Option("nav", "--nav", NAV, (1.0, 1.0), "navigation params 'v,w' (default 1,1)"),
+    Option("out", "--out", STR, None, "output file (default stdout)"),
+    Option("format", "--format", FORMAT, "json"),
+    Option("seed", "--seed", INT, 0),
+    Option("band", "--band", FLOAT, 1e-3),
+    Option("strict", "--strict", BOOL, False),
+)
+
+
+def _options(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's options: each flag, else its config key, else its default,
+    converted by its kind.
+
+    A missing required option or a value its kind rejects is a ConfigError
+    (exit 2).  A config null leaves an option without a default unset; for
+    any other option it is a wrong value.
+    """
     cfg = _load_config_file(args.config)
-    surface = None
-    if need_surface:
-        surface = _surface_arg(args, cfg)
-    extras = {k: _merged(args, cfg, k, dflt) for k, dflt in extra_keys.items()}
-    return RunConfig(
-        command=args.command,
-        surface=surface,
-        nav=_nav_arg(args, cfg),
-        out=_merged(args, cfg, "out", None),
-        format=_merged(args, cfg, "format", default_format),
-        resolution=_typed(_merged(args, cfg, "resolution", default_resolution), int, "resolution"),
-        seed=_typed(_merged(args, cfg, "seed", 0), int, "seed"),
-        band=_typed(_merged(args, cfg, "band", default_band), float, "band"),
-        strict=_typed(_merged(args, cfg, "strict", False), bool, "strict"),
-        extras=extras,
-    )
+    opts = argparse.Namespace()
+    for opt in args.options:
+        if opt.kind is CONFIG:
+            continue
+        raw = getattr(args, opt.key)
+        if raw is None:
+            raw = cfg.get(opt.key, opt.default)
+        if raw is REQUIRED or raw is None and opt.default is REQUIRED:
+            raise ConfigError(f"{opt.flag} is required (or {opt.key!r} in the config file)")
+        if raw is not None or opt.default is not None:
+            try:
+                raw = opt.kind.convert(raw)
+            except SlopeMetricError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad {opt.key}: {exc}") from exc
+        setattr(opts, opt.key, raw)
+    return opts
 
 
 def _fmt(x) -> str:
@@ -133,14 +200,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_numbers(raw, what: str, n: int = 2) -> tuple[float, ...]:
-    """n numbers from a flag's "a,b,..." string or a config file's list of length n."""
-    parts = raw.split(",") if isinstance(raw, str) else raw
-    if not isinstance(parts, (list, tuple)) or len(parts) != n:
-        raise ConfigError(f"{what} must be {n} comma-separated numbers, got {raw!r}")
-    return tuple(_typed(v, float, what) for v in parts)
-
-
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
@@ -153,39 +212,19 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace, cfg: dict, key: str, default):
-    val = getattr(args, key, None)
-    if val is None:
-        val = cfg.get(key, default)
-    return val
-
-
-def _surface_arg(args, cfg):
-    raw = _merged(args, cfg, "surface", None)
-    if raw is None:
-        raise ConfigError("a surface description is required (--surface or config)")
-    return surface_from_json(raw)
-
-
-def _nav_arg(args, cfg) -> NavigationParams:
-    raw = _merged(args, cfg, "nav", None)
-    if raw is None:
-        return NavigationParams()
-    return NavigationParams(*_parse_numbers(raw, "--nav"))
-
-
 def _surface_echo(surf: SurfaceOfRevolution) -> dict:
     return {"kind": surf.kind, "params": dict(surf.profile.params),
             "domain": [surf.profile.domain[0], surf.profile.domain[1]]}
 
 
-def cmd_analyze(args) -> int:
-    rc = _run_config(args, default_resolution=64, default_band=cx.CRITERION_BAND,
-                     bbox=None)
-    surf, resolution, band = rc.surface, rc.resolution, rc.band
-    threshold = cx.convexity_threshold(rc.nav)
-    bbox_raw = rc.extra("bbox")
-    bbox = surf.bounding_box() if bbox_raw is None else _parse_numbers(bbox_raw, "--bbox", 4)
+def cmd_analyze(opts) -> int:
+    if opts.resolution < 64:
+        raise ConfigError("resolution must be at least 64")
+    if opts.band < 0:
+        raise ConfigError("band must be nonnegative")
+    surf, resolution, band = opts.surface, opts.resolution, opts.band
+    threshold = cx.convexity_threshold(opts.nav)
+    bbox = opts.bbox or surf.bounding_box()
 
     profile = surf.profile
     lo, hi = profile.domain
@@ -206,7 +245,7 @@ def cmd_analyze(args) -> int:
     s_grid = np.linspace(dom.scan_range[0], dom.scan_range[1], max(256, resolution))
     cond = np.asarray(cx.cartesian_condition(profile, s_grid))
 
-    if rc.format == "json":
+    if opts.format == "json":
         payload = {
             "surface": _surface_echo(surf),
             "bbox": list(bbox),
@@ -218,7 +257,7 @@ def cmd_analyze(args) -> int:
             "verdict": verdict,
             "profile": {"s": s_grid, "condition": cond},
         }
-        _emit(_dump_json(payload), rc.out)
+        _emit(_dump_json(payload), opts.out)
     else:
         lines = ["x,y,grad_norm2,verdict"]
         for i in range(resolution):
@@ -229,94 +268,79 @@ def cmd_analyze(args) -> int:
         lines.append("s,condition,threshold")
         for k in range(len(s_grid)):
             lines.append(f"{_fmt(s_grid[k])},{_fmt(cond[k])},{_fmt(threshold)}")
-        _emit("\n".join(lines) + "\n", rc.out)
+        _emit("\n".join(lines) + "\n", opts.out)
     return 0
 
 
-def cmd_domain(args) -> int:
-    rc = _run_config(args, smax=None)
-    surf = rc.surface
-    smax = rc.extra("smax")
-    dom = cx.convexity_domain(surf.profile, resolution=rc.resolution,
-                              s_max=None if smax is None else _typed(smax, float, "smax"),
-                              threshold=cx.convexity_threshold(rc.nav))
-    if rc.format == "json":
+def cmd_domain(opts) -> int:
+    surf = opts.surface
+    # convexity_domain rejects a resolution below 64
+    dom = cx.convexity_domain(surf.profile, resolution=opts.resolution, s_max=opts.smax,
+                              threshold=cx.convexity_threshold(opts.nav))
+    if opts.format == "json":
         payload = {
             "surface": _surface_echo(surf),
             "domain": dom.to_dict(),
             "asymptote": cx.condition_asymptote(surf.profile),
         }
-        _emit(_dump_json(payload), rc.out)
+        _emit(_dump_json(payload), opts.out)
     else:
         lines = ["type,a,b"]
         for a, b in dom.intervals:
             lines.append(f"interval,{_fmt(a)},{_fmt(b)}")
         for r, res in dom.boundary_roots:
             lines.append(f"root,{_fmt(r)},{_fmt(res)}")
-        _emit("\n".join(lines) + "\n", rc.out)
+        _emit("\n".join(lines) + "\n", opts.out)
     return 0
 
 
-def cmd_verify(args) -> int:
-    rc = _run_config(args, need_surface=False,
-                     samples=200, directions=64, threshold=None, surfaces=None)
-
-    surfaces_raw = args.surface or rc.extra("surfaces")
-    if surfaces_raw:
-        jobs = [(None, s, None) for s in surfaces_raw]
+def cmd_verify(opts) -> int:
+    if opts.band < 0:
+        raise ConfigError("band must be nonnegative")
+    if opts.surfaces:
+        jobs = [(None, surf, None) for surf in opts.surfaces]
     else:
-        jobs = BUILTIN_VERIFY_SUITE
+        jobs = [(label, surface_from_json(desc), s_range)
+                for label, desc, s_range in BUILTIN_VERIFY_SUITE]
 
-    threshold = rc.extra("threshold")
-    if threshold is None:
-        threshold = cx.convexity_threshold(rc.nav)
-    else:
-        threshold = _typed(threshold, float, "threshold")
+    threshold = cx.convexity_threshold(opts.nav) if opts.threshold is None else opts.threshold
     reports = []
     total_disagreements = 0
-    for label, desc, s_range in jobs:
-        surf = surface_from_json(desc)
+    for label, surf, s_range in jobs:
         plan = cx.SamplePlan(
-            n_points=rc.extra("samples", int), seed=rc.seed, band=rc.band,
-            n_directions=rc.extra("directions", int),
-            s_range=s_range, threshold=threshold,
+            n_points=opts.samples, seed=opts.seed, band=opts.band,
+            n_directions=opts.directions, s_range=s_range, threshold=threshold,
         )
-        rep = cx.verify_equivalence(surf, plan, rc.nav)
+        rep = cx.verify_equivalence(surf, plan, opts.nav)
         if label:
             rep.surface = label
         total_disagreements += len(rep.disagreements)
         reports.append(rep.to_dict())
     payload = {"reports": reports, "total_disagreements": total_disagreements,
                "threshold": threshold}
-    _emit(_dump_json(payload), rc.out)
+    _emit(_dump_json(payload), opts.out)
     return 0 if total_disagreements == 0 else 1
 
 
-def cmd_indicatrix(args) -> int:
-    rc = _run_config(args, at=None, n=256)
-    at = rc.extra("at")
-    if at is None:
-        raise ConfigError("--at x,y is required")
-    x0, y0 = _parse_numbers(at, "--at")
-    n = rc.extra("n", int)
-    ind = gd.indicatrix(rc.surface, x0, y0, rc.nav, n=n)
-    if rc.format == "json":
+def cmd_indicatrix(opts) -> int:
+    ind = gd.indicatrix(opts.surface, *opts.at, opts.nav, n=opts.n)
+    if opts.format == "json":
         payload = {
-            "surface": _surface_echo(rc.surface),
+            "surface": _surface_echo(opts.surface),
             "center": list(ind.center),
-            "n": n,
+            "n": opts.n,
             "frame": None if ind.frame is None else ind.frame,
             "fit": {"c0": ind.fit.c0, "c1": ind.fit.c1, "max_residual": ind.fit.max_residual},
             "convex": ind.convex,
             "max_F_residual": ind.max_F_residual,
             "samples": ind.samples,
         }
-        _emit(_dump_json(payload), rc.out)
+        _emit(_dump_json(payload), opts.out)
     else:
         lines = ["index,dx,dy"]
         for i, (dx, dy) in enumerate(ind.samples):
             lines.append(f"{i},{_fmt(dx)},{_fmt(dy)}")
-        _emit("\n".join(lines) + "\n", rc.out)
+        _emit("\n".join(lines) + "\n", opts.out)
     return 0
 
 
@@ -351,23 +375,21 @@ def _rays_csv(rays) -> str:
     return "".join(parts)
 
 
-def cmd_geodesic(args) -> int:
-    rc = _run_config(args, default_format="csv",
-                     start=None, dir=None, length=0.5, step=1e-3)
-    start = rc.extra("start")
-    direction = rc.extra("dir")
-    if start is None or direction is None:
-        raise ConfigError("--start x,y and --dir dx,dy are required")
-    start = _parse_numbers(start, "--start")
-    direction = _parse_numbers(direction, "--dir")
+def _left_domain(what: str, strict: bool) -> int:
+    """Exit code of a run whose ``what`` left the strong-convexity domain."""
+    print(f"{'' if strict else 'warning: '}{what} left the strong-convexity domain",
+          file=sys.stderr)
+    return 3 if strict else 0
 
-    path = gd.geodesic_shoot(rc.surface, start, direction, rc.extra("length", float),
-                             step=rc.extra("step", float), nav=rc.nav)
-    if rc.format == "csv":
-        _emit(_rays_csv([path]), rc.out)
+
+def cmd_geodesic(opts) -> int:
+    path = gd.geodesic_shoot(opts.surface, opts.start, opts.dir, opts.length,
+                             step=opts.step, nav=opts.nav)
+    if opts.format == "csv":
+        _emit(_rays_csv([path]), opts.out)
     else:
         payload = {
-            "surface": _surface_echo(rc.surface),
+            "surface": _surface_echo(opts.surface),
             "status": path.status,
             "nodes": len(path.t),
             "t_end": path.t[-1],
@@ -375,31 +397,18 @@ def cmd_geodesic(args) -> int:
             "end_velocity": path.velocities[-1],
             "F_drift_per_unit_length": gd.conservation_drift(path),
         }
-        _emit(_dump_json(payload), rc.out)
-    if path.left_domain:
-        if rc.strict:
-            print("geodesic left the strong-convexity domain", file=sys.stderr)
-            return 3
-        print("warning: geodesic left the strong-convexity domain", file=sys.stderr)
-    return 0
+        _emit(_dump_json(payload), opts.out)
+    return _left_domain("geodesic", opts.strict) if path.left_domain else 0
 
 
-def cmd_front(args) -> int:
-    rc = _run_config(args, default_format="csv",
-                     seed_point=None, time=0.5, rays=64, step=1e-3, fronts=1)
-    seed_pt = rc.extra("seed_point")
-    if seed_pt is None:
-        raise ConfigError("--seed-point x,y is required")
-    seed_pt = _parse_numbers(seed_pt, "--seed-point")
-
-    wf = gd.wavefront(rc.surface, seed_pt, rc.extra("time", float),
-                      n_rays=rc.extra("rays", int), step=rc.extra("step", float),
-                      nav=rc.nav, n_fronts=rc.extra("fronts", int))
-    if rc.format == "csv":
-        _emit(_rays_csv(wf.rays), rc.out)
+def cmd_front(opts) -> int:
+    wf = gd.wavefront(opts.surface, opts.seed_point, opts.time, n_rays=opts.rays,
+                      step=opts.step, nav=opts.nav, n_fronts=opts.fronts)
+    if opts.format == "csv":
+        _emit(_rays_csv(wf.rays), opts.out)
     else:
         payload = {
-            "surface": _surface_echo(rc.surface),
+            "surface": _surface_echo(opts.surface),
             "seed": list(wf.seed),
             "statuses": wf.statuses,
             "fronts": [
@@ -408,14 +417,57 @@ def cmd_front(args) -> int:
                 for f in wf.fronts
             ],
         }
-        _emit(_dump_json(payload), rc.out)
-    truncated = [s for s in wf.statuses if s != gd.STATUS_COMPLETE]
-    if truncated:
-        if rc.strict:
-            print(f"{len(truncated)} ray(s) left the strong-convexity domain", file=sys.stderr)
-            return 3
-        print(f"warning: {len(truncated)} ray(s) left the strong-convexity domain", file=sys.stderr)
-    return 0
+        _emit(_dump_json(payload), opts.out)
+    truncated = sum(s != gd.STATUS_COMPLETE for s in wf.statuses)
+    return _left_domain(f"{truncated} ray(s)", opts.strict) if truncated else 0
+
+
+class Command(NamedTuple):
+    """A subcommand; ``defaults`` changes the defaults of shared options."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[Option, ...]
+    defaults: dict = {}
+
+
+STEP = Option("step", "--step", FLOAT, 1e-3)
+
+COMMANDS = {
+    "analyze": Command(cmd_analyze, "criterion field, verdict map, radial profile", (
+        Option("resolution", "--resolution", INT, 64, "grid points per axis"),
+        Option("bbox", "--bbox", BOX, None, "xmin,xmax,ymin,ymax"),
+    ), {"band": cx.CRITERION_BAND}),
+    "domain": Command(cmd_domain, "strong-convexity intervals and boundary roots", (
+        Option("resolution", "--resolution", INT, 2048, "scan panels (>= 64)"),
+        Option("smax", "--smax", FLOAT, None, "clip radius for unbounded domains"),
+    )),
+    "verify": Command(cmd_verify, "cross-check all convexity routes on random samples", (
+        Option("surfaces", "--surface", SURFACES, None,
+               "surface JSON (inline or file path); repeatable"),
+        Option("samples", "--samples", INT, 200),
+        Option("directions", "--directions", INT, 64),
+        Option("threshold", "--threshold", FLOAT, None,
+               "analytic threshold override (test hook; default the nav's bound, 1/3 at v = w)"),
+    )),
+    "indicatrix": Command(cmd_indicatrix, "sample the unit curve and fit the limacon", (
+        Option("at", "--at", PAIR, REQUIRED, "chart point 'x,y'"),
+        Option("n", "--n", INT, 256, "number of samples"),
+    )),
+    "geodesic": Command(cmd_geodesic, "trace one time-minimizing path", (
+        Option("start", "--start", PAIR, REQUIRED, "chart point 'x,y'"),
+        Option("dir", "--dir", PAIR, REQUIRED, "initial direction 'dx,dy'"),
+        Option("length", "--length", FLOAT, 0.5, "F-arclength (travel time)"),
+        STEP,
+    ), {"format": "csv"}),
+    "front": Command(cmd_front, "propagate a unit-speed front from a seed", (
+        Option("seed_point", "--seed-point", PAIR, REQUIRED, "chart point 'x,y'"),
+        Option("time", "--time", FLOAT, 0.5, "total propagation time"),
+        Option("rays", "--rays", INT, 64),
+        STEP,
+        Option("fronts", "--fronts", INT, 1, "number of reported fronts"),
+    ), {"format": "csv"}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,78 +477,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "geodesics, and front propagation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, surface_multi=False):
-        if surface_multi:
-            p.add_argument("--surface", action="append",
-                           help="surface JSON (inline or file path); repeatable")
-        else:
-            p.add_argument("--surface", help="surface JSON (inline or file path)")
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--nav", help="navigation params 'v,w' (default 1,1)")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--band", type=float, default=None)
-        p.add_argument("--strict", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("analyze", help="criterion field, verdict map, radial profile")
-    common(p)
-    p.add_argument("--resolution", type=int, default=None, help="grid points per axis")
-    p.add_argument("--bbox", help="xmin,xmax,ymin,ymax")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("domain", help="strong-convexity intervals and boundary roots")
-    common(p)
-    p.add_argument("--resolution", type=int, default=None, help="scan panels (>= 64)")
-    p.add_argument("--smax", type=float, default=None, help="clip radius for unbounded domains")
-    p.set_defaults(func=cmd_domain)
-
-    p = sub.add_parser("verify", help="cross-check all convexity routes on random samples")
-    common(p, surface_multi=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--directions", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="analytic threshold override (test hook; default the nav's "
-                        "bound, 1/3 at v = w)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("indicatrix", help="sample the unit curve and fit the limacon")
-    common(p)
-    p.add_argument("--at", help="chart point 'x,y'")
-    p.add_argument("--n", type=int, default=None, help="number of samples")
-    p.set_defaults(func=cmd_indicatrix)
-
-    p = sub.add_parser("geodesic", help="trace one time-minimizing path")
-    common(p)
-    p.add_argument("--start", help="chart point 'x,y'")
-    p.add_argument("--dir", help="initial direction 'dx,dy'")
-    p.add_argument("--length", type=float, default=None, help="F-arclength (travel time)")
-    p.add_argument("--step", type=float, default=None)
-    p.set_defaults(func=cmd_geodesic)
-
-    p = sub.add_parser("front", help="propagate a unit-speed front from a seed")
-    common(p)
-    p.add_argument("--seed-point", dest="seed_point", help="chart point 'x,y'")
-    p.add_argument("--time", type=float, default=None, help="total propagation time")
-    p.add_argument("--rays", type=int, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--fronts", type=int, default=None, help="number of reported fronts")
-    p.set_defaults(func=cmd_front)
+    for name, command in COMMANDS.items():
+        own = {opt.flag: opt for opt in command.options}
+        options = [own.pop(opt.flag, opt._replace(default=command.defaults.get(opt.key, opt.default)))
+                   for opt in SHARED] + list(own.values())
+        p = sub.add_parser(name, help=command.help)
+        for opt in options:
+            p.add_argument(opt.flag, dest=opt.key, help=opt.help, **opt.kind.flag)
+        p.set_defaults(func=command.run, options=options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_options(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StepTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SlopeMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

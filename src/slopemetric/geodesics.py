@@ -131,6 +131,8 @@ def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
     gives F, and, for the rays that stay live, its Hessian part feeds the
     next step's first stage.
     """
+    if not (0 < length < math.inf and 0 < step < math.inf):
+        raise ValueError("length and step must be positive")
     n = p0.shape[0]
     n_full = int(math.floor(length / step + 1e-9))
     hs = [step] * n_full
@@ -216,8 +218,6 @@ def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,
     if is_strongly_convex_at(surf, start[0], start[1],
                              threshold=convexity_threshold(nav)) is not Verdict.CONVEX:
         raise OutOfDomain("start point is not strictly inside the strong-convexity domain")
-    if length <= 0 or step <= 0:
-        raise ValueError("length and step must be positive")
     F0 = slope_metric_F(surf, start[0], start[1], direction, nav)
     v0 = direction / F0
     return _integrate(surf, start[None, :], v0[None, :], length, step, nav, conservation_tol)[0]

@@ -262,7 +262,7 @@ def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
     bad = (s < lo) | (s >= hi) | ~np.isfinite(s)
     if bad.any():
         worst = np.asarray(s)[bad].flat[0]
-        raise OutOfDomain(f"s={worst!r} outside profile domain [{lo}, {hi})")
+        raise OutOfDomain(f"s={float(worst)!r} outside profile domain [{lo}, {hi})")
 
 
 def eval_profile(p: ProfileCurve, s):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,16 @@ class TestFrontCommand:
         assert code == 3
         assert "seed point is not strictly inside" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--step", "0"], ["--time", "-1"], ["--step", "-1"],
+    ])
+    def test_nonpositive_time_or_step_exit_two(self, capsys, flags):
+        code, out, err = run(capsys, ["front", "--surface", PARAB, "--seed-point", "0.1,0",
+                                      "--rays", "8", *flags])
+        assert code == 2
+        assert out == ""
+        assert err == "error: length and step must be positive\n"
+
     def test_strict_exit_three_on_truncation(self, capsys):
         code, _, _ = run(capsys, [
             "front", "--surface", PARAB, "--seed-point", "0.25,0", "--time", "0.3",
@@ -378,6 +389,12 @@ class TestConfigAndDeterminism:
         ("geodesic", {"start": "0.1,0", "dir": "0,1", "length": {"t": 1}}, "length"),
         ("domain", {"smax": "far"}, "smax"),
         ("verify", {"samples": 1e400}, "samples"),
+        ("front", {"seed_point": "0.1,0", "strict": "false"}, "strict"),
+        ("front", {"seed_point": "0.1,0", "rays": 8.9}, "rays"),
+        ("front", {"seed_point": "0.1,0", "rays": True}, "rays"),
+        ("domain", {"out": 5}, "out"),
+        ("front", {"seed_point": "0.1,0", "time": "inf"}, "time"),
+        ("domain", {"smax": "nan"}, "smax"),
     ])
     def test_wrong_typed_config_value_exit_two(self, capsys, tmp_path, command, cfg, key):
         path = tmp_path / "cfg.json"
@@ -386,3 +403,35 @@ class TestConfigAndDeterminism:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: bad {key}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, key", [
+        (["geodesic", "--surface", PARAB, "--start", "0.1,0", "--dir", "0,1", "--length", "inf"],
+         "length"),
+        (["domain", "--surface", PARAB, "--smax", "nan"], "smax"),
+    ])
+    def test_non_finite_flag_exit_two(self, argv, key):
+        # a fresh interpreter shows the stderr a user sees, warnings included
+        src = str(Path(slopemetric.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "slopemetric.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: bad {key}:") and proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_config_null_unsets_an_optional_option(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"smax": None}))
+        code, out, _ = run(capsys, ["domain", "--surface", PARAB, "--config", str(path)])
+        assert code == 0
+        assert json.loads(out)["domain"]["scan_range"][1] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("cfg", [{}, {"seed_point": None}])
+    def test_missing_required_option_exit_two(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, ["front", "--surface", PARAB, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --seed-point is required") and err.count("\n") == 1

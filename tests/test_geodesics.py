@@ -298,6 +298,18 @@ class TestIndicatrix:
         assert ind.convex
 
 
+@pytest.mark.parametrize("shoot", [
+    lambda surf, length, step: geodesic_shoot(surf, (0.1, 0.0), (0.0, 1.0), length, step=step),
+    lambda surf, length, step: wavefront(surf, (0.1, 0.0), length, n_rays=8, step=step),
+], ids=["geodesic_shoot", "wavefront"])
+@pytest.mark.parametrize("length, step", [
+    (0.1, 0.0), (-1.0, 1e-3), (0.1, -1.0), (math.inf, 1e-3), (0.1, math.nan),
+])
+def test_length_and_step_must_be_positive_and_finite(parab_surface, shoot, length, step):
+    with pytest.raises(ValueError, match="length and step must be positive"):
+        shoot(parab_surface, length, step)
+
+
 class TestWavefront:
     def test_flat_circles(self, flat):
         wf = wavefront(flat, (0.0, 0.0), total_time=0.5, n_rays=32, step=1e-2, n_fronts=2)

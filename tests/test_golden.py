@@ -81,10 +81,95 @@ GOLDEN_GEODESICS = {
 }
 
 
+README_DOMAIN = ["domain", "--surface", PARAB, "--smax", "1"]
+README_ANALYZE = ["analyze", "--surface", PARAB, "--resolution", "64", "--bbox=-0.5,0.5,-0.5,0.5"]
+README_INDICATRIX = ["indicatrix", "--surface", PARAB, "--at", "0.1,0", "--n", "256"]
+
+# the README's domain, analyze and indicatrix arguments on the paraboloid(h=100),
+# a flag argparse rejects (its usage message), and the help text of every parser
+GOLDEN_CLI = {
+    "domain README, nav 1,1": (
+        README_DOMAIN,
+        "290a3e5e1486a30bf2d4a25bb7b7fc173640c1ce234d1058fec0304a6db90cbd",
+    ),
+    "domain README, nav 1,0.5": (
+        README_DOMAIN + ["--nav", "1,0.5"],
+        "6506ad87e0324ba376a5ce2c70f6f3b89fbc2ca176761d90ae1052397a009934",
+    ),
+    "analyze README, nav 1,1": (
+        README_ANALYZE,
+        "877f73cfa2c72639de354b5508f8e21fbecb3d5f034533be9c4b73abcfa38ce7",
+    ),
+    "analyze README, nav 1,0.5": (
+        README_ANALYZE + ["--nav", "1,0.5"],
+        "23b0bcfa93674b78acb65f9acd94b0ca904a85db15bd080ef6f86bd3a7c7b662",
+    ),
+    "indicatrix README, nav 1,1": (
+        README_INDICATRIX,
+        "f6022969269682bb457b09c799a95ee980f5f8c4ef0e8a348377e67e903df5b7",
+    ),
+    "indicatrix README, nav 1,0.5": (
+        README_INDICATRIX + ["--nav", "1,0.5"],
+        "476f0bfbf73218f0708684f47fd44d05545091c136feab0717ab6e1d8018ca75",
+    ),
+    "front --rays abc": (
+        ["front", "--rays", "abc"],
+        "02332286fec3602864880d18abefa45dde99dce44c34b49695f9c1964d406a7f",
+    ),
+    "help": (
+        ["--help"],
+        "fd9ddc57ca7d9e4e588a5997cbf972090ce2ca6592c987a6802d95c4bc015cc6",
+    ),
+    "analyze --help": (
+        ["analyze", "--help"],
+        "32831ba1e968448ee42751a126629a82dd4c7f336ce90fab90e489ae7f8ce9b7",
+    ),
+    "domain --help": (
+        ["domain", "--help"],
+        "95c96fcb555d55e55d1e3e22869539cd21374d66be26e025eb70c9871b677619",
+    ),
+    "verify --help": (
+        ["verify", "--help"],
+        "90af4e06ba631694ccedcd4f398d60bf7a076b8512a1a1bbf89ed51adc125d09",
+    ),
+    "indicatrix --help": (
+        ["indicatrix", "--help"],
+        "2b0a8218f51f9f58808884647e8d6fb201e08a482ef2111ed5454a02ad18567b",
+    ),
+    "geodesic --help": (
+        ["geodesic", "--help"],
+        "42d43f3279ee70ffba52688b1f774598758c0a1b155871d37e91fda017aa57a4",
+    ),
+    "front --help": (
+        ["front", "--help"],
+        "84252437b6323f13b79d158fd4b2937f36f52a8f06fa205664d687505496c30a",
+    ),
+}
+
+# runs whose config file (written as cfg.json in the working directory) holds a
+# wrong-typed value: exit 2 with one error line
+GOLDEN_CONFIG = {
+    "front, rays a list": (
+        ["front", "--surface", PARAB, "--seed-point", "0.1,0", "--config", "cfg.json"],
+        {"rays": [64]},
+        "4dbad9f554c81463efaae1658200c9e234ab154c83ab2d7ddc19287ea741f479",
+    ),
+    "domain, resolution null": (
+        ["domain", "--surface", PARAB, "--config", "cfg.json"],
+        {"resolution": None},
+        "36b829950948108a36ccffab2633fda991f18472b53d12b353ee4b8932f24c58",
+    ),
+}
+
+
 def run_digest(argv, cwd) -> str:
-    """SHA-256 of the JSON list [stdout, stderr, exit code] of one CLI run."""
+    """SHA-256 of the JSON list [stdout, stderr, exit code] of one CLI run.
+
+    COLUMNS is fixed so that argparse wraps usage and help text the same way
+    on every terminal.
+    """
     src = str(Path(slopemetric.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "slopemetric.cli", *argv],
                           capture_output=True, env=env, cwd=cwd)
     payload = [proc.stdout.decode(), proc.stderr.decode(), proc.returncode]
@@ -108,3 +193,15 @@ def test_verify_output_is_golden(case, tmp_path):
 @pytest.mark.parametrize("case", list(GOLDEN_GEODESICS))
 def test_geodesic_output_is_golden(case, tmp_path):
     check_golden(GOLDEN_GEODESICS, case, tmp_path)
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CLI))
+def test_cli_output_is_golden(case, tmp_path):
+    check_golden(GOLDEN_CLI, case, tmp_path)
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CONFIG))
+def test_config_error_is_golden(case, tmp_path):
+    argv, config, digest = GOLDEN_CONFIG[case]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    check_golden({case: (argv, digest)}, case, tmp_path)
