@@ -8,6 +8,7 @@ tallies agreement across every route on random samples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -43,9 +44,11 @@ print(f"samples: {rep.samples}   agreements: {rep.agreements}   "
       f"disagreements: {len(rep.disagreements)}   worst margin to 1/3: {rep.worst_margin:.2e}")
 
 print("\n=== a deliberately wrong threshold is caught ===")
-rep_bad = verify_equivalence(
-    SurfaceOfRevolution(paraboloid(100.0, s_max=1.0)),
-    SamplePlan(n_points=300, seed=42, threshold=0.5),
-)
+# the patched bound reaches the analytic and profile routes only
+with mock.patch("slopemetric.convexity.convexity_threshold", return_value=0.5):
+    rep_bad = verify_equivalence(
+        SurfaceOfRevolution(paraboloid(100.0, s_max=1.0)),
+        SamplePlan(n_points=300, seed=42),
+    )
 print(f"with threshold corrupted to 0.5: {len(rep_bad.disagreements)} disagreements "
       f"(the Hessian oracle refuses to follow)")

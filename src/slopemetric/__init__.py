@@ -34,7 +34,6 @@ from .surfaces import (
     eval_profile,
     flat_surface,
     gaussian_bump,
-    invert_profile,
     one_sheet_hyperboloid,
     paraboloid,
     profile_derivative,
@@ -60,7 +59,6 @@ from .metric import (
 )
 from .convexity import (
     DEFAULT_SCAN_SMAX,
-    THRESHOLD,
     ConvexityDomain,
     EquivalenceReport,
     SamplePlan,

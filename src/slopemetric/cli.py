@@ -223,10 +223,15 @@ def cmd_analyze(opts) -> int:
     if opts.band < 0:
         raise ConfigError("band must be nonnegative")
     surf, resolution, band = opts.surface, opts.resolution, opts.band
-    threshold = cx.convexity_threshold(opts.nav)
     bbox = opts.bbox or surf.bounding_box()
 
     profile = surf.profile
+    # radial profile of the criterion with the threshold line
+    dom = cx.convexity_domain(profile, resolution=max(256, resolution), nav=opts.nav)
+    s_grid = np.linspace(dom.scan_range[0], dom.scan_range[1], max(256, resolution))
+    cond = np.asarray(cx.cartesian_condition(profile, s_grid))
+    threshold = dom.threshold
+
     lo, hi = profile.domain
     xs = np.linspace(bbox[0], bbox[1], resolution)
     ys = np.linspace(bbox[2], bbox[3], resolution)
@@ -238,12 +243,7 @@ def cmd_analyze(opts) -> int:
     if inside.any():
         d = np.asarray(cx.cartesian_condition(profile, S[inside]))
         q[inside] = d
-    verdict = np.where(inside, cx.criterion_verdict(q, band, threshold), "outside")
-
-    # radial profile of the criterion with the threshold line
-    dom = cx.convexity_domain(profile, resolution=max(256, resolution), s_max=None)
-    s_grid = np.linspace(dom.scan_range[0], dom.scan_range[1], max(256, resolution))
-    cond = np.asarray(cx.cartesian_condition(profile, s_grid))
+    verdict = np.where(inside, cx.criterion_verdict(q, threshold, band), "outside")
 
     if opts.format == "json":
         payload = {
@@ -276,7 +276,7 @@ def cmd_domain(opts) -> int:
     surf = opts.surface
     # convexity_domain rejects a resolution below 64
     dom = cx.convexity_domain(surf.profile, resolution=opts.resolution, s_max=opts.smax,
-                              threshold=cx.convexity_threshold(opts.nav))
+                              nav=opts.nav)
     if opts.format == "json":
         payload = {
             "surface": _surface_echo(surf),
@@ -303,13 +303,12 @@ def cmd_verify(opts) -> int:
         jobs = [(label, surface_from_json(desc), s_range)
                 for label, desc, s_range in BUILTIN_VERIFY_SUITE]
 
-    threshold = cx.convexity_threshold(opts.nav) if opts.threshold is None else opts.threshold
     reports = []
     total_disagreements = 0
     for label, surf, s_range in jobs:
         plan = cx.SamplePlan(
             n_points=opts.samples, seed=opts.seed, band=opts.band,
-            n_directions=opts.directions, s_range=s_range, threshold=threshold,
+            n_directions=opts.directions, s_range=s_range,
         )
         rep = cx.verify_equivalence(surf, plan, opts.nav)
         if label:
@@ -317,7 +316,7 @@ def cmd_verify(opts) -> int:
         total_disagreements += len(rep.disagreements)
         reports.append(rep.to_dict())
     payload = {"reports": reports, "total_disagreements": total_disagreements,
-               "threshold": threshold}
+               "threshold": cx.convexity_threshold(opts.nav)}
     _emit(_dump_json(payload), opts.out)
     return 0 if total_disagreements == 0 else 1
 
@@ -447,8 +446,6 @@ COMMANDS = {
                "surface JSON (inline or file path); repeatable"),
         Option("samples", "--samples", INT, 200),
         Option("directions", "--directions", INT, 64),
-        Option("threshold", "--threshold", FLOAT, None,
-               "analytic threshold override (test hook; default the nav's bound, 1/3 at v = w)"),
     )),
     "indicatrix": Command(cmd_indicatrix, "sample the unit curve and fit the limacon", (
         Option("at", "--at", PAIR, REQUIRED, "chart point 'x,y'"),

@@ -42,7 +42,6 @@ from .surfaces import (
 )
 
 __all__ = [
-    "THRESHOLD",
     "DEFAULT_SCAN_SMAX",
     "Verdict",
     "ConvexityDomain",
@@ -58,10 +57,6 @@ __all__ = [
     "pd_oracle",
     "verify_equivalence",
 ]
-
-# Strong convexity holds where the squared gradient norm stays below 1/3
-# (at v = w; ``convexity_threshold`` gives the bound for any nav).
-THRESHOLD = 1.0 / 3.0
 
 # Criterion values within +-this of the threshold are ruled indeterminate.
 CRITERION_BAND = 1e-9
@@ -87,8 +82,8 @@ def convexity_threshold(nav: NavigationParams) -> float:
     det g_ij has the sign of v^2 - 3vws + 2w^2 b^2, with s = beta/alpha and
     b^2 = q / (1 + q).  That is least along steepest ascent (s = b), where it
     factors as (v - w*b)(v - 2w*b); so the metric is strongly convex exactly
-    where b < v/(2w), i.e. q < v^2 / (4w^2 - v^2).  That is THRESHOLD
-    (exactly) when v = w, and inf when 2w <= v.
+    where b < v/(2w), i.e. q < v^2 / (4w^2 - v^2).  That is 1/3 when
+    v = w, and inf when 2w <= v.
     """
     k = nav.w / nav.v
     if 2.0 * k <= 1.0:
@@ -96,7 +91,7 @@ def convexity_threshold(nav: NavigationParams) -> float:
     return 1.0 / (4.0 * k * k - 1.0)
 
 
-def criterion_verdict(q, band: float = CRITERION_BAND, threshold: float = THRESHOLD):
+def criterion_verdict(q, threshold: float, band: float = CRITERION_BAND):
     """Verdict value(s) of the gradient criterion q < threshold.
 
     "true" below threshold - band, "false" above threshold + band, and
@@ -108,11 +103,12 @@ def criterion_verdict(q, band: float = CRITERION_BAND, threshold: float = THRESH
     return _VERDICT_VALUES[idx]
 
 
-def is_strongly_convex_at(surf: SurfaceSpec, x, y, band: float = CRITERION_BAND,
-                          threshold: float = THRESHOLD) -> Verdict:
-    """Pointwise verdict from the gradient criterion f_x^2 + f_y^2 < threshold."""
+def is_strongly_convex_at(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
+                          band: float = CRITERION_BAND) -> Verdict:
+    """Pointwise verdict from the gradient criterion f_x^2 + f_y^2 < threshold of ``nav``."""
     fx, fy = surf.gradient(x, y)
-    return Verdict(criterion_verdict(fx * fx + fy * fy, band, threshold))
+    threshold = convexity_threshold(nav or NORMALIZED)
+    return Verdict(criterion_verdict(fx * fx + fy * fy, threshold, band))
 
 
 def cartesian_condition(p: ProfileCurve, s):
@@ -121,7 +117,7 @@ def cartesian_condition(p: ProfileCurve, s):
 
 
 def trig_condition(t: TrigProfile, u):
-    """m'(u)^2; the metric is strongly convex at height u iff this > 3.
+    """m'(u)^2; the metric is strongly convex at height u iff this > 1/threshold.
 
     Where the Cartesian slope vanishes (hilltop, bump peak) m' diverges and
     the condition holds by limit: returns +inf and warns.  A square that
@@ -154,7 +150,7 @@ class ConvexityDomain:
     boundary_roots: tuple[tuple[float, float], ...]
     scan_range: tuple[float, float]
     resolution: int
-    threshold: float = THRESHOLD
+    threshold: float
 
     @property
     def is_entire(self) -> bool:
@@ -201,16 +197,20 @@ def _bisect_root(fn, a: float, b: float, fa: float) -> float:
 
 
 def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | None = None,
-                     threshold: float = THRESHOLD) -> ConvexityDomain:
-    """Scan phi'^2 - threshold, bracket sign changes, bisect each boundary root.
+                     nav: NavigationParams | None = None) -> ConvexityDomain:
+    """Scan phi'^2 - threshold of ``nav``, bracket sign changes, bisect each boundary root.
 
-    The scan grid is uniform with ``resolution`` panels (>= 64); unbounded
-    domains are clipped to ``s_max`` (default 100).  Emits DoubleRootWarning
-    when the criterion grazes the threshold without a clean crossing.
+    The scan grid is uniform with ``resolution`` panels (>= 64); the domain
+    is clipped to ``s_max`` (default 100, which must exceed the inner edge
+    when given).  Emits DoubleRootWarning when the criterion grazes the
+    threshold without a clean crossing.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     lo, hi = p.domain
+    if s_max is not None and not s_max > lo:
+        raise ValueError(f"s_max {s_max} must exceed the profile's inner edge {lo}")
+    threshold = convexity_threshold(nav or NORMALIZED)
     hi_eff = min(hi, s_max if s_max is not None else DEFAULT_SCAN_SMAX)
     if math.isfinite(hi) and hi_eff >= hi:
         hi_eff = hi - max(1e-12, (hi - lo) * 1e-9)
@@ -340,9 +340,7 @@ class SamplePlan:
     """How ``verify_equivalence`` draws its random sample of surface points.
 
     ``band`` excludes points within that radial distance of any predicted
-    convexity boundary.  ``threshold`` None means ``convexity_threshold`` of
-    the nav being verified; a number is a test hook that corrupts the
-    analytic routes (the Hessian oracle never sees it).
+    convexity boundary; a graph surface is sampled on its ``bbox``.
     """
 
     n_points: int = 200
@@ -350,8 +348,10 @@ class SamplePlan:
     band: float = 1e-3
     n_directions: int = 64
     s_range: tuple[float, float] | None = None
-    bbox: tuple[float, float, float, float] | None = None
-    threshold: float | None = None
+
+    def __post_init__(self):
+        if self.n_points < 1:
+            raise ValueError(f"need at least 1 sample point, got {self.n_points}")
 
 
 @dataclass
@@ -392,7 +392,9 @@ def _revolution_sample_range(surf: SurfaceOfRevolution, plan: SamplePlan) -> tup
     lo, hi = surf.profile.domain
     hi_eff = min(hi, DEFAULT_SCAN_SMAX)
     if math.isfinite(hi) and hi_eff >= hi:
-        hi_eff = hi * (1 - 1e-9) if hi > 0 else hi - 1e-12
+        hi_eff = hi * (1 - 1e-9)
+    if not hi_eff > lo:
+        raise OutOfDomain(f"empty scan range [{lo}, {hi_eff}]")
     lo_eff = lo
     try:
         profile_derivative(surf.profile, lo_eff)
@@ -417,7 +419,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     """
     plan = plan or SamplePlan()
     nav = nav or NORMALIZED
-    threshold = convexity_threshold(nav) if plan.threshold is None else plan.threshold
+    threshold = convexity_threshold(nav)
     rng = np.random.default_rng(plan.seed)
     is_rev = isinstance(surf, SurfaceOfRevolution)
     report = EquivalenceReport(
@@ -431,14 +433,14 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     trig: TrigProfile | None = None
     if is_rev:
         s_lo, s_hi = _revolution_sample_range(surf, plan)
-        dom = convexity_domain(surf.profile, s_max=s_hi, threshold=threshold)
+        dom = convexity_domain(surf.profile, s_max=s_hi, nav=nav)
         roots = tuple(r for r, _ in dom.boundary_roots)
         try:
             trig = TrigProfile.from_profile(surf.profile)
         except Exception:
             trig = None
     else:
-        bbox = plan.bbox or surf.bounding_box()
+        bbox = surf.bounding_box()
 
     xs, ys, ss = [], [], []
     for _ in range(plan.n_points):
@@ -466,7 +468,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     s_arr = np.array(ss, dtype=float)
     fx, fy = surf.gradient(np.array(xs, dtype=float), np.array(ys, dtype=float))
     q = fx * fx + fy * fy
-    analytic = criterion_verdict(q, threshold=threshold)
+    analytic = criterion_verdict(q, threshold)
     definite = analytic != Verdict.INDETERMINATE.value
     routes = [("analytic", definite, analytic == Verdict.CONVEX.value)]
     report.indeterminate = int(np.count_nonzero(~definite))

@@ -45,12 +45,12 @@ class StepTooLarge(SlopeMetricError, RuntimeError):
     """Integration step produced conservation drift beyond 10x the tolerance."""
 
 
-class InsufficientDirections(SlopeMetricError, ValueError):
-    """Too few sample directions for a meaningful positive-definiteness sweep."""
-
-
 class ConfigError(SlopeMetricError, ValueError):
     """Malformed surface description or run configuration."""
+
+
+class InsufficientDirections(ConfigError):
+    """Too few sample directions for a meaningful positive-definiteness sweep."""
 
 
 class DoubleRootWarning(UserWarning):

@@ -45,12 +45,16 @@ __all__ = [
 STATUS_COMPLETE = "complete"
 STATUS_LEFT_DOMAIN = "left_convex_domain"
 
+# Relative F drift per unit F-length tolerated along a path; ten times this
+# raises StepTooLarge.
+DRIFT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GeodesicPath:
     """One integrated trajectory, sampled at every accepted step.
 
-    F_values stay constant along the path up to the conservation tolerance;
+    F_values stay constant along the path to within 10x ``DRIFT_TOL`` per unit length;
     every stored point lies inside the strong-convexity domain, and
     ``status`` records whether the requested length was reached or the
     boundary cut the path short.
@@ -123,7 +127,7 @@ def _accel_at(surf, p, v, nav):
     return _spray_accel(fx, fy, *hessian_at(), v, nav)
 
 
-def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
+def _integrate(surf, p0, v0, length, step, nav):
     """Advance a batch of unit-speed rays with classic RK4; returns per-node arrays and halts.
 
     The surface jet is read once per RK4 stage.  The read at each accepted
@@ -167,7 +171,7 @@ def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
 
         ok = np.isfinite(p).all(axis=-1) & np.isfinite(v).all(axis=-1)
         fx, fy, hessian_at = surf._jet(p[ok, 0], p[ok, 1])
-        kept = criterion_verdict(fx * fx + fy * fy, threshold=threshold) == Verdict.CONVEX.value
+        kept = criterion_verdict(fx * fx + fy * fy, threshold) == Verdict.CONVEX.value
         ok[ok] = kept
         halt[live[~ok]] = k
         live, p, v = live[ok], p[ok], v[ok]
@@ -191,36 +195,34 @@ def _integrate(surf, p0, v0, length, step, nav, conservation_tol):
             status=STATUS_COMPLETE if halt[i] == m else STATUS_LEFT_DOMAIN,
         )
         drift = conservation_drift(path)
-        if drift > 10.0 * conservation_tol:
+        if drift > 10.0 * DRIFT_TOL:
             raise StepTooLarge(
                 f"F drift {drift:.3e} per unit length exceeds 10x the tolerance "
-                f"{conservation_tol:.1e}; reduce the step"
+                f"{DRIFT_TOL:.1e}; reduce the step"
             )
         paths.append(path)
     return paths
 
 
 def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,
-                   step: float = 1e-3, nav: NavigationParams | None = None,
-                   conservation_tol: float = 1e-6) -> GeodesicPath:
+                   step: float = 1e-3, nav: NavigationParams | None = None) -> GeodesicPath:
     """Trace the extremal from ``start`` along ``direction`` for an F-length.
 
     The initial velocity is rescaled to unit F-speed, so ``length`` is travel
     time.  Integration stops early (status ``left_convex_domain``) if the
     path reaches the strong-convexity boundary; raises StepTooLarge when the
-    conserved F drifts more than 10x the tolerance per unit length.
+    conserved F drifts more than 10x ``DRIFT_TOL`` per unit length.
     """
     nav = nav or NORMALIZED
     start = np.asarray(start, dtype=float).reshape(2)
     direction = np.asarray(direction, dtype=float).reshape(2)
     if not np.any(direction):
         raise ZeroVector("shooting direction must be nonzero")
-    if is_strongly_convex_at(surf, start[0], start[1],
-                             threshold=convexity_threshold(nav)) is not Verdict.CONVEX:
+    if is_strongly_convex_at(surf, start[0], start[1], nav) is not Verdict.CONVEX:
         raise OutOfDomain("start point is not strictly inside the strong-convexity domain")
     F0 = slope_metric_F(surf, start[0], start[1], direction, nav)
     v0 = direction / F0
-    return _integrate(surf, start[None, :], v0[None, :], length, step, nav, conservation_tol)[0]
+    return _integrate(surf, start[None, :], v0[None, :], length, step, nav)[0]
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,7 @@ class WavefrontResult:
 
 def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
               step: float = 1e-3, nav: NavigationParams | None = None,
-              n_fronts: int = 1, conservation_tol: float = 1e-6) -> WavefrontResult:
+              n_fronts: int = 1) -> WavefrontResult:
     """Propagate a unit-F-speed front from a seed point.
 
     Shoots ``n_rays`` geodesics at equally spaced chart angles; the front at
@@ -262,16 +264,17 @@ def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
     """
     nav = nav or NORMALIZED
     seed = np.asarray(seed, dtype=float).reshape(2)
-    if is_strongly_convex_at(surf, seed[0], seed[1],
-                             threshold=convexity_threshold(nav)) is not Verdict.CONVEX:
+    if is_strongly_convex_at(surf, seed[0], seed[1], nav) is not Verdict.CONVEX:
         raise OutOfDomain("seed point is not strictly inside the strong-convexity domain")
     if n_rays < 3:
         raise ValueError("need at least 3 rays for a front polyline")
+    if n_fronts < 1:
+        raise ValueError("need at least 1 front")
     dirs = _unit_directions(n_rays)
     F0 = slope_metric_F(surf, seed[0], seed[1], dirs, nav)
     v0 = dirs / F0[:, None]
     p0 = np.broadcast_to(seed, (n_rays, 2)).copy()
-    rays = _integrate(surf, p0, v0, total_time, step, nav, conservation_tol)
+    rays = _integrate(surf, p0, v0, total_time, step, nav)
 
     fronts = []
     for j in range(1, n_fronts + 1):

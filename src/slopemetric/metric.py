@@ -114,8 +114,9 @@ class FundamentalTensor:
         vx, vy = _split(tv)
         return _scalar(self.g11 * vx * vx + 2.0 * self.g12 * vx * vy + self.g22 * vy * vy)
 
-    def is_positive_definite(self, band: float = 1e-7) -> bool | None:
-        """True / False, or None when trace or det sits inside the +-band."""
+    def is_positive_definite(self) -> bool | None:
+        """True / False, or None when trace or det sits within +-1e-7 of zero."""
+        band = 1e-7
         if self.trace > band and self.det > band:
             return True
         if self.trace < -band or self.det < -band:
@@ -224,12 +225,11 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     return _scalar(_limacon(*surf.gradient(x, y), tv, nav))
 
 
-def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None = None,
-                max_iter: int = 60) -> float:
+def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None = None) -> float:
     """The unique F > 0 with h(direction/F) = 0, found by root-solving.
 
-    Newton iteration on lam = 1/F, with the analytic dh/dlam, and a
-    bisection fallback on [1e-12, 1e6]; converged when
+    At most 60 Newton iterations on lam = 1/F, with the analytic dh/dlam,
+    then a bisection fallback on [1e-12, 1e6]; converged when
     |h| <= 1e-12 * (1 + |direction|^2).  This route never
     touches the closed-form quotient, so it independently cross-checks
     ``slope_metric_F``.  Reads the surface once; raises NoRoot exactly where
@@ -258,7 +258,7 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     tol = 1e-12 * (1.0 + n2)
 
     lam = 1.0 / al
-    for _ in range(max_iter):
+    for _ in range(60):
         fl = f(lam)
         fp = dh(lam)
         if not math.isfinite(fp) or fp == 0.0:

@@ -47,7 +47,6 @@ __all__ = [
     "eval_profile",
     "profile_derivative",
     "profile_second_derivative",
-    "invert_profile",
     "flat_surface",
     "surface_from_json",
 ]
@@ -61,8 +60,11 @@ _APEX_SLOPE_TOL = 1e-8
 # Bisection tolerance for profile inversion, absolute in s.
 _INVERT_TOL = 1e-12
 
+# Base step of numeric first derivatives, scaled by max(1, |s|) (or |x|, |y|).
+_FD_STEP = 1e-5
+
 # Second derivatives by differences of first derivatives use steps this many
-# times fd_step, so the first derivative's own rounding noise (~eps/fd_step
+# times _FD_STEP, so the first derivative's own rounding noise (~eps/_FD_STEP
 # when it is numeric) stays small against the outer step.
 _HESSIAN_STEP_FACTOR = 100.0
 
@@ -79,13 +81,11 @@ class ProfileCurve:
         Vectorized map s -> z.
     dphi : callable or None
         Closed-form derivative; None switches ``profile_derivative`` to
-        4th-order central differences with step ``fd_step * max(1, |s|)``.
+        4th-order central differences with step ``_FD_STEP * max(1, |s|)``.
     domain : (float, float)
         Half-open interval [s_min, s_max), s_min >= 0; s_max may be inf.
     params : dict
         Shape coefficients, kept for reporting and serialization.
-    fd_step : float
-        Base step for numeric differentiation (> 0).
     d2phi : callable or None
         Closed-form second derivative; None switches
         ``profile_second_derivative`` to central differences of
@@ -97,15 +97,12 @@ class ProfileCurve:
     dphi: Callable[[np.ndarray], np.ndarray] | None
     domain: tuple[float, float]
     params: dict = field(default_factory=dict)
-    fd_step: float = 1e-5
     d2phi: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         lo, hi = self.domain
         if not (0.0 <= lo < hi):
             raise ConfigError(f"invalid profile domain [{lo}, {hi})")
-        if self.fd_step <= 0.0:
-            raise ConfigError("fd_step must be positive")
 
     @property
     def derivative_mode(self) -> str:
@@ -239,11 +236,9 @@ def profile_from_callable(
     phi: Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float],
     dphi: Callable[[np.ndarray], np.ndarray] | None = None,
-    fd_step: float = 1e-5,
-    kind: str = "custom",
 ) -> ProfileCurve:
-    """Wrap an arbitrary vectorized callable as a profile curve."""
-    return ProfileCurve(kind=kind, phi=phi, dphi=dphi, domain=(float(domain[0]), float(domain[1])), fd_step=fd_step)
+    """Wrap an arbitrary vectorized callable as a "custom" profile curve."""
+    return ProfileCurve(kind="custom", phi=phi, dphi=dphi, domain=(float(domain[0]), float(domain[1])))
 
 
 def _scalar(*values):
@@ -293,21 +288,33 @@ def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
     return _scalar(d)
 
 
-def _central_difference(p: ProfileCurve, f, s_arr: np.ndarray, s, fd_step: float):
-    """4th-order central difference of f at s, step ``fd_step * max(1, |s|)``.
+def _stencil(f, x, h):
+    """4th-order central difference of f at x with step h."""
+    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+
+
+def _partials(g, x, y, step: float):
+    """(dg/dx, dg/dy) by ``_stencil``, steps ``step * max(1, |x|)`` and ``step * max(1, |y|)``."""
+    hx = step * np.maximum(1.0, np.abs(x))
+    hy = step * np.maximum(1.0, np.abs(y))
+    return _stencil(lambda a: g(a, y), x, hx), _stencil(lambda b: g(x, b), y, hy)
+
+
+def _central_difference(p: ProfileCurve, f, s_arr: np.ndarray, s, step: float):
+    """``_stencil`` of f at s, step ``step * max(1, |s|)``.
 
     The step shrinks near a finite domain edge.  On an axis domain (s_min = 0)
     only the upper edge limits it, so f must accept the reflected nodes s < 0.
     """
     lo, hi = p.domain
-    h = fd_step * np.maximum(1.0, np.abs(s_arr))
+    h = step * np.maximum(1.0, np.abs(s_arr))
     if math.isfinite(hi):
         h = np.minimum(h, (hi - s_arr) / 2.5)
     if lo != 0.0:
         h = np.minimum(h, (s_arr - lo) / 2.5)
     if np.any(h <= 0):
         raise NonDifferentiable(f"no room for a difference stencil at s={s!r}")
-    d = (f(s_arr - 2 * h) - 8 * f(s_arr - h) + 8 * f(s_arr + h) - f(s_arr + 2 * h)) / (12 * h)
+    d = _stencil(f, s_arr, h)
     if not np.all(np.isfinite(d)):
         raise NonDifferentiable(f"numeric derivative non-finite at s={s!r}")
     return _scalar(d)
@@ -328,7 +335,7 @@ def profile_derivative(p: ProfileCurve, s):
         f = lambda q: _phi_even(p, q)
     else:
         f = lambda q: np.asarray(p.phi(q), dtype=float)
-    return _central_difference(p, f, s_arr, s, p.fd_step)
+    return _central_difference(p, f, s_arr, s, _FD_STEP)
 
 
 def profile_second_derivative(p: ProfileCurve, s):
@@ -343,7 +350,7 @@ def profile_second_derivative(p: ProfileCurve, s):
         f = lambda q: np.sign(q) * profile_derivative(p, np.abs(q))
     else:
         f = lambda q: np.asarray(profile_derivative(p, q))
-    return _central_difference(p, f, s_arr, s, _HESSIAN_STEP_FACTOR * p.fd_step)
+    return _central_difference(p, f, s_arr, s, _HESSIAN_STEP_FACTOR * _FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -432,11 +439,6 @@ class TrigProfile:
         with np.errstate(divide="ignore"):
             out = np.where(np.asarray(d) == 0.0, np.inf, 1.0 / np.asarray(d, dtype=float))
         return _scalar(out)
-
-
-def invert_profile(p: ProfileCurve, u, s_range: tuple[float, float] | None = None):
-    """m(u) on the (auto-detected) nonnegative monotone branch of p."""
-    return TrigProfile.from_profile(p, s_range).m(u)
 
 
 @dataclass(frozen=True)
@@ -530,7 +532,6 @@ class GraphSurface:
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], tuple] | None = None
     bbox: tuple[float, float, float, float] = (-10.0, 10.0, -10.0, 10.0)
-    fd_step: float = 1e-5
     kind: str = "graph"
 
     def height(self, x, y):
@@ -544,33 +545,19 @@ class GraphSurface:
             fx = np.asarray(fx, dtype=float) * np.ones_like(x_arr)
             fy = np.asarray(fy, dtype=float) * np.ones_like(y_arr)
         else:
-            hx = self.fd_step * np.maximum(1.0, np.abs(x_arr))
-            hy = self.fd_step * np.maximum(1.0, np.abs(y_arr))
-            f = self.f
-            fx = (f(x_arr - 2 * hx, y_arr) - 8 * f(x_arr - hx, y_arr)
-                  + 8 * f(x_arr + hx, y_arr) - f(x_arr + 2 * hx, y_arr)) / (12 * hx)
-            fy = (f(x_arr, y_arr - 2 * hy) - 8 * f(x_arr, y_arr - hy)
-                  + 8 * f(x_arr, y_arr + hy) - f(x_arr, y_arr + 2 * hy)) / (12 * hy)
+            fx, fy = _partials(self.f, x_arr, y_arr, _FD_STEP)
         return _scalar(fx, fy)
 
     def hessian(self, x, y):
         """(f_xx, f_xy, f_yy) by 4th-order central differences of ``gradient``.
 
-        Steps are ``_HESSIAN_STEP_FACTOR * fd_step * max(1, |x|)`` (and |y|);
+        Steps are ``_HESSIAN_STEP_FACTOR * _FD_STEP * max(1, |x|)`` (and |y|);
         f_xy averages the two mixed differences, so the result is symmetric.
         """
         x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        step = _HESSIAN_STEP_FACTOR * self.fd_step
-        hx = step * np.maximum(1.0, np.abs(x_arr))
-        hy = step * np.maximum(1.0, np.abs(y_arr))
-        off = np.array([-2.0, -1.0, 1.0, 2.0]).reshape((4,) + (1,) * x_arr.ndim)
-        w = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-        gx_x, gy_x = self.gradient(x_arr + off * hx, y_arr)
-        gx_y, gy_y = self.gradient(x_arr, y_arr + off * hy)
-        fxx = np.tensordot(w, gx_x, axes=1) / hx
-        fyy = np.tensordot(w, gy_y, axes=1) / hy
-        fxy = 0.5 * (np.tensordot(w, gy_x, axes=1) / hx + np.tensordot(w, gx_y, axes=1) / hy)
-        return _scalar(fxx, fxy, fyy)
+        grad = lambda a, b: np.stack(self.gradient(a, b))
+        (fxx, gy_x), (gx_y, fyy) = _partials(grad, x_arr, y_arr, _HESSIAN_STEP_FACTOR * _FD_STEP)
+        return _scalar(fxx, 0.5 * (gy_x + gx_y), fyy)
 
     def _jet(self, x, y):
         """``gradient`` now and ``hessian`` on demand: (f_x, f_y, hessian_at(rows))."""

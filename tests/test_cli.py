@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slopemetric
+from slopemetric import DoubleRootWarning, convexity
 from slopemetric.cli import _rays_csv, main
 from slopemetric.convexity import is_strongly_convex_at
 from slopemetric.geodesics import GeodesicPath
@@ -18,12 +20,21 @@ from slopemetric.geodesics import GeodesicPath
 PARAB = '{"kind": "paraboloid", "params": {"h": 100}}'
 PARAB_NEAR = '{"kind": "paraboloid", "params": {"h": 100}, "domain": [0, 1]}'
 BOUNDARY = 0.2886751345948129
+# hyperboloid1 whose waist lies past the default scan radius 100
+FAR_WAIST = '{"kind": "hyperboloid1", "params": {"a": 0.5, "b": 150}}'
+# phi = sin(s)/sqrt(3): phi'^2 = cos(s)^2/3 touches 1/3 tangentially at s = pi
+GRAZER = json.dumps({"kind": "custom", "params": {
+    "table": [[float(s), float(np.sin(s) / math.sqrt(3.0))] for s in np.linspace(0.0, 4.0, 400)]}})
 
 
 def run(capsys, args):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDomainCommand:
@@ -57,6 +68,19 @@ class TestDomainCommand:
         code, out, _ = run(capsys, ["domain", "--surface", surf, "--smax", "5"])
         d = json.loads(out)
         assert d["domain"]["boundary_roots"][0]["location"] == pytest.approx(2.0, abs=1e-7)
+
+    @pytest.mark.parametrize("smax", ["-1", "0"])
+    def test_smax_at_or_below_inner_edge_exit_two(self, capsys, smax):
+        code, out, err = run(capsys, ["domain", "--surface", PARAB, "--smax", smax])
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "inner edge" in err
+        # a waist past the default scan radius is the surface's fault, not the flag's
+        for command in ("domain", "analyze", "verify"):
+            code, out, err = run(capsys, [command, "--surface", FAR_WAIST])
+            assert code == 3
+            assert out == ""
+            assert err == "error: empty scan range [150.0, 100.0]\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, ["domain", "--surface", PARAB, "--smax", "1",
@@ -127,6 +151,16 @@ class TestAnalyzeCommand:
                 if verdict[i, j] != "outside":
                     assert verdict[i, j] == is_strongly_convex_at(surf, x, y, band=1e-3).value
 
+    def test_grazing_warning_follows_nav(self, capsys):
+        # at nav (1, 0.5) the threshold is inf, so nothing grazes it
+        for command in ("analyze", "domain"):
+            for nav, warns in (("1,1", True), ("1,0.5", False)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, _, _ = run(capsys, [command, "--surface", GRAZER, "--nav", nav])
+                assert code == 0
+                assert any(w.category is DoubleRootWarning for w in caught) is warns, (command, nav)
+
     def test_profile_section_present(self, capsys):
         code, out, _ = run(capsys, ["analyze", "--surface", PARAB, "--resolution", "64",
                                     "--bbox=-1,1,-1,1"])
@@ -143,13 +177,25 @@ class TestVerifyCommand:
         d = json.loads(out)
         assert d["total_disagreements"] == 0
 
-    def test_corrupted_threshold_exits_one(self, capsys):
+    def test_corrupted_threshold_exits_one(self, capsys, monkeypatch):
+        # a wrong bound corrupts the analytic routes; the Hessian oracle never reads it
+        monkeypatch.setattr(convexity, "convexity_threshold", lambda nav: 0.5)
         code, out, _ = run(capsys, ["verify", "--surface", PARAB_NEAR,
-                                    "--samples", "150", "--seed", "0",
-                                    "--threshold", "0.5"])
+                                    "--samples", "150", "--seed", "0"])
         assert code == 1
         d = json.loads(out)
         assert d["total_disagreements"] > 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--directions", "0", "--samples", "5"], "need at least 8 directions"),
+        (["--samples", "-3"], "need at least 1 sample point"),
+        (["--samples", "0"], "need at least 1 sample point"),
+    ])
+    def test_malformed_counts_exit_two(self, capsys, flags, message):
+        code, out, err = run(capsys, ["verify", "--surface", PARAB_NEAR, *flags])
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and message in err
 
     @pytest.mark.parametrize("nav", ["1,0.5", "1,2"])
     def test_builtin_suite_agrees_at_other_nav(self, capsys, nav):
@@ -282,6 +328,13 @@ class TestFrontCommand:
         assert code == 2
         assert out == ""
         assert err == "error: length and step must be positive\n"
+
+    def test_zero_fronts_exit_two(self, capsys):
+        code, out, err = run(capsys, ["front", "--surface", PARAB, "--seed-point", "0.1,0",
+                                      "--time", "0.01", "--rays", "4", "--fronts", "0"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least 1 front\n"
 
     def test_strict_exit_three_on_truncation(self, capsys):
         code, _, _ = run(capsys, [

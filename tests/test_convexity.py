@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from slopemetric import (
+    ConfigError,
     DerivativeBlowupWarning,
     DoubleRootWarning,
     GraphSurface,
     InsufficientDirections,
     NavigationParams,
+    OutOfDomain,
     SamplePlan,
     StencilOutOfCone,
     SurfaceOfRevolution,
-    THRESHOLD,
     TrigProfile,
     Verdict,
     cartesian_condition,
@@ -68,22 +69,28 @@ class TestPointwiseCriterion:
                 v = is_strongly_convex_at(parab_surface, s * math.cos(th), s * math.sin(th))
                 assert v is expected
 
+    def test_threshold_follows_nav(self, parab_surface):
+        s = math.sqrt(0.125)  # q = 4 s^2 = 0.5, above 1/3 and below the bound at w = v/2
+        assert is_strongly_convex_at(parab_surface, s, 0.0) is Verdict.NOT_CONVEX
+        assert is_strongly_convex_at(parab_surface, s, 0.0,
+                                     nav=NavigationParams(1.0, 0.5)) is Verdict.CONVEX
+
     def test_verdict_not_boolean(self, flat):
         with pytest.raises(TypeError):
             bool(is_strongly_convex_at(flat, 0.0, 0.0))
 
     def test_criterion_verdict_broadcasts(self):
         q = np.array([[0.1, 1.0 / 3.0], [0.5, np.nan]])
-        assert criterion_verdict(q).tolist() == [["true", "indeterminate"],
-                                                 ["false", "indeterminate"]]
-        assert criterion_verdict(0.5, threshold=0.8) == "true"
-        assert criterion_verdict(0.35, band=0.1) == "indeterminate"
+        assert criterion_verdict(q, 1.0 / 3.0).tolist() == [["true", "indeterminate"],
+                                                            ["false", "indeterminate"]]
+        assert criterion_verdict(0.5, 0.8) == "true"
+        assert criterion_verdict(0.35, 1.0 / 3.0, band=0.1) == "indeterminate"
 
 
 class TestConvexityThreshold:
     @pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 3.7, 250.0])
     def test_equal_speeds_give_one_third(self, c):
-        assert convexity_threshold(NavigationParams(c, c)) == THRESHOLD
+        assert convexity_threshold(NavigationParams(c, c)) == 1.0 / 3.0
 
     @pytest.mark.parametrize("v, w", [(1.0, 0.5), (1.0, 0.0), (3.0, 1.0)])
     def test_unbounded_when_2w_at_most_v(self, v, w):
@@ -170,6 +177,24 @@ class TestConvexityDomain:
         assert root == pytest.approx(BOUNDARY_PARAB, abs=1e-10)
         assert residual <= 1e-9
 
+    def test_root_follows_nav(self):
+        # at nav (1, 0.75) the bound is q < 0.8, so 4 s^2 < 0.8 gives s < 1/sqrt(5)
+        dom = convexity_domain(paraboloid(100.0), s_max=1.0, nav=NavigationParams(1.0, 0.75))
+        assert dom.threshold == 0.8
+        (root, _), = dom.boundary_roots
+        assert root == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
+
+    @pytest.mark.parametrize("profile, s_max", [
+        (paraboloid(100.0), -1.0), (paraboloid(100.0), 0.0), (one_sheet_hyperboloid(0.5, 1.0), 1.0),
+    ])
+    def test_smax_at_or_below_inner_edge_rejected(self, profile, s_max):
+        with pytest.raises(ValueError, match="inner edge") as caught:
+            convexity_domain(profile, s_max=s_max)
+        assert not isinstance(caught.value, OutOfDomain)
+        # without s_max, a waist past the default scan radius stays a domain error
+        with pytest.raises(OutOfDomain, match="empty scan range"):
+            convexity_domain(one_sheet_hyperboloid(0.5, 150.0))
+
     def test_cone_whole_domain(self):
         dom = convexity_domain(cone(0.5), s_max=5.0)
         assert dom.is_entire
@@ -251,6 +276,10 @@ class TestPdOracle:
         with pytest.raises(InsufficientDirections):
             pd_oracle(flat, 0.0, 0.0, n_directions=4)
 
+    def test_insufficient_directions_is_a_config_error(self):
+        assert issubclass(InsufficientDirections, ConfigError)
+        assert issubclass(InsufficientDirections, ValueError)
+
 
 class TestVerifyEquivalence:
     def test_paraboloid_full_agreement(self, parab_surface):
@@ -278,11 +307,17 @@ class TestVerifyEquivalence:
         assert rep.ok
         assert rep.agreements == 60
 
-    def test_corrupted_threshold_detected(self):
+    def test_corrupted_threshold_detected(self, monkeypatch):
+        # a wrong bound corrupts the analytic routes; the Hessian oracle never reads it
+        monkeypatch.setattr(convexity, "convexity_threshold", lambda nav: 0.5)
         surf = SurfaceOfRevolution(paraboloid(100.0, s_max=1.0))
-        plan = SamplePlan(n_points=150, seed=0, threshold=0.5)
-        rep = verify_equivalence(surf, plan)
+        rep = verify_equivalence(surf, SamplePlan(n_points=150, seed=0))
         assert len(rep.disagreements) > 0
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_plan_needs_a_sample_point(self, n_points):
+        with pytest.raises(ValueError, match="at least 1 sample point"):
+            SamplePlan(n_points=n_points)
 
     def test_report_dict_shape(self, parab_surface):
         rep = verify_equivalence(parab_surface, SamplePlan(n_points=10, seed=1, s_range=(0.0, 1.0)))

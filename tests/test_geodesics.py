@@ -226,7 +226,7 @@ class TestSurfaceReads:
         p0 = np.tile([0.1, 0.0], (3, 1))
         calls.update(dphi=0, d2phi=0)
         n = 20
-        paths = _integrate(surf, p0, v0, n * 1e-3, 1e-3, NavigationParams(), 1e-6)
+        paths = _integrate(surf, p0, v0, n * 1e-3, 1e-3, NavigationParams())
         assert [len(path.t) for path in paths] == [n + 1] * 3
         assert all(path.status == "complete" for path in paths)
         # four stages per step, the end point's read doubling as the next first
@@ -345,6 +345,11 @@ class TestWavefront:
     def test_seed_outside_domain(self, parab_surface):
         with pytest.raises(OutOfDomain):
             wavefront(parab_surface, (0.5, 0.0), total_time=0.1)
+
+    @pytest.mark.parametrize("n_fronts", [0, -1])
+    def test_needs_a_front(self, parab_surface, n_fronts):
+        with pytest.raises(ValueError, match="at least 1 front"):
+            wavefront(parab_surface, (0.1, 0.0), total_time=0.01, n_rays=4, n_fronts=n_fronts)
 
     def test_rays_halt_at_the_nav_boundary(self, parab_surface):
         # at nav (1, 0.75) convexity holds for q < 0.8, i.e. s < 1/sqrt(5)

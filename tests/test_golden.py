@@ -130,7 +130,7 @@ GOLDEN_CLI = {
     ),
     "verify --help": (
         ["verify", "--help"],
-        "90af4e06ba631694ccedcd4f398d60bf7a076b8512a1a1bbf89ed51adc125d09",
+        "033d0300793ed54a06250a570edaba3bf082f5cbcb6c280a9ed6cb9241574ee6",
     ),
     "indicatrix --help": (
         ["indicatrix", "--help"],

@@ -21,7 +21,6 @@ from slopemetric import (
     ellipsoid,
     eval_profile,
     gaussian_bump,
-    invert_profile,
     one_sheet_hyperboloid,
     paraboloid,
     profile_derivative,
@@ -75,9 +74,7 @@ class TestProfileDerivative:
 
     def test_closed_vs_central_difference(self, builtin_profile):
         # numeric twin: same curve, derivative by differences only
-        numeric = profile_from_callable(
-            builtin_profile.phi, builtin_profile.domain, dphi=None, fd_step=1e-5
-        )
+        numeric = profile_from_callable(builtin_profile.phi, builtin_profile.domain)
         for s in interior_radii(builtin_profile):
             d_closed = profile_derivative(builtin_profile, s)
             d_num = profile_derivative(numeric, s)
@@ -91,9 +88,9 @@ class TestProfileDerivative:
 
 class TestInversion:
     def test_paraboloid_known_heights(self):
-        p = paraboloid(100.0)
-        assert invert_profile(p, 99.0) == pytest.approx(1.0, abs=1e-10)
-        assert invert_profile(p, 100.0) == pytest.approx(0.0, abs=1e-12)
+        trig = TrigProfile.from_profile(paraboloid(100.0))
+        assert trig.m(99.0) == pytest.approx(1.0, abs=1e-10)
+        assert trig.m(100.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_against_independent_bisection(self):
         # oracle: straight bisection of exp(-s^2)/(2 sqrt 6) = u on [0, 5]
@@ -106,7 +103,7 @@ class TestInversion:
             else:
                 hi = mid
         expected = 0.5 * (lo + hi)  # = 0.7071067811865475
-        assert invert_profile(gaussian_bump(), u) == pytest.approx(expected, abs=1e-10)
+        assert TrigProfile.from_profile(gaussian_bump()).m(u) == pytest.approx(expected, abs=1e-10)
 
     def test_gaussian_closed_form_branch(self):
         # second oracle: solving exp(-s^2)/(2 sqrt 6) = u by hand gives
@@ -144,7 +141,7 @@ class TestInversion:
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            invert_profile(paraboloid(100.0), 101.0)
+            TrigProfile.from_profile(paraboloid(100.0)).m(101.0)
 
     def test_negative_branch_rejected(self):
         with pytest.raises((NotInvertible, OutOfDomain)):
