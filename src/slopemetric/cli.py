@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import convexity as cx
 from . import geodesics as gd
-from .errors import ConfigError, SlopeMetricError
+from .errors import ConfigError, DerivativeBlowupWarning, DoubleRootWarning, SlopeMetricError
 from .metric import NavigationParams
 from .surfaces import SurfaceOfRevolution, surface_from_json
 
@@ -485,19 +486,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the library's own warnings, which a run reports to its user
+_REPORTED = (DoubleRootWarning, DerivativeBlowupWarning)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(_options(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SlopeMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # each reported warning is one "warning:" line, without the source
+        # path and code line; numpy's own warnings keep the caller's filters
+        show = warnings.showwarning
+
+        def report(message, category, *where):
+            if issubclass(category, _REPORTED):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show(message, category, *where)
+
+        warnings.showwarning = report
+        for category in _REPORTED:
+            warnings.simplefilter("always", category)
+        try:
+            return args.func(_options(args))
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except SlopeMetricError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -105,7 +105,7 @@ def _spray_accel(fx, fy, fxx, fxy, fyy, v, nav):
     """
     y1, y2 = v[:, 0], v[:, 1]
     q1 = 1.0 + fx * fx + fy * fy
-    _, b, a2 = _parts(fx, fy, v)
+    _, b, a2 = _parts(fx, fy, y1, y2)
     al = np.sqrt(a2)
     s = b / al
     r00 = (fxx * y1 * y1 + 2.0 * fxy * y1 * y2 + fyy * y2 * y2) / q1

@@ -7,7 +7,9 @@ Normalized mode v = w = 1 gives the classical form alpha^2 / (alpha - beta).
 
 F, the indicatrix function and the geodesic spray see the point only through
 beta = df: ``_parts``, the one kernel that builds beta and alpha^2 = |tv|^2 +
-beta^2, takes gradient values, so each caller reads the surface once.
+beta^2, takes gradient values and direction components, so each caller reads
+the surface once, and the same kernel serves batches of arrays and a pair of
+Python floats.
 
 Directions are array-likes with a trailing axis of length 2 and may be
 batched: every operation broadcasts over leading axes of the direction and
@@ -132,7 +134,7 @@ def _split(tv) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_nonzero(vx, vy):
-    if np.any((vx == 0.0) & (vy == 0.0)):
+    if ((vx == 0.0) & (vy == 0.0)).any():
         raise ZeroVector("direction must be nonzero")
 
 
@@ -151,21 +153,20 @@ def alpha(a: RiemannMetric2, tv):
 
 def beta(surf: SurfaceSpec, x, y, tv):
     """Climb rate f_x*xdot + f_y*ydot of a chart direction; linear in tv."""
-    _, b, _ = _parts(*surf.gradient(x, y), tv)
+    _, b, _ = _parts(*surf.gradient(x, y), *_split(tv))
     return _scalar(b)
 
 
-def _parts(fx, fy, tv):
-    """|tv|^2, climb rate b = fx*xdot + fy*ydot and alpha^2 = |tv|^2 + b^2, broadcast."""
-    vx, vy = _split(tv)
-    b = np.asarray(fx) * vx + np.asarray(fy) * vy
+def _parts(fx, fy, vx, vy):
+    """|tv|^2, climb rate b = fx*vx + fy*vy and alpha^2 = |tv|^2 + b^2, broadcast."""
+    b = fx * vx + fy * vy
     n2 = vx * vx + vy * vy
     return n2, b, n2 + b * b
 
 
-def _limacon(fx, fy, tv, nav: NavigationParams):
+def _limacon(fx, fy, vx, vy, nav: NavigationParams):
     """alpha^2 - v*alpha + w*beta, the indicatrix function at gradient values."""
-    _, b, a2 = _parts(fx, fy, tv)
+    _, b, a2 = _parts(fx, fy, vx, vy)
     return a2 - nav.v * np.sqrt(a2) + nav.w * b
 
 
@@ -184,9 +185,9 @@ def _denominator(n2, b, a2, nav: NavigationParams):
     return denom, al
 
 
-def _quotient(fx, fy, tv, nav: NavigationParams):
+def _quotient(fx, fy, vx, vy, nav: NavigationParams):
     """alpha^2 / (v*alpha - w*beta) at gradient values; NaN where v*alpha - w*beta <= 0."""
-    n2, b, a2 = _parts(fx, fy, tv)
+    n2, b, a2 = _parts(fx, fy, vx, vy)
     denom, _ = _denominator(n2, b, a2, nav)
     return a2 / np.where(denom > 0.0, denom, np.nan)
 
@@ -204,9 +205,10 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
 
 def _F(fx, fy, tv, nav: NavigationParams):
     """``slope_metric_F`` at gradient values, with its ZeroVector / DegenerateDenominator."""
-    F = _quotient(fx, fy, tv, nav)
-    _require_nonzero(*_split(tv))
-    if np.any(np.isnan(F)):
+    vx, vy = _split(tv)
+    F = _quotient(fx, fy, vx, vy, nav)
+    _require_nonzero(vx, vy)
+    if np.isnan(F).any():
         raise DegenerateDenominator(
             "v*alpha - w*beta <= 0: slope term overwhelms the base speed"
         )
@@ -222,7 +224,7 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     r = v + w*sin(incline)*cos(theta).
     """
     nav = nav or NORMALIZED
-    return _scalar(_limacon(*surf.gradient(x, y), tv, nav))
+    return _scalar(_limacon(*surf.gradient(x, y), *_split(tv), nav))
 
 
 def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None = None) -> float:
@@ -234,6 +236,15 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     touches the closed-form quotient, so it independently cross-checks
     ``slope_metric_F``.  Reads the surface once; raises NoRoot exactly where
     the quotient's denominator test raises DegenerateDenominator.
+
+    After that one read and the denominator test, both loops run on Python
+    floats: ``_limacon`` takes the direction's two components, so each
+    iteration costs its arithmetic, not numpy's per-call overhead on 0-d
+    arrays.  h(lam) stays the limacon evaluated at lam * direction through
+    alpha, beta and alpha^2, and is deliberately not collapsed to the
+    quadratic lam^2*alpha^2 - lam*(v*alpha - w*beta): that quadratic's root
+    is the closed-form quotient itself, and the check would stop being
+    independent.
     """
     nav = nav or NORMALIZED
     d = np.asarray(direction, dtype=float)
@@ -242,16 +253,16 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     _require_nonzero(d[0], d[1])
     # solve for the unit-Euclid direction; the root scales by 1-homogeneity
     scale = float(np.linalg.norm(d))
-    dn = d / scale
+    ux, uy = (d / scale).tolist()
     fx, fy = surf.gradient(x, y)
-    n2, b, a2 = _parts(fx, fy, dn)
+    n2, b, a2 = _parts(fx, fy, ux, uy)
     if _denominator(n2, b, a2, nav)[0] <= 0.0:
         raise NoRoot("degenerate denominator: no positive root of the indicatrix equation")
 
-    f = lambda lam: float(_limacon(fx, fy, lam * dn, nav))
+    f = lambda lam: float(_limacon(fx, fy, lam * ux, lam * uy, nav))
     # h(lam) = lam^2*alpha^2 - v*lam*alpha + w*lam*beta along the unit direction
     al = math.sqrt(a2)
-    dh = lambda lam: float(2.0 * lam * a2 - nav.v * al + nav.w * b)
+    dh = lambda lam: 2.0 * lam * a2 - nav.v * al + nav.w * b
     # |h| threshold alone under-resolves lam where F/alpha is large (steep
     # uphill, nearly degenerate denominator), so Newton also runs until the
     # update stalls; the relative-agreement contract is 1e-9.
@@ -272,14 +283,14 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
             return scale / lam
 
     lo, hi = 1e-12, 1e6
-    flo, fhi = f(lo), f(hi)
-    if not (flo < 0.0 < fhi):
+    if not (f(lo) < 0.0 < f(hi)):
         raise NoRoot("indicatrix equation has no bracketed positive root")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (hi - lo) <= 1e-14 * mid and abs(f(mid)) <= tol:
+        fm = f(mid)
+        if (hi - lo) <= 1e-14 * mid and abs(fm) <= tol:
             return scale / mid
-        if f(mid) < 0.0:
+        if fm < 0.0:
             lo = mid
         else:
             hi = mid
@@ -305,7 +316,8 @@ def _direction_hessian(fx, fy, dirs, nav: NavigationParams, step: float = 1e-4):
     v*alpha - w*beta > 0 gets NaN entries.
     """
     h = step * np.linalg.norm(dirs, axis=-1)
-    E = [0.5 * np.square(_quotient(fx, fy, dirs + h[..., None] * off, nav)) for off in _OFFS2]
+    E = [0.5 * np.square(_quotient(fx, fy, *_split(dirs + h[..., None] * off), nav))
+         for off in _OFFS2]
     h2 = h * h
     g11 = (E[1] - 2.0 * E[0] + E[2]) / h2
     g22 = (E[3] - 2.0 * E[0] + E[4]) / h2

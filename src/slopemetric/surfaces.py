@@ -248,15 +248,16 @@ def _scalar(*values):
     back bare, several (of one shape) as a tuple.
     """
     if np.ndim(values[0]) == 0:
-        values = tuple(float(v) for v in values)
+        values = tuple(map(float, values))
     return values[0] if len(values) == 1 else values
 
 
 def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
     lo, hi = p.domain
-    bad = (s < lo) | (s >= hi) | ~np.isfinite(s)
-    if bad.any():
-        worst = np.asarray(s)[bad].flat[0]
+    # lo is finite, so NaN and -inf fail the first comparison and +inf the second
+    inside = (s >= lo) & (s < hi)
+    if not inside.all():
+        worst = np.asarray(s)[~inside].flat[0]
         raise OutOfDomain(f"s={float(worst)!r} outside profile domain [{lo}, {hi})")
 
 
@@ -344,6 +345,11 @@ def profile_second_derivative(p: ProfileCurve, s):
     ``_HESSIAN_STEP_FACTOR`` times wider than the first derivative's)."""
     s_arr = np.asarray(s, dtype=float)
     _check_in_domain(p, s_arr)
+    return _second_derivative(p, s_arr, s)
+
+
+def _second_derivative(p: ProfileCurve, s_arr: np.ndarray, s):
+    """``profile_second_derivative`` at radii already checked to lie in the domain."""
     if p.d2phi is not None:
         return _closed_form(p, p.d2phi, s_arr, s)
     if p.domain[0] == 0.0:
@@ -493,10 +499,13 @@ class SurfaceOfRevolution:
         phi'' evaluation, reusing s and phi', so a caller that drops points
         after seeing the gradient never differentiates twice there.
         """
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x_arr.shape != y_arr.shape:
+            x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
         s = np.hypot(x_arr, y_arr)
         on_axis = s == 0.0
-        if on_axis.any():
+        axis = on_axis.any()
+        if axis:
             if not self.apex_smooth:
                 raise ApexSingularity(f"gradient undefined on the axis of a '{self.kind}' surface")
             s_safe = np.where(on_axis, 1.0, s)
@@ -508,9 +517,12 @@ class SurfaceOfRevolution:
         fy = d * y_arr / s_safe
 
         def hessian_at(rows=...):
+            # s[rows] is a subset of the radii profile_derivative just checked
             safe = s_safe[rows]
-            d2 = np.asarray(profile_second_derivative(self.profile, s[rows]))
-            radial = np.where(on_axis[rows], d2, d[rows] / safe)
+            d2 = np.asarray(_second_derivative(self.profile, s[rows], s[rows]))
+            radial = d[rows] / safe
+            if axis:
+                radial = np.where(on_axis[rows], d2, radial)
             ux, uy = x_arr[rows] / safe, y_arr[rows] / safe
             bend = d2 - radial
             return radial + bend * ux * ux, bend * ux * uy, radial + bend * uy * uy

@@ -1,7 +1,9 @@
 """Slope metric construction: alpha, beta, F, the indicatrix function, Okubo
 root-solving, and the fundamental tensor."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from slopemetric import (
     one_sheet_hyperboloid,
     paraboloid,
     slope_metric_F,
+    surface_from_json,
 )
 from conftest import builtin_profiles, interior_radii
 
@@ -258,6 +261,56 @@ class TestOkubo:
             else:
                 okubo_solve(PARAB, 0.3, 0.2, d, nav)
         assert 0 < n_degenerate < len(th)
+
+
+def _benchmark_okubo_pairs():
+    """The crosscheck benchmark's okubo pairs of operations 0-2 at seed 1.
+
+    3 006 (surface, x, y, direction) tuples drawn in ``bench/inputs.py``'s
+    OKUBO_WINDOWS, read from that file so the test sees the benchmark's points.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    surfs = [surface_from_json(s) for s, _ in inputs.OKUBO_WINDOWS]
+    return [(surfs[k], x, y, np.array([dx, dy]))
+            for i in range(3) for k, x, y, dx, dy in inputs.crosscheck_inputs(1, i)[1]]
+
+
+class TestOkuboOnBenchmarkPairs:
+    PAIRS = _benchmark_okubo_pairs()
+
+    @pytest.mark.parametrize("nav", [(1.0, 1.0), (1.0, 0.5), (1.0, 0.75)])
+    def test_agrees_with_closed_form_to_1e_13(self, nav):
+        nav = NavigationParams(*nav)
+        worst = 0.0
+        for surf, x, y, d in self.PAIRS:
+            Fc = slope_metric_F(surf, x, y, d, nav)
+            worst = max(worst, abs(okubo_solve(surf, x, y, d, nav) - Fc) / Fc)
+        assert worst <= 1e-13
+
+    def test_no_root_exactly_where_quotient_degenerates(self):
+        nav = NavigationParams(1.0, 6.0)
+        n_degenerate = 0
+        for surf, x, y, d in self.PAIRS:
+            try:
+                slope_metric_F(surf, x, y, d, nav)
+            except DegenerateDenominator:
+                n_degenerate += 1
+                with pytest.raises(NoRoot):
+                    okubo_solve(surf, x, y, d, nav)
+            else:
+                okubo_solve(surf, x, y, d, nav)
+        assert (n_degenerate, len(self.PAIRS)) == (995, 3006)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64, np.asarray])
+    def test_scalar_point_gives_python_floats(self, scalar):
+        surf, x, y, d = self.PAIRS[0]
+        x, y = scalar(x), scalar(y)
+        assert [type(v) for v in surf.gradient(x, y)] == [float, float]
+        assert type(slope_metric_F(surf, x, y, d)) is float
+        assert type(okubo_solve(surf, x, y, d)) is float
 
 
 class TestFundamentalTensor:

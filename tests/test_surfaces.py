@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopemetric import surfaces
 from slopemetric import (
     ApexSingularity,
     ConfigError,
@@ -84,6 +86,42 @@ class TestProfileDerivative:
         assert paraboloid(100.0).derivative_mode == "closed-form"
         numeric = profile_from_callable(lambda s: 1.0 + 0 * s, (0.0, 5.0))
         assert numeric.derivative_mode == "central-difference"
+
+
+class TestDomainCheck:
+    # ellipsoid(1, 1) lives on [0, 1), the one-sheet hyperboloid on [1, inf)
+    @pytest.mark.parametrize("profile, bad", [
+        (ellipsoid(1.0, 1.0), math.nan),
+        (ellipsoid(1.0, 1.0), math.inf),
+        (ellipsoid(1.0, 1.0), -math.inf),
+        (ellipsoid(1.0, 1.0), 1.0),
+        (one_sheet_hyperboloid(0.5, 1.0), 0.5),
+        (one_sheet_hyperboloid(0.5, 1.0), math.nan),
+        (one_sheet_hyperboloid(0.5, 1.0), math.inf),
+    ])
+    @pytest.mark.parametrize("evaluate", [eval_profile, profile_derivative, profile_second_derivative])
+    def test_edges_raise_naming_the_first_bad_value(self, profile, bad, evaluate):
+        ok = 0.5 * (profile.domain[0] + min(profile.domain[1], 2.0))
+        message = re.escape(f"s={bad!r} outside profile domain")
+        for s in (bad, np.float64(bad), np.array(bad), np.array([ok, bad, ok, -math.inf])):
+            with pytest.raises(OutOfDomain, match=message):
+                evaluate(profile, s)
+
+    def test_negative_zero_on_the_axis_is_inside(self):
+        p = paraboloid(100.0)
+        for s in (-0.0, np.array(-0.0), np.array([-0.0, 0.5])):
+            eval_profile(p, s)
+            profile_derivative(p, s)
+            profile_second_derivative(p, s)
+
+    def test_hessian_reuses_the_gradient_domain_check(self, parab_surface, monkeypatch):
+        calls = []
+        check = surfaces._check_in_domain
+        monkeypatch.setattr(surfaces, "_check_in_domain", lambda p, s: calls.append(s) or check(p, s))
+        _, _, hessian_at = parab_surface._jet(np.array([0.1, 0.2, -0.4]), np.array([0.0, 0.3, 0.1]))
+        hessian_at()
+        hessian_at([0, 1])
+        assert len(calls) == 1
 
 
 class TestInversion:
@@ -261,6 +299,12 @@ class TestHessian:
     def test_smooth_axis_is_isotropic(self, parab_surface, gauss_surface):
         assert parab_surface.hessian(0.0, 0.0) == (-2.0, 0.0, -2.0)
         assert gauss_surface.hessian(0.0, 0.0) == (-2.0 * GAUSS_PEAK, 0.0, -2.0 * GAUSS_PEAK)
+
+    def test_axis_rows_in_a_batch(self, parab_surface, gauss_surface):
+        x, y = np.array([0.0, 0.3, 0.0]), np.array([0.0, 0.4, 0.0])
+        for surf in (parab_surface, gauss_surface):
+            want = [surf.hessian(float(a), float(b)) for a, b in zip(x, y)]
+            np.testing.assert_array_equal(np.transpose(surf.hessian(x, y)), want)
 
     def test_cone_apex_raises(self):
         with pytest.raises(ApexSingularity):
