@@ -99,8 +99,13 @@ def criterion_verdict(q, threshold: float, band: float = CRITERION_BAND):
     of the same shape.  Every strong-convexity test on q goes through here.
     """
     q = np.asarray(q, dtype=float)
-    idx = np.where(q < threshold - band, 0, np.where(q > threshold + band, 1, 2))
+    idx = np.where(_convex(q, threshold, band), 0, np.where(q > threshold + band, 1, 2))
     return _VERDICT_VALUES[idx]
+
+
+def _convex(q, threshold: float, band: float = CRITERION_BAND):
+    """Where ``criterion_verdict`` says "true", as booleans: q < threshold - band."""
+    return q < threshold - band
 
 
 def is_strongly_convex_at(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,

@@ -15,6 +15,18 @@ stage reads the surface once, through its jet (gradient and Hessian from
 one evaluation of phi' and one of phi''); the read at a step's end point
 also judges convexity there, gives F, and serves the next step's first
 stage, so a step costs four surface reads.
+
+Numpy charges a fixed cost per call, which at front widths is as large as
+the arithmetic, so the loop is laid out to make few calls.  The state of
+the live rays is one (4, n) array of rows (x, y, xdot, ydot), so each RK4
+combination (Y + c*K, the final weighted sum, the finiteness test) is one
+call over positions and velocities together, and its rows are contiguous
+operands for the jet and the spray.  The arithmetic is elementwise the
+same as on separate arrays, so every output bit is.  A step that drops no
+ray copies nothing; the spray writes NaN rows only when some row is bad;
+the node's F and the next step's first spray share one ``metric._parts``;
+and the accepted states reach the per-ray tables in one scatter after
+the loop.
 """
 
 from __future__ import annotations
@@ -24,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import (Verdict, _unit_directions, convexity_threshold, criterion_verdict,
-                        is_strongly_convex_at)
+from .convexity import Verdict, _convex, _unit_directions, convexity_threshold, is_strongly_convex_at
 from .errors import OutOfDomain, StepTooLarge, ZeroVector
-from .metric import NORMALIZED, NavigationParams, _F, _parts, induced_metric, slope_metric_F
+from .metric import (NORMALIZED, NavigationParams, _F, _parts, _parts_quotient, induced_metric,
+                     slope_metric_F)
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -78,18 +90,22 @@ class GeodesicPath:
 
 def conservation_drift(path: GeodesicPath) -> float:
     """Max relative F drift per unit F-length along a path."""
-    if len(path.t) < 2:
-        return 0.0
-    f0 = path.F_values[0]
-    rel = np.abs(path.F_values[1:] - f0) / f0
-    return float(np.max(rel / np.maximum(path.t[1:], path.step)))
+    return float(_drift(path.F_values, path.t, path.step))
 
 
-def _spray_accel(fx, fy, fxx, fxy, fyy, v, nav):
+def _drift(F, t, step):
+    """``conservation_drift`` of F sampled at times t, for each column of a (nodes, rays) F."""
+    rel = (np.abs(F[1:] - F[0]) / F[0]).T / np.maximum(t[1:], step)
+    return np.max(rel, axis=-1, initial=0.0)
+
+
+def _spray_accel(fx, fy, fxx, fxy, fyy, y1, y2, b, al, nav, out):
     """Acceleration -2 G(p, v) of the geodesic spray for a batch of states.
 
-    Takes the surface jet at p (gradient and Hessian, each (n,)) and the
-    velocities v (n, 2).  With q = |grad f|^2, H = Hess f, s = beta/alpha and
+    Takes the surface jet at p (gradient and Hessian, each (n,)), the
+    velocity components y1, y2 and their climb rate b and alpha =
+    sqrt(alpha^2) from ``metric._parts``; writes (xddot, yddot) into the
+    rows of ``out`` (2, n).  With q = |grad f|^2, H = Hess f, s = beta/alpha and
     b^i = f_i / (1 + q) the dual of beta, the spray of an (alpha, beta)-metric
     with closed beta is
 
@@ -103,37 +119,78 @@ def _spray_accel(fx, fy, fxx, fxy, fyy, v, nav):
     down) come back NaN: the ray has slipped past the convexity boundary
     between checks.
     """
-    y1, y2 = v[:, 0], v[:, 1]
     q1 = 1.0 + fx * fx + fy * fy
-    _, b, a2 = _parts(fx, fy, y1, y2)
-    al = np.sqrt(a2)
     s = b / al
     r00 = (fxx * y1 * y1 + 2.0 * fxy * y1 * y2 + fyy * y2 * y2) / q1
     vn, wn = nav.v, nav.w
     N = vn * vn - 3.0 * vn * wn * s + 2.0 * wn * wn * (1.0 - 1.0 / q1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        along_f = (0.5 + wn * wn / (N * q1)) * r00
-        along_y = wn * (vn - 4.0 * wn * s) / (2.0 * N * al) * r00
-    acc = np.empty_like(v)
-    np.multiply(-2.0, along_f * fx + along_y * y1, out=acc[:, 0])
-    np.multiply(-2.0, along_f * fy + along_y * y2, out=acc[:, 1])
-    acc[(N <= 0.0) | (vn - wn * s <= 0.0)] = np.nan
-    return acc
+    along_f, along_y = _spray_terms(N, q1, s, al, r00, vn, wn)
+    np.multiply(-2.0, along_f * fx + along_y * y1, out=out[0])
+    np.multiply(-2.0, along_f * fy + along_y * y2, out=out[1])
+    # a NaN in either test leaves its row NaN already
+    bad = np.minimum(N, vn - wn * s) <= 0.0
+    if np.count_nonzero(bad):
+        out[:, bad] = np.nan
 
 
-def _accel_at(surf, p, v, nav):
-    """Spray acceleration at states (p, v), from one read of the surface jet."""
-    fx, fy, hessian_at = surf._jet(p[:, 0], p[:, 1])
-    return _spray_accel(fx, fy, *hessian_at(), v, nav)
+@np.errstate(divide="ignore", invalid="ignore")
+def _spray_terms(N, q1, s, al, r00, vn, wn):
+    """The factors of f_i and y^i in G^i: (1/2 + Psi / (1 + q)) * r00 and Theta * r00 / alpha.
+
+    N <= 0 makes them inf or NaN without a warning; ``_spray_accel`` then
+    gives the row NaN.
+    """
+    along_f = (0.5 + wn * wn / (N * q1)) * r00
+    along_y = wn * (vn - 4.0 * wn * s) / (2.0 * N * al) * r00
+    return along_f, along_y
+
+
+def _accel_at(surf, state, nav, out=None):
+    """Spray acceleration at states (x, y, xdot, ydot) stacked (4, n), from one jet read.
+
+    Returns (xddot, yddot) stacked (2, n), in ``out`` when given.
+    """
+    x, y, y1, y2 = state
+    fx, fy, hessian_at = surf._jet(x, y)
+    _, b, a2 = _parts(fx, fy, y1, y2)
+    out = np.empty((2, state.shape[1])) if out is None else out
+    _spray_accel(fx, fy, *hessian_at(), y1, y2, b, np.sqrt(a2), nav, out)
+    return out
+
+
+def _node_F(fx, fy, y1, y2, nav):
+    """F at accepted states, with the climb rate b and alpha that their spray reuses."""
+    n2, b, a2 = _parts(fx, fy, y1, y2)
+    F, al = _parts_quotient(n2, b, a2, nav)
+    if np.isnan(F).any():
+        # a zero velocity makes F NaN too, so only a failing batch pays for
+        # _F's own tests, which raise its ZeroVector or DegenerateDenominator
+        F = _F(fx, fy, np.stack([y1, y2], axis=-1), nav)
+    return F, b, al
+
+
+def _columns(mask, *arrays):
+    """(mask, each array's columns where mask holds), or (None, the arrays) when it holds everywhere.
+
+    A step that drops no ray then copies nothing, and the jet's ``hessian_at(None)``
+    reads every point without re-indexing.
+    """
+    if np.count_nonzero(mask) == mask.size:
+        return None, arrays
+    return mask, [a.compress(mask, axis=-1) for a in arrays]
 
 
 def _integrate(surf, p0, v0, length, step, nav):
-    """Advance a batch of unit-speed rays with classic RK4; returns per-node arrays and halts.
+    """Advance a batch of unit-speed rays with classic RK4; returns one GeodesicPath per ray.
 
-    The surface jet is read once per RK4 stage.  The read at each accepted
-    point serves three uses: its gradient judges strong convexity there and
-    gives F, and, for the rays that stay live, its Hessian part feeds the
-    next step's first stage.
+    The state of the live rays is one array with rows (x, y, xdot, ydot),
+    so each RK4 combination is one numpy call over positions and velocities
+    together.  The surface jet is read once per RK4 stage.  The read at each
+    accepted point serves three uses: its gradient judges strong convexity
+    there and gives F, and, for the rays that stay live, its Hessian part
+    and F's intermediate values feed the next step's first stage.  A step
+    that drops no ray copies no state, and the accepted states go into the
+    per-ray tables in one scatter after the loop.
     """
     if not (0 < length < math.inf and 0 < step < math.inf):
         raise ValueError("length and step must be positive")
@@ -145,63 +202,62 @@ def _integrate(surf, p0, v0, length, step, nav):
         hs.append(rem)
     m = len(hs)
 
-    pos = np.empty((m + 1, n, 2))
-    vel = np.empty((m + 1, n, 2))
-    fv = np.empty((m + 1, n))
     t = np.minimum(np.arange(m + 1) * step, length)
-    pos[0], vel[0] = p0, v0
-    fx, fy, hessian_at = surf._jet(p0[:, 0], p0[:, 1])
-    fv[0] = _F(fx, fy, v0, nav)
-    halt = np.full(n, m, dtype=int)
+    Y = np.concatenate([p0.T, v0.T])
+    fx, fy, hessian_at = surf._jet(Y[0], Y[1])
+    F, b, al = _node_F(fx, fy, Y[2], Y[3], nav)
     live = np.arange(n)
-    kept = ...  # rows of the last jet read that are still live; all of them at p0
-    p, v = p0, v0
+    nodes = [(live, Y, F)]  # per accepted node: the live rays, their states and F
+    kept = None  # mask of the last jet read's rows that are still live; None for all
     threshold = convexity_threshold(nav)
 
-    for k, h in enumerate(hs):
-        k1v = _spray_accel(fx, fy, *hessian_at(kept), v, nav)
-        k2p = v + 0.5 * h * k1v
-        k2v = _accel_at(surf, p + 0.5 * h * v, k2p, nav)
-        k3p = v + 0.5 * h * k2v
-        k3v = _accel_at(surf, p + 0.5 * h * k2p, k3p, nav)
-        k4p = v + h * k3v
-        k4v = _accel_at(surf, p + h * k3p, k4p, nav)
-        p = p + (h / 6.0) * (v + 2 * k2p + 2 * k3p + k4p)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    for h in hs:
+        # K[i] is the slope (xdot, ydot, xddot, yddot) of stage i
+        K = np.empty((4,) + Y.shape)
+        K[0, :2] = Y[2:]
+        _spray_accel(fx, fy, *hessian_at(kept), Y[2], Y[3], b, al, nav, K[0, 2:])
+        for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+            stage = Y + c * K[i - 1]
+            K[i, :2] = stage[2:]
+            _accel_at(surf, stage, nav, K[i, 2:])
+        Y = Y + (h / 6.0) * (K[0] + 2 * K[1] + 2 * K[2] + K[3])
 
-        ok = np.isfinite(p).all(axis=-1) & np.isfinite(v).all(axis=-1)
-        fx, fy, hessian_at = surf._jet(p[ok, 0], p[ok, 1])
-        kept = criterion_verdict(fx * fx + fy * fy, threshold) == Verdict.CONVEX.value
-        ok[ok] = kept
-        halt[live[~ok]] = k
-        live, p, v = live[ok], p[ok], v[ok]
+        _, (Y, live) = _columns(np.isfinite(Y).all(axis=0), Y, live)
+        fx, fy, hessian_at = surf._jet(Y[0], Y[1])
+        kept, (Y, live, fx, fy) = _columns(_convex(fx * fx + fy * fy, threshold), Y, live, fx, fy)
         if not live.size:
             break
-        # a ray's nodes past its halt step are never read, so dead rays stop here
-        pos[k + 1, live] = p
-        vel[k + 1, live] = v
-        fx, fy = fx[kept], fy[kept]
-        fv[k + 1, live] = _F(fx, fy, v, nav)
+        F, b, al = _node_F(fx, fy, Y[2], Y[3], nav)
+        nodes.append((live, Y, F))
 
-    paths = []
-    for i in range(n):
-        end = halt[i] + 1
-        path = GeodesicPath(
+    # every node into per-ray tables, one scatter each
+    lives, Ys, Fs = zip(*nodes)
+    rays = np.concatenate(lives)
+    ks = np.repeat(np.arange(len(lives)), [ids.size for ids in lives])
+    states = np.empty((m + 1, 4, n))
+    states[ks, :, rays] = np.concatenate(Ys, axis=1).T
+    # nodes past a ray's halt keep its starting F, which adds no drift
+    fv = np.repeat(Fs[0][None], m + 1, axis=0)
+    fv[ks, rays] = np.concatenate(Fs)
+    ends = np.bincount(rays, minlength=n)
+    drift = _drift(fv, t, step)
+    too_large = np.flatnonzero(drift > 10.0 * DRIFT_TOL)
+    if too_large.size:
+        raise StepTooLarge(
+            f"F drift {float(drift[too_large[0]]):.3e} per unit length exceeds 10x the tolerance "
+            f"{DRIFT_TOL:.1e}; reduce the step"
+        )
+    return [
+        GeodesicPath(
             t=t[:end].copy(),
-            points=pos[:end, i].copy(),
-            velocities=vel[:end, i].copy(),
+            points=states[:end, :2, i].copy(),
+            velocities=states[:end, 2:, i].copy(),
             F_values=fv[:end, i].copy(),
             step=step,
-            status=STATUS_COMPLETE if halt[i] == m else STATUS_LEFT_DOMAIN,
+            status=STATUS_COMPLETE if end == m + 1 else STATUS_LEFT_DOMAIN,
         )
-        drift = conservation_drift(path)
-        if drift > 10.0 * DRIFT_TOL:
-            raise StepTooLarge(
-                f"F drift {drift:.3e} per unit length exceeds 10x the tolerance "
-                f"{DRIFT_TOL:.1e}; reduce the step"
-            )
-        paths.append(path)
-    return paths
+        for i, end in enumerate(ends.tolist())
+    ]
 
 
 def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,

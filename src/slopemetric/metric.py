@@ -187,9 +187,13 @@ def _denominator(n2, b, a2, nav: NavigationParams):
 
 def _quotient(fx, fy, vx, vy, nav: NavigationParams):
     """alpha^2 / (v*alpha - w*beta) at gradient values; NaN where v*alpha - w*beta <= 0."""
-    n2, b, a2 = _parts(fx, fy, vx, vy)
-    denom, _ = _denominator(n2, b, a2, nav)
-    return a2 / np.where(denom > 0.0, denom, np.nan)
+    return _parts_quotient(*_parts(fx, fy, vx, vy), nav)[0]
+
+
+def _parts_quotient(n2, b, a2, nav: NavigationParams):
+    """``_quotient`` from the values of ``_parts``, and alpha with it."""
+    denom, al = _denominator(n2, b, a2, nav)
+    return a2 / np.where(denom > 0.0, denom, np.nan), al
 
 
 def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):

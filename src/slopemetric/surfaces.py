@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -252,11 +253,20 @@ def _scalar(*values):
     return values[0] if len(values) == 1 else values
 
 
+def _chart_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays of one shape, broadcast only when their shapes differ."""
+    x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x_arr.shape != y_arr.shape:
+        x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
+    return x_arr, y_arr
+
+
 def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
     lo, hi = p.domain
     # lo is finite, so NaN and -inf fail the first comparison and +inf the second
     inside = (s >= lo) & (s < hi)
-    if not inside.all():
+    # np.count_nonzero costs a fraction of ndarray.all's reduction
+    if np.count_nonzero(inside) < inside.size:
         worst = np.asarray(s)[~inside].flat[0]
         raise OutOfDomain(f"s={float(worst)!r} outside profile domain [{lo}, {hi})")
 
@@ -276,17 +286,18 @@ def _phi_even(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
     return np.asarray(p.phi(np.abs(s)), dtype=float)
 
 
+# np.errstate as a decorator costs half of its ``with`` form
+@np.errstate(divide="ignore", invalid="ignore")
 def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
     """A closed-form derivative at s; non-finite values become typed errors."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.asarray(fn(s_arr), dtype=float)
-    if not np.isfinite(d).all():
+    d = np.asarray(fn(s_arr), dtype=float)
+    if np.count_nonzero(np.isfinite(d)) < d.size:
         lo = p.domain[0]
         if lo > 0.0 and np.any(s_arr == lo):
             # closed-form slope diverges at a positive inner edge (waist)
             raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
         raise NonDifferentiable(f"closed-form derivative non-finite at s={s!r}")
-    return _scalar(d)
+    return d if d.ndim else float(d)  # _scalar's rule, without its call on every surface read
 
 
 def _stencil(f, x, h):
@@ -457,9 +468,12 @@ class SurfaceOfRevolution:
     def kind(self) -> str:
         return self.profile.kind
 
-    @property
+    @cached_property
     def apex_smooth(self) -> bool:
-        """True when the axis point is smooth: 0 in the domain and phi'(0+) = 0."""
+        """True when the axis point is smooth: 0 in the domain and phi'(0+) = 0.
+
+        It depends only on the profile, so it is evaluated once per surface.
+        """
         lo, _ = self.profile.domain
         if lo != 0.0:
             return False
@@ -480,7 +494,7 @@ class SurfaceOfRevolution:
         At s = 0 the gradient is (0, 0) when the axis is smooth and raises
         ApexSingularity otherwise.
         """
-        fx, fy, _ = self._jet(x, y)
+        fx, fy, _ = self._jet(*_chart_arrays(x, y))
         return _scalar(fx, fy)
 
     def hessian(self, x, y):
@@ -489,41 +503,42 @@ class SurfaceOfRevolution:
         On a smooth axis the Hessian is phi''(0) I; at a non-smooth axis point
         it raises ApexSingularity, as ``gradient`` does.
         """
-        return _scalar(*self._jet(x, y)[2]())
+        return _scalar(*self._jet(*_chart_arrays(x, y))[2]())
 
-    def _jet(self, x, y):
+    def _jet(self, x: np.ndarray, y: np.ndarray):
         """Gradient now, Hessian on demand, from one hypot and one phi' evaluation.
 
-        Returns (f_x, f_y, hessian_at).  ``hessian_at(rows)`` gives
-        (f_xx, f_xy, f_yy) at the selected points (all by default) with one
-        phi'' evaluation, reusing s and phi', so a caller that drops points
-        after seeing the gradient never differentiates twice there.
+        x and y are float arrays of one shape.  Returns (f_x, f_y, hessian_at).
+        ``hessian_at(rows)`` gives (f_xx, f_xy, f_yy) at the points a boolean
+        mask selects (all by default) with one phi'' evaluation, reusing s and
+        phi', so a caller that drops points after seeing the gradient never
+        differentiates twice there.
         """
-        x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x_arr.shape != y_arr.shape:
-            x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
-        s = np.hypot(x_arr, y_arr)
-        on_axis = s == 0.0
-        axis = on_axis.any()
+        s = np.hypot(x, y)
+        # one reduction finds any axis point; NaN counts as nonzero
+        axis = np.count_nonzero(s) < s.size
         if axis:
             if not self.apex_smooth:
                 raise ApexSingularity(f"gradient undefined on the axis of a '{self.kind}' surface")
+            on_axis = s == 0.0
             s_safe = np.where(on_axis, 1.0, s)
             d = np.where(on_axis, 0.0, profile_derivative(self.profile, s))
         else:
             s_safe = s
-            d = np.asarray(profile_derivative(self.profile, s))
-        fx = d * x_arr / s_safe
-        fy = d * y_arr / s_safe
+            d = profile_derivative(self.profile, s)
+        fx = d * x / s_safe
+        fy = d * y / s_safe
 
-        def hessian_at(rows=...):
-            # s[rows] is a subset of the radii profile_derivative just checked
-            safe = s_safe[rows]
-            d2 = np.asarray(_second_derivative(self.profile, s[rows], s[rows]))
-            radial = d[rows] / safe
+        def hessian_at(rows=None):
+            s_r, safe, d_r, x_r, y_r = s, s_safe, d, x, y
+            if rows is not None:
+                s_r, safe, d_r, x_r, y_r = (a.compress(rows) for a in (s, s_safe, d, x, y))
+            # s_r is a subset of the radii profile_derivative just checked
+            d2 = _second_derivative(self.profile, s_r, s_r)
+            radial = d_r / safe
             if axis:
-                radial = np.where(on_axis[rows], d2, radial)
-            ux, uy = x_arr[rows] / safe, y_arr[rows] / safe
+                radial = np.where(s_r == 0.0, d2, radial)
+            ux, uy = x_r / safe, y_r / safe
             bend = d2 - radial
             return radial + bend * ux * ux, bend * ux * uy, radial + bend * uy * uy
 
@@ -575,7 +590,13 @@ class GraphSurface:
         """``gradient`` now and ``hessian`` on demand: (f_x, f_y, hessian_at(rows))."""
         x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         fx, fy = self.gradient(x_arr, y_arr)
-        return fx, fy, lambda rows=...: self.hessian(x_arr[rows], y_arr[rows])
+
+        def hessian_at(rows=None):
+            if rows is None:
+                return self.hessian(x_arr, y_arr)
+            return self.hessian(x_arr.compress(rows), y_arr.compress(rows))
+
+        return fx, fy, hessian_at
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return self.bbox

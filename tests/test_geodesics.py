@@ -1,8 +1,11 @@
 """Geodesic tracing, conservation and convergence order, indicatrix
 sampling with the limacon fit, and front propagation."""
 
+import cProfile
 import math
+import pstats
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from slopemetric import (
     slope_metric_F,
     wavefront,
 )
+import slopemetric
+from slopemetric import surfaces
 from slopemetric.geodesics import _accel_at, _integrate
 
 # slope cosine coefficient at the paraboloid point (0.1, 0):
@@ -130,6 +135,13 @@ class TestGeodesicShoot:
         with pytest.raises(StepTooLarge):
             geodesic_shoot(parab_surface, (0.1, 0.0), (0.0, 1.0), length=0.5, step=5e-2)
 
+    def test_step_too_large_names_the_first_drifting_ray(self, parab_surface):
+        # the drift test runs over all rays at once; the message still gives
+        # the drift of the first ray (in ray order) past 10x the tolerance
+        with pytest.raises(StepTooLarge, match=r"^F drift 2\.828e-05 per unit length exceeds 10x "
+                                                r"the tolerance 1\.0e-06; reduce the step$"):
+            wavefront(parab_surface, (0.1, 0.0), 0.5, n_rays=8, step=5e-2)
+
     def test_start_outside_domain(self, parab_surface):
         with pytest.raises(OutOfDomain):
             geodesic_shoot(parab_surface, (0.4, 0.0), (0.0, 1.0), length=0.1)
@@ -190,7 +202,7 @@ class TestSpray:
         th, ph = rng.uniform(0, 2 * math.pi, (2, n))
         p = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         v = rng.uniform(0.5, 2.0, n)[:, None] * np.stack([np.cos(ph), np.sin(ph)], axis=-1)
-        spray = _accel_at(surf, p, v, nav)
+        spray = _accel_at(surf, np.vstack([p.T, v.T]), nav).T
         oracle = stencil_accel(surf, p, v, nav)
         err = np.linalg.norm(spray - oracle, axis=-1)
         assert np.max(err) <= 1e-7 * np.max(np.linalg.norm(oracle, axis=-1))
@@ -198,12 +210,11 @@ class TestSpray:
     def test_flat_ground_has_no_force(self, flat):
         p = np.array([[0.3, -0.2], [1.0, 2.0]])
         v = np.array([[1.0, 0.5], [-0.2, 0.9]])
-        assert np.all(_accel_at(flat, p, v, NavigationParams()) == 0.0)
+        assert np.all(_accel_at(flat, np.vstack([p.T, v.T]), NavigationParams()) == 0.0)
 
     def test_past_convexity_is_nan(self, parab_surface):
         # q = 4 s^2 = 0.64 > 1/3: det g_ij <= 0 for the uphill direction
-        acc = _accel_at(parab_surface, np.array([[0.4, 0.0]]), np.array([[-1.0, 0.0]]),
-                           NavigationParams())
+        acc = _accel_at(parab_surface, np.array([[0.4], [0.0], [-1.0], [0.0]]), NavigationParams())
         assert np.all(np.isnan(acc))
 
 
@@ -232,6 +243,42 @@ class TestSurfaceReads:
         # four stages per step, the end point's read doubling as the next first
         # stage; no Hessian is taken at the last end point, which starts no step
         assert calls == {"dphi": 4 * n + 1, "d2phi": 4 * n}
+
+    def test_package_calls_per_step(self):
+        # Python-level calls into slopemetric per RK4 step, counted by cProfile:
+        # four jet reads (gradient, Hessian, domain check, closed forms), four
+        # sprays, the node's F and convexity test.  numpy's own functions are
+        # left out, so the count does not depend on numpy's version.
+        package = str(Path(slopemetric.__file__).parent)
+        surf = SurfaceOfRevolution(paraboloid(100.0))
+        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
+        v0 = dirs / slope_metric_F(surf, 0.1, 0.0, dirs)[:, None]
+        p0 = np.tile([0.1, 0.0], (3, 1))
+
+        def package_calls(n):
+            profile = cProfile.Profile()
+            profile.runcall(_integrate, surf, p0, v0, n * 1e-3, 1e-3, NavigationParams())
+            stats = pstats.Stats(profile).stats
+            return sum(calls for (path, _, _), (_, calls, *_) in stats.items()
+                       if path.startswith(package))
+
+        assert (package_calls(20) - package_calls(10)) / 10 == 57
+
+    def test_rays_all_leaving_on_one_step(self, parab_surface, monkeypatch):
+        # At nav (1, 3) the convex disk has radius sqrt(1/35)/2 ~ 0.085; one
+        # step of 0.5 takes every ray past it to a non-finite state, so the
+        # end-of-step read gets zero rows.
+        sizes = []
+        check = surfaces._check_in_domain
+        monkeypatch.setattr(surfaces, "_check_in_domain",
+                            lambda p, s: sizes.append(np.size(s)) or check(p, s))
+        wf = wavefront(parab_surface, (0.02, 0.0), 0.5, n_rays=16, step=0.5,
+                       nav=NavigationParams(1.0, 3.0))
+        assert 0 in sizes
+        assert wf.statuses == ["left_convex_domain"] * 16
+        for ray in wf.rays:
+            assert ray.t.tolist() == [0.0] and ray.points.tolist() == [[0.02, 0.0]]
+        assert wf.fronts[0].ray_ids.size == 0
 
 
 class TestIndicatrix:

@@ -10,6 +10,7 @@ on purpose, and that change says which digest moved and why.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,6 +78,81 @@ GOLDEN_GEODESICS = {
     "geodesic to the boundary": (
         ["geodesic", "--surface", PARAB, "--start", "0.1,0", "--dir", "1,0", "--length", "0.3"],
         "a9d1852fb34095aba8e1149ae50a41698e77b34df74c1e1f8dbba0b474c2d08b",
+    ),
+}
+
+
+GAUSS = '{"kind": "gaussian", "params": {}}'
+ELLIPSOID = '{"kind": "ellipsoid", "params": {"a": 1, "c": 1}}'
+HYPERBOLOID2 = '{"kind": "hyperboloid2", "params": {"a": 0.5, "b": 1}}'
+
+
+def table_surface() -> dict:
+    """A 256-row table on [0, 3]: the gaussian bump plus a small sinusoid."""
+    amp = 1.0 / (2.0 * math.sqrt(6.0))
+    rows = []
+    for j in range(256):
+        s = 3.0 * j / 255
+        rows.append([s, amp * math.exp(-s * s) + 0.004 * math.sin(2.0 * s + 1.0)])
+    return {"kind": "custom", "params": {"table": rows}}
+
+
+# front and geodesic runs on the other closed-form profiles and on a table
+# profile (written as surf.json in the working directory); the gaussian at
+# nav 1,3 has a non-convex annulus, the ellipsoid at nav 1,1 is convex for
+# s < 1/2, so rays of both halt at the boundary
+GOLDEN_SURFACES = {
+    "front, gaussian": (
+        ["front", "--surface", GAUSS, "--seed-point", "0.2,0", "--time", "0.3", "--rays", "64"],
+        None,
+        "2257840018a154ef504a043c607ee84831f03f44e001db2bc3f55ea0b3a39a2d",
+    ),
+    "front, gaussian, nav 1,3": (
+        ["front", "--surface", GAUSS, "--seed-point", "0.3,0", "--time", "0.3", "--rays", "64",
+         "--nav", "1,3"],
+        None,
+        "ba66c223f3be487437516f9f3752a66c7ae80a13728c0303d05c728f90da1949",
+    ),
+    "geodesic, gaussian": (
+        ["geodesic", "--surface", GAUSS, "--start", "0.3,0", "--dir", "0,1", "--length", "0.3"],
+        None,
+        "c4c666714bbd8ab022246fa346c5624b6a1b2604a7c8495172a1dcc859864cfb",
+    ),
+    "front, ellipsoid, nav 1,1": (
+        ["front", "--surface", ELLIPSOID, "--seed-point", "0.3,0.1", "--time", "0.3",
+         "--rays", "64", "--nav", "1,1"],
+        None,
+        "ebcfdb403b6d05e7368bd5142cd00d7be172e529c1b5b8816b787dded6464013",
+    ),
+    "geodesic, ellipsoid, nav 1,1": (
+        ["geodesic", "--surface", ELLIPSOID, "--start", "0.3,0.1", "--dir", "1,0",
+         "--length", "0.3", "--nav", "1,1"],
+        None,
+        "ccd6e6fa1666da00f42d45ca87a00e46f3ae644dfd0347cfc5242ceb14a711d7",
+    ),
+    "front, hyperboloid2": (
+        ["front", "--surface", HYPERBOLOID2, "--seed-point", "1,0.5", "--time", "0.3",
+         "--rays", "64"],
+        None,
+        "3ede8d935a610b38c13e9ed77e4a3a1d50920ef8fc203157dc9a64d1b9f373b5",
+    ),
+    "geodesic, hyperboloid2": (
+        ["geodesic", "--surface", HYPERBOLOID2, "--start", "1,0.5", "--dir=-1,0",
+         "--length", "0.3"],
+        None,
+        "fdf4839891d99e567f4c13f5171e6f3561c3187fcfabbdfed3ad3fb03b9a2bd1",
+    ),
+    "front, 256-row table": (
+        ["front", "--surface", "surf.json", "--seed-point", "1,0.2", "--time", "0.3",
+         "--rays", "64"],
+        table_surface(),
+        "2818c7dc649b99d58afbfc47a82744a21995bafe79f93c9e45aec27e271bd2e7",
+    ),
+    "geodesic, 256-row table": (
+        ["geodesic", "--surface", "surf.json", "--start", "1,0.2", "--dir", "0,1",
+         "--length", "0.3"],
+        table_surface(),
+        "30c353f26012c6b4ef2903e21a426e7be70057a582f403c53bf32a5c920fcbd9",
     ),
 }
 
@@ -193,6 +269,14 @@ def test_verify_output_is_golden(case, tmp_path):
 @pytest.mark.parametrize("case", list(GOLDEN_GEODESICS))
 def test_geodesic_output_is_golden(case, tmp_path):
     check_golden(GOLDEN_GEODESICS, case, tmp_path)
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SURFACES))
+def test_surface_geodesic_output_is_golden(case, tmp_path):
+    argv, surface, digest = GOLDEN_SURFACES[case]
+    if surface is not None:
+        (tmp_path / "surf.json").write_text(json.dumps(surface))
+    check_golden({case: (argv, digest)}, case, tmp_path)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_CLI))

@@ -120,8 +120,31 @@ class TestDomainCheck:
         monkeypatch.setattr(surfaces, "_check_in_domain", lambda p, s: calls.append(s) or check(p, s))
         _, _, hessian_at = parab_surface._jet(np.array([0.1, 0.2, -0.4]), np.array([0.0, 0.3, 0.1]))
         hessian_at()
-        hessian_at([0, 1])
+        hessian_at(np.array([True, True, False]))
         assert len(calls) == 1
+
+    def test_axis_read_checks_the_domain_once(self, parab_surface, monkeypatch):
+        # whether the axis is smooth depends only on the profile, so a read
+        # with an axis row does not differentiate at s = 0 again
+        calls = []
+        check = surfaces._check_in_domain
+        monkeypatch.setattr(surfaces, "_check_in_domain", lambda p, s: calls.append(s) or check(p, s))
+        x, y = np.array([0.0, 0.1]), np.array([0.0, 0.2])
+        parab_surface._jet(x, y)
+        calls.clear()
+        fx, fy, hessian_at = parab_surface._jet(x, y)
+        assert len(calls) == 1
+        assert (fx[0], fy[0]) == (0.0, 0.0)
+        fxx, fxy, fyy = hessian_at()
+        assert (fxx[0], fxy[0], fyy[0]) == (-2.0, 0.0, -2.0)
+
+    def test_empty_batches(self, builtin_profile):
+        empty = np.empty(0)
+        for evaluate in (eval_profile, profile_derivative, profile_second_derivative):
+            assert evaluate(builtin_profile, empty).shape == (0,)
+        fx, fy, hessian_at = SurfaceOfRevolution(builtin_profile)._jet(empty, empty)
+        assert [a.shape for a in (fx, fy, *hessian_at())] == [(0,)] * 5
+        assert SurfaceOfRevolution(builtin_profile).gradient(empty, empty)[0].shape == (0,)
 
 
 class TestInversion:
