@@ -201,6 +201,27 @@ def _bisect_root(fn, a: float, b: float, fa: float) -> float:
     return 0.5 * (a + b)
 
 
+def _panel_roots(grid: np.ndarray, c: np.ndarray, crit) -> list[float]:
+    """The roots of the criterion values c on the scan grid, in grid order.
+
+    A panel holds a root at its start where c is exactly 0 there, else a
+    bisected one where its ends differ in sign; the last grid point is a
+    root where c is 0.  The panels are classified by array comparisons, so
+    only those holding a root are visited.
+    """
+    neg = c < 0
+    on = c[:-1] == 0.0
+    roots: list[float] = []
+    for i in np.flatnonzero(on | (neg[:-1] != neg[1:])):
+        if on[i]:
+            roots.append(float(grid[i]))
+        else:
+            roots.append(_bisect_root(crit, float(grid[i]), float(grid[i + 1]), c[i]))
+    if c[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
 def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | None = None,
                      nav: NavigationParams | None = None) -> ConvexityDomain:
     """Scan phi'^2 - threshold of ``nav``, bracket sign changes, bisect each boundary root.
@@ -233,16 +254,7 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
     def crit(s: float) -> float:
         return float(profile_derivative(p, s)) ** 2 - threshold
 
-    roots: list[float] = []
-    for i in range(resolution):
-        ci, cj = c[i], c[i + 1]
-        if ci == 0.0:
-            roots.append(float(grid[i]))
-        elif (ci < 0) != (cj < 0):
-            roots.append(_bisect_root(crit, float(grid[i]), float(grid[i + 1]), ci))
-    if c[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    roots = sorted(set(roots))
+    roots = sorted(set(_panel_roots(grid, c, crit)))
 
     # tangential grazing: a strict local extremum hugging the threshold with
     # no crossing (a constant near-threshold profile is not a double root)
@@ -303,6 +315,20 @@ def _unit_directions(n: int) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
+def _oracle_directions(fx, fy, n_directions: int) -> np.ndarray:
+    """The (n, n_directions + 1, 2) fan ``pd_oracle`` sweeps at the (n,) gradient values.
+
+    ``n_directions`` equally spaced unit directions, then the steepest-uphill
+    one (the first angle again where the gradient vanishes).
+    """
+    q = fx * fx + fy * fy
+    fan = np.broadcast_to(_unit_directions(n_directions), (q.size, n_directions, 2))
+    flat = q == 0.0
+    uphill = np.where(flat[:, None], fan[:, 0],
+                      np.stack([fx, fy], axis=-1) / np.sqrt(np.where(flat, 1.0, q))[:, None])
+    return np.concatenate([fan, uphill[:, None, :]], axis=1)
+
+
 def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray:
     """``pd_oracle``'s verdict at each of the (n,) gradient values fx, fy.
 
@@ -312,13 +338,7 @@ def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray
     """
     if n_directions < 8:
         raise InsufficientDirections("need at least 8 directions for a meaningful sweep")
-    q = fx * fx + fy * fy
-    fan = np.broadcast_to(_unit_directions(n_directions), (q.size, n_directions, 2))
-    flat = q == 0.0
-    # where the gradient vanishes there is no uphill: repeat the first angle
-    uphill = np.where(flat[:, None], fan[:, 0],
-                      np.stack([fx, fy], axis=-1) / np.sqrt(np.where(flat, 1.0, q))[:, None])
-    dirs = np.concatenate([fan, uphill[:, None, :]], axis=1)
+    dirs = _oracle_directions(fx, fy, n_directions)
     g11, g12, g22 = _direction_hessian(fx[:, None], fy[:, None], dirs, nav)
     return np.all(g11 + g22 > 0.0, axis=1) & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1)
 
@@ -410,6 +430,63 @@ def _revolution_sample_range(surf: SurfaceOfRevolution, plan: SamplePlan) -> tup
     return (lo_eff, hi_eff)
 
 
+def _doubles(rng: np.random.Generator, block: int):
+    """The doubles of ``rng.random``, one at a time, drawn ``block`` at a time."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _draw_range(lo, hi) -> tuple[float, float]:
+    """(lo, hi - lo) as ``Generator.uniform(lo, hi)`` takes them, with its range checks."""
+    lo = float(lo)
+    span = float(hi) - lo
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if span < 0:
+        raise ValueError("high - low < 0")
+    return lo, span
+
+
+def _sample_points(plan: SamplePlan, roots: tuple[float, ...], window=None, bbox=None):
+    """The x, y and s lists of ``verify_equivalence``'s sample points.
+
+    A surface of revolution is sampled in polar form, s uniform on
+    ``window`` and redrawn while within ``plan.band`` of a root, then the
+    angle; a graph surface uniformly on ``bbox``.  Each coordinate is
+    lo + (hi - lo) * u, ``Generator.uniform``'s own formula, on the doubles
+    u of ``default_rng(plan.seed)`` in draw order, so the points are bit for
+    bit those of one ``uniform`` call per coordinate, without numpy's cost
+    per call.
+    """
+    doubles = _doubles(np.random.default_rng(plan.seed), 2 * plan.n_points)
+    if window is not None:
+        s_lo, s_span = _draw_range(*window)
+        th_lo, th_span = _draw_range(0.0, 2.0 * math.pi)
+    else:
+        x_lo, x_span = _draw_range(bbox[0], bbox[1])
+        y_lo, y_span = _draw_range(bbox[2], bbox[3])
+    xs, ys, ss = [], [], []
+    for _ in range(plan.n_points):
+        for _attempt in range(1000):
+            if window is not None:
+                s = s_lo + s_span * next(doubles)
+                if any(abs(s - r) <= plan.band for r in roots):
+                    continue
+                th = th_lo + th_span * next(doubles)
+                x, y = s * math.cos(th), s * math.sin(th)
+            else:
+                x = x_lo + x_span * next(doubles)
+                y = y_lo + y_span * next(doubles)
+                s = math.hypot(x, y)
+            break
+        else:
+            raise RuntimeError("could not sample a point outside the exclusion band")
+        xs.append(x)
+        ys.append(y)
+        ss.append(s)
+    return xs, ys, ss
+
+
 def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
                        nav: NavigationParams | None = None) -> EquivalenceReport:
     """Randomly sample the surface and tally agreement among all routes.
@@ -425,7 +502,6 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     plan = plan or SamplePlan()
     nav = nav or NORMALIZED
     threshold = convexity_threshold(nav)
-    rng = np.random.default_rng(plan.seed)
     is_rev = isinstance(surf, SurfaceOfRevolution)
     report = EquivalenceReport(
         surface=getattr(surf, "kind", "graph"),
@@ -436,9 +512,10 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
 
     roots: tuple[float, ...] = ()
     trig: TrigProfile | None = None
+    window = bbox = None
     if is_rev:
-        s_lo, s_hi = _revolution_sample_range(surf, plan)
-        dom = convexity_domain(surf.profile, s_max=s_hi, nav=nav)
+        window = _revolution_sample_range(surf, plan)
+        dom = convexity_domain(surf.profile, s_max=window[1], nav=nav)
         roots = tuple(r for r, _ in dom.boundary_roots)
         try:
             trig = TrigProfile.from_profile(surf.profile)
@@ -447,25 +524,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     else:
         bbox = surf.bounding_box()
 
-    xs, ys, ss = [], [], []
-    for _ in range(plan.n_points):
-        for _attempt in range(1000):
-            if is_rev:
-                s = rng.uniform(s_lo, s_hi)
-                if any(abs(s - r) <= plan.band for r in roots):
-                    continue
-                th = rng.uniform(0.0, 2.0 * math.pi)
-                x, y = s * math.cos(th), s * math.sin(th)
-            else:
-                x = rng.uniform(bbox[0], bbox[1])
-                y = rng.uniform(bbox[2], bbox[3])
-                s = math.hypot(x, y)
-            break
-        else:
-            raise RuntimeError("could not sample a point outside the exclusion band")
-        xs.append(x)
-        ys.append(y)
-        ss.append(s)
+    xs, ys, ss = _sample_points(plan, roots, window, bbox)
 
     # each route issues its verdicts for every sampled point at once, as
     # (name, definite, convex) boolean arrays

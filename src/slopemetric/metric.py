@@ -180,8 +180,9 @@ def _denominator(n2, b, a2, nav: NavigationParams):
     al = np.sqrt(a2)
     uphill = b > 0
     num = v * v * n2 + (v * v - w * w) * b * b
-    safe = np.where(uphill, v * al + w * b, 1.0)
-    denom = np.where(uphill, num / safe, v * al - w * b)
+    va, wb = v * al, w * b
+    safe = np.where(uphill, va + wb, 1.0)
+    denom = np.where(uphill, num / safe, va - wb)
     return denom, al
 
 
@@ -304,24 +305,40 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
 # --- direction-Hessian stencils -------------------------------------------
 
 # center, +-e1, +-e2, and the four corners for the mixed term
-_OFFS2 = np.array([
-    (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
-    (1, 1), (1, -1), (-1, 1), (-1, -1),
-], dtype=float)
+_OFFS2 = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _axis_terms(f, d, h):
+    """f*x and x*x at the three abscissae x = d + o*h of one axis, keyed by o in -1, 0, 1."""
+    prod, sq = {}, {}
+    for o in (-1, 0, 1):
+        x = d + h * float(o)
+        prod[o] = f * x
+        sq[o] = x * x
+    return prod, sq
 
 
 def _direction_hessian(fx, fy, dirs, nav: NavigationParams, step: float = 1e-4):
     """g_ij = half the direction-Hessian of F^2 at gradient values, by a 2nd-order stencil.
 
     fx, fy broadcast against the leading axes of the nonzero directions
-    ``dirs`` (..., 2); the step is ``step * |dir|``.  F^2 is evaluated one
-    stencil offset at a time over all directions, so a large batch never
-    holds its nine nodes at once.  A direction whose stencil leaves
-    v*alpha - w*beta > 0 gets NaN entries.
+    ``dirs`` (..., 2); the step is ``step * |dir|``.  Each stencil offset
+    component is -1, 0 or +1, so the nine nodes share three abscissae per
+    axis: the 12 component products fx*x, fy*y, x*x and y*y are formed once,
+    and each node's climb rate and |tv|^2 are sums of two of them, in the
+    order ``_parts`` adds them.  The batch holds those 12 products and the
+    nine F^2 values, never a node's (..., 2) coordinates.  A direction whose
+    stencil leaves v*alpha - w*beta > 0 gets NaN entries.
     """
+    dx, dy = _split(dirs)
     h = step * np.linalg.norm(dirs, axis=-1)
-    E = [0.5 * np.square(_quotient(fx, fy, *_split(dirs + h[..., None] * off), nav))
-         for off in _OFFS2]
+    bx, sx = _axis_terms(fx, dx, h)
+    by, sy = _axis_terms(fy, dy, h)
+    E = []
+    for o1, o2 in _OFFS2:
+        b = bx[o1] + by[o2]
+        n2 = sx[o1] + sy[o2]
+        E.append(0.5 * np.square(_parts_quotient(n2, b, n2 + b * b, nav)[0]))
     h2 = h * h
     g11 = (E[1] - 2.0 * E[0] + E[2]) / h2
     g22 = (E[3] - 2.0 * E[0] + E[4]) / h2

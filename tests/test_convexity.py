@@ -32,6 +32,7 @@ from slopemetric import (
     one_sheet_hyperboloid,
     paraboloid,
     pd_oracle,
+    profile_derivative,
     profile_from_callable,
     trig_condition,
     two_sheet_hyperboloid,
@@ -251,6 +252,87 @@ class TestConvexityDomain:
         assert condition_asymptote(ellipsoid(1.0, 1.0)) is None
 
 
+def per_panel_roots(grid, c, crit):
+    """The scan's root search as one Python step per panel, the form the array scan replaced."""
+    roots = []
+    for i in range(len(grid) - 1):
+        ci, cj = c[i], c[i + 1]
+        if ci == 0.0:
+            roots.append(float(grid[i]))
+        elif (ci < 0) != (cj < 0):
+            roots.append(convexity._bisect_root(crit, float(grid[i]), float(grid[i + 1]), ci))
+    if c[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+def scan_both_ways(monkeypatch, profile, **kwargs):
+    """convexity_domain, after checking it against the per-panel root search bit for bit."""
+    dom = convexity_domain(profile, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(convexity, "_panel_roots", per_panel_roots)
+        ref = convexity_domain(profile, **kwargs)
+    assert len(dom.intervals) == len(ref.intervals)
+    assert len(dom.boundary_roots) == len(ref.boundary_roots)
+    assert np.array(dom.intervals).tobytes() == np.array(ref.intervals).tobytes()
+    assert np.array(dom.boundary_roots).tobytes() == np.array(ref.boundary_roots).tobytes()
+    return dom
+
+
+class TestPanelScan:
+    """Root panels found by array comparisons, against the per-panel loop."""
+
+    # at nav (1, 1) the threshold is 1/3, and SLOPE^2 rounds to it exactly
+    SLOPE = math.sqrt(1.0 / 3.0)
+    # on [0, 1] with 64 panels the grid points are k/64, all exact
+    GRID = np.linspace(0.0, 1.0, 65)
+
+    def criterion(self, profile):
+        return np.square(np.asarray(profile_derivative(profile, self.GRID))) - 1.0 / 3.0
+
+    def test_zero_at_an_interior_grid_point(self, monkeypatch):
+        # phi' = SLOPE * 2s meets the threshold at the grid point s = 1/2
+        p = profile_from_callable(lambda s: self.SLOPE * s * s, (0.0, math.inf),
+                                  dphi=lambda s: self.SLOPE * (2.0 * s))
+        c = self.criterion(p)
+        assert c[32] == 0.0 and np.all(c[:32] < 0.0) and np.all(c[33:] > 0.0)
+        dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
+        assert 0.5 in [r for r, _ in dom.boundary_roots]
+        assert dom.intervals[0][0] == 0.0 and dom.intervals[-1][1] <= 0.5
+
+    def test_zero_at_the_last_grid_point(self, monkeypatch):
+        p = profile_from_callable(lambda s: 0.5 * self.SLOPE * s * s, (0.0, math.inf),
+                                  dphi=lambda s: self.SLOPE * s)
+        c = self.criterion(p)
+        assert c[-1] == 0.0 and np.all(c[:-1] < 0.0)
+        dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
+        # the last panel's sign change bisects to just below the exact root
+        (below, _), last = dom.boundary_roots
+        assert below < 1.0 and last == (1.0, 0.0)
+        assert dom.intervals == ((0.0, 1.0),)
+
+    def test_sign_changes_in_adjacent_panels(self, monkeypatch):
+        # a tent of half-width 1.5 panels around s = 1/2 lifts only that grid
+        # point above the threshold, so panels 31 and 32 each hold a root
+        width = 1.5 / 64
+
+        def dphi(s):
+            return 2.0 * self.SLOPE * np.maximum(0.0, 1.0 - np.abs(s - 0.5) / width)
+
+        p = profile_from_callable(lambda s: np.zeros_like(s), (0.0, math.inf), dphi=dphi)
+        c = self.criterion(p)
+        assert np.flatnonzero(c > 0.0).tolist() == [32]
+        dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
+        (a, _), (b, _) = dom.boundary_roots
+        assert self.GRID[31] < a < self.GRID[32] < b < self.GRID[33]
+        assert len(dom.intervals) == 2
+
+    @pytest.mark.parametrize("nav", [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.75),
+                                     NavigationParams(1.0, 3.0)], ids=lambda n: f"nav{n.w:g}")
+    def test_builtin_profiles(self, monkeypatch, builtin_profile, nav):
+        scan_both_ways(monkeypatch, builtin_profile, s_max=5.0, nav=nav)
+
+
 class TestPdOracle:
     def test_flat_true(self, flat):
         assert pd_oracle(flat, 0.4, -1.2) is True
@@ -393,3 +475,79 @@ class TestVerifyEquivalence:
         assert np.count_nonzero(lost & (s < 27.2)) > 0
         assert rep.trig_skipped == np.count_nonzero(lost)
         assert rep.ok
+
+
+def per_call_points(plan, roots, window=None, bbox=None):
+    """verify_equivalence's sample points by one Generator.uniform call per
+    coordinate, the form the block draws replaced; also counts the rejections."""
+    rng = np.random.default_rng(plan.seed)
+    xs, ys, ss, rejected = [], [], [], 0
+    for _ in range(plan.n_points):
+        for _attempt in range(1000):
+            if window is not None:
+                s = rng.uniform(*window)
+                if any(abs(s - r) <= plan.band for r in roots):
+                    rejected += 1
+                    continue
+                th = rng.uniform(0.0, 2.0 * math.pi)
+                x, y = s * math.cos(th), s * math.sin(th)
+            else:
+                x = rng.uniform(bbox[0], bbox[1])
+                y = rng.uniform(bbox[2], bbox[3])
+                s = math.hypot(x, y)
+            break
+        else:
+            raise RuntimeError("could not sample a point outside the exclusion band")
+        xs.append(x)
+        ys.append(y)
+        ss.append(s)
+    return (xs, ys, ss), rejected
+
+
+def bits(*coords):
+    return [np.array(c, dtype=float).tobytes() for c in coords]
+
+
+class TestSampleDraws:
+    """Block draws give the points of per-call Generator.uniform, bit for bit."""
+
+    def test_rejections_across_the_paraboloid_root(self, parab_surface, monkeypatch):
+        # s_range straddles the root 1/sqrt(12); a band of 0.05 rejects half the draws
+        plan = SamplePlan(n_points=300, seed=5, band=0.05, s_range=(0.2, 0.4))
+        roots = tuple(r for r, _ in convexity_domain(parab_surface.profile, s_max=0.4).boundary_roots)
+        want, rejected = per_call_points(plan, roots, window=plan.s_range)
+        assert roots == pytest.approx((BOUNDARY_PARAB,)) and rejected > plan.n_points // 2
+        assert bits(*convexity._sample_points(plan, roots, window=plan.s_range)) == bits(*want)
+
+        seen = []
+        gradient = SurfaceOfRevolution.gradient
+        monkeypatch.setattr(SurfaceOfRevolution, "gradient",
+                            lambda surf, x, y: seen.append((x, y)) or gradient(surf, x, y))
+        rep = verify_equivalence(parab_surface, plan)
+        (x, y), = seen
+        assert bits(x, y) == bits(*want[:2])
+        assert rep.ok
+
+    def test_graph_surface_bbox(self):
+        seen = []
+
+        def grad(x, y):
+            seen.append((x, y))
+            return -2.0 * x, -2.0 * y
+
+        bbox = (-0.3, 0.7, -1.25, 0.5)
+        surf = GraphSurface(f=lambda x, y: 100.0 - x * x - y * y, grad=grad, bbox=bbox)
+        plan = SamplePlan(n_points=250, seed=11)
+        want, _ = per_call_points(plan, (), bbox=bbox)
+        assert bits(*convexity._sample_points(plan, (), bbox=bbox)) == bits(*want)
+        verify_equivalence(surf, plan)
+        (x, y), = seen
+        assert bits(x, y) == bits(*want[:2])
+
+    @pytest.mark.parametrize("window", [(0.4, 0.2), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bad_ranges_raise_as_uniform_does(self, window):
+        plan = SamplePlan(n_points=3, seed=0)
+        with pytest.raises(Exception) as per_call:
+            per_call_points(plan, (), window=window)
+        with pytest.raises(type(per_call.value), match=str(per_call.value)):
+            convexity._sample_points(plan, (), window=window)

@@ -32,6 +32,23 @@ GOLDEN = {
         ["verify", "--nav", "1,0.5"],
         "45354c01e52705dd2017d4ac440d568658b347a184bc22c3c4d6eb1fa4d8c880",
     ),
+    "builtin suite, nav 1,0.75": (
+        ["verify", "--nav", "1,0.75"],
+        "2ed6c84dffd60cebf9de11f34653cdaef02130433382511a01e121bf766ea80c",
+    ),
+    "builtin suite, nav 1,3": (
+        ["verify", "--nav", "1,3"],
+        "af54120a5f605cc3f5c9ce8452d62911d90cbecb9487b2d21cb3811648849147",
+    ),
+    # 2w <= v: the threshold is infinite, as at nav 1,0.5, and so is the report
+    "builtin suite, nav 1,0.25": (
+        ["verify", "--nav", "1,0.25"],
+        "45354c01e52705dd2017d4ac440d568658b347a184bc22c3c4d6eb1fa4d8c880",
+    ),
+    "builtin suite, seed 7": (
+        ["verify", "--seed", "7"],
+        "e54121a312d837df4f8344b5df7378dae409bedc3f66d57987eb22a427abae63",
+    ),
     "gaussian, 50 samples": (
         ["verify", "--surface", '{"kind":"gaussian","params":{}}', "--samples", "50"],
         "745b48e150a0d7de3dcc6120fb4128778339d0ef0d2f668f1cf5b5246f5ad49a",

@@ -16,12 +16,14 @@ from slopemetric import (
     NavigationParams,
     NoRoot,
     RiemannMetric2,
+    StencilOutOfCone,
     SurfaceOfRevolution,
     ZeroVector,
     alpha,
     beta,
     flat_surface,
     fundamental_tensor,
+    hessian_field,
     induced_metric,
     limacon_h,
     okubo_solve,
@@ -30,6 +32,7 @@ from slopemetric import (
     slope_metric_F,
     surface_from_json,
 )
+from slopemetric import convexity, metric
 from conftest import builtin_profiles, interior_radii
 
 # hand values at the paraboloid point (0.1, 0): alpha^2 = 1.04, beta = -0.2,
@@ -353,8 +356,6 @@ class TestFundamentalTensor:
         assert g3.g22 == pytest.approx(g1.g22, abs=1e-6)
 
     def test_stencil_out_of_cone(self, parab_surface):
-        from slopemetric import StencilOutOfCone
-
         # w at the critical ratio v*alpha/beta for the uphill direction puts
         # the stencil center on the cone boundary
         w_crit = math.sqrt(1.04) / 0.2
@@ -365,6 +366,72 @@ class TestFundamentalTensor:
     def test_pd_verdict_band(self, flat):
         g = fundamental_tensor(flat, 0.0, 0.0, np.array([1.0, 0.0]), step=0.05)
         assert g.is_positive_definite() is True
+
+
+# the stencil's nodes as (..., 2) coordinates d + h*offset, one per offset,
+# each through ``_quotient``: the form the shared-term stencil replaced
+NINE_OFFSETS = np.array([
+    (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+    (1, 1), (1, -1), (-1, 1), (-1, -1),
+], dtype=float)
+
+
+def nine_node_hessian(fx, fy, dirs, nav, step=1e-4):
+    h = step * np.linalg.norm(dirs, axis=-1)
+    E = [0.5 * np.square(metric._quotient(fx, fy, *metric._split(dirs + h[..., None] * off), nav))
+         for off in NINE_OFFSETS]
+    h2 = h * h
+    g11 = (E[1] - 2.0 * E[0] + E[2]) / h2
+    g22 = (E[3] - 2.0 * E[0] + E[4]) / h2
+    g12 = (E[5] - E[6] - E[7] + E[8]) / (4.0 * h2)
+    return g11, g12, g22
+
+
+def oracle_batch(profile):
+    """21 points of a builtin surface and the (21, 65, 2) fan ``pd_oracle`` sweeps there."""
+    surf = SurfaceOfRevolution(profile)
+    s, th = np.meshgrid(interior_radii(profile), [0.3, 2.0, 4.1])
+    x, y = (s * np.cos(th)).ravel(), (s * np.sin(th)).ravel()
+    fx, fy = surf.gradient(x, y)
+    return surf, x, y, fx, fy, convexity._oracle_directions(fx, fy, 64)
+
+
+class TestDirectionHessianStencil:
+    """The shared-term stencil against the nine-node form, bit for bit."""
+
+    NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.5), NavigationParams(1.0, 3.0)]
+
+    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_bit_identical_on_oracle_batches(self, nav):
+        nan_rows = 0
+        for profile in builtin_profiles():
+            _, _, _, fx, fy, dirs = oracle_batch(profile)
+            got = metric._direction_hessian(fx[:, None], fy[:, None], dirs, nav)
+            want = nine_node_hessian(fx[:, None], fy[:, None], dirs, nav)
+            for g, r in zip(got, want):
+                assert g.shape == r.shape == dirs.shape[:2]
+                assert g.tobytes() == r.tobytes(), profile.kind
+            nan_rows += np.count_nonzero(np.isnan(want[0]).any(axis=1))
+        # steep points leave the cone along their uphill stencil only when w > v
+        assert (nan_rows > 0) == (nav.w > nav.v)
+
+    def test_hessian_field_raises_where_the_stencil_leaves_the_cone(self):
+        nav = NavigationParams(1.0, 3.0)
+        outcomes = set()
+        for profile in builtin_profiles():
+            surf, x, y, fx, fy, dirs = oracle_batch(profile)
+            want = nine_node_hessian(fx[:, None], fy[:, None], dirs, nav)
+            for i in range(x.size):
+                left = bool(np.isnan(want[0][i]).any() | np.isnan(want[1][i]).any()
+                            | np.isnan(want[2][i]).any())
+                outcomes.add(left)
+                if left:
+                    with pytest.raises(StencilOutOfCone):
+                        hessian_field(surf, x[i], y[i], dirs[i], nav)
+                else:
+                    got = hessian_field(surf, x[i], y[i], dirs[i], nav)
+                    assert [g.tobytes() for g in got] == [r[i].tobytes() for r in want]
+        assert outcomes == {True, False}
 
 
 class TestConcurrency:
