@@ -329,18 +329,32 @@ def _oracle_directions(fx, fy, n_directions: int) -> np.ndarray:
     return np.concatenate([fan, uphill[:, None, :]], axis=1)
 
 
+# Points per direction-Hessian stencil in ``_pd_verdicts``.  A (48, 65) float64
+# temporary is 25 KB, well under glibc's 128 KiB trim threshold, so the
+# stencil's many short-lived temporaries reuse heap memory instead of being
+# handed back to the OS and faulted in again for every node.
+_PD_BLOCK = 48
+
+
 def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray:
     """``pd_oracle``'s verdict at each of the (n,) gradient values fx, fy.
 
-    One direction-Hessian stencil covers all n * (n_directions + 1) (point,
-    direction) pairs; a point whose stencil leaves the cone gets NaN entries,
-    which fail the sign tests, so its verdict is False.
+    Direction-Hessian stencils over blocks of ``_PD_BLOCK`` points cover all
+    n * (n_directions + 1) (point, direction) pairs; each point's verdict
+    depends on its own pairs only, so the blocks change no verdict.  A point
+    whose stencil leaves the cone gets NaN entries, which fail the sign
+    tests, so its verdict is False.
     """
     if n_directions < 8:
         raise InsufficientDirections("need at least 8 directions for a meaningful sweep")
-    dirs = _oracle_directions(fx, fy, n_directions)
-    g11, g12, g22 = _direction_hessian(fx[:, None], fy[:, None], dirs, nav)
-    return np.all(g11 + g22 > 0.0, axis=1) & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1)
+    verdicts = np.empty(fx.size, dtype=bool)
+    for i in range(0, fx.size, _PD_BLOCK):
+        bx, by = fx[i:i + _PD_BLOCK], fy[i:i + _PD_BLOCK]
+        dirs = _oracle_directions(bx, by, n_directions)
+        g11, g12, g22 = _direction_hessian(bx[:, None], by[:, None], dirs, nav)
+        verdicts[i:i + _PD_BLOCK] = (np.all(g11 + g22 > 0.0, axis=1)
+                                     & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1))
+    return verdicts
 
 
 def pd_oracle(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,

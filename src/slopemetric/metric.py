@@ -127,15 +127,37 @@ class FundamentalTensor:
 
 
 def _split(tv) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of directions (..., 2); numpy scalars for a single (2,) direction.
+
+    Scalars keep a one-point call off numpy's per-call cost on 0-d arrays
+    while its arithmetic, and its floating-point warnings, stay numpy's.
+    """
     arr = np.asarray(tv, dtype=float)
     if arr.shape[-1] != 2:
         raise ValueError("a tangent direction needs exactly 2 components on the last axis")
+    if arr.ndim == 1:
+        return arr[0], arr[1]
     return arr[..., 0], arr[..., 1]
 
 
+# |d| below this means |d|^2 below the smallest normal double (2**-1022): the
+# squares that alpha and F are built from have then lost their digits, or
+# their whole value, to underflow.
+_MIN_NORM = math.sqrt(np.finfo(float).tiny)
+
+
 def _require_nonzero(vx, vy):
-    if ((vx == 0.0) & (vy == 0.0)).any():
-        raise ZeroVector("direction must be nonzero")
+    """Raise ZeroVector where a direction is zero or its |d|^2 underflows.
+
+    np.hypot forms |d| without squaring the components, so the test adds no
+    underflow or overflow of its own.  Floats and numpy scalars (one
+    direction) are tested without a reduction.
+    """
+    short = np.hypot(vx, vy) < _MIN_NORM
+    if short if short.ndim == 0 else np.count_nonzero(short):
+        if np.count_nonzero((vx == 0.0) & (vy == 0.0)):
+            raise ZeroVector("direction must be nonzero")
+        raise ZeroVector("direction too small: |d|^2 underflows below the smallest normal double")
 
 
 def induced_metric(surf: SurfaceSpec, x, y) -> RiemannMetric2:
@@ -181,9 +203,11 @@ def _denominator(n2, b, a2, nav: NavigationParams):
     uphill = b > 0
     num = v * v * n2 + (v * v - w * w) * b * b
     va, wb = v * al, w * b
+    if not isinstance(uphill, np.ndarray):
+        # one value: evaluate only the branch it takes
+        return (num / (va + wb) if uphill else va - wb), al
     safe = np.where(uphill, va + wb, 1.0)
-    denom = np.where(uphill, num / safe, va - wb)
-    return denom, al
+    return np.where(uphill, num / safe, va - wb), al
 
 
 def _quotient(fx, fy, vx, vy, nav: NavigationParams):
@@ -194,6 +218,8 @@ def _quotient(fx, fy, vx, vy, nav: NavigationParams):
 def _parts_quotient(n2, b, a2, nav: NavigationParams):
     """``_quotient`` from the values of ``_parts``, and alpha with it."""
     denom, al = _denominator(n2, b, a2, nav)
+    if not isinstance(denom, np.ndarray):
+        return a2 / (denom if denom > 0.0 else np.nan), al
     return a2 / np.where(denom > 0.0, denom, np.nan), al
 
 
@@ -211,9 +237,10 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
 def _F(fx, fy, tv, nav: NavigationParams):
     """``slope_metric_F`` at gradient values, with its ZeroVector / DegenerateDenominator."""
     vx, vy = _split(tv)
-    F = _quotient(fx, fy, vx, vy, nav)
     _require_nonzero(vx, vy)
-    if np.isnan(F).any():
+    F = _quotient(fx, fy, vx, vy, nav)
+    nan = np.isnan(F)  # one F is a numpy scalar, tested without a reduction
+    if nan if nan.ndim == 0 else np.count_nonzero(nan):
         raise DegenerateDenominator(
             "v*alpha - w*beta <= 0: slope term overwhelms the base speed"
         )
@@ -255,9 +282,12 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     d = np.asarray(direction, dtype=float)
     if d.shape != (2,):
         raise ValueError("okubo_solve expects a single direction of shape (2,)")
-    _require_nonzero(d[0], d[1])
-    # solve for the unit-Euclid direction; the root scales by 1-homogeneity
-    scale = float(np.linalg.norm(d))
+    dx, dy = d.tolist()
+    _require_nonzero(dx, dy)
+    # solve for the unit-Euclid direction; the root scales by 1-homogeneity.
+    # d.dot(d) is np.linalg.norm's own sum of squares (BLAS, so not always
+    # dx*dx + dy*dy to the last bit), without its argument handling
+    scale = math.sqrt(d.dot(d))
     ux, uy = (d / scale).tolist()
     fx, fy = surf.gradient(x, y)
     n2, b, a2 = _parts(fx, fy, ux, uy)

@@ -254,10 +254,16 @@ def _scalar(*values):
 
 
 def _chart_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as float arrays of one shape, broadcast only when their shapes differ."""
+    """x and y as float arrays of one shape, broadcast only when their shapes differ.
+
+    One point comes back as two numpy scalars: the same arithmetic and
+    warnings as 0-d arrays, without numpy's per-call cost on them.
+    """
     x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x_arr.shape != y_arr.shape:
         x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
+    if not x_arr.ndim:
+        return x_arr[()], y_arr[()]
     return x_arr, y_arr
 
 
@@ -265,8 +271,9 @@ def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
     lo, hi = p.domain
     # lo is finite, so NaN and -inf fail the first comparison and +inf the second
     inside = (s >= lo) & (s < hi)
-    # np.count_nonzero costs a fraction of ndarray.all's reduction
-    if np.count_nonzero(inside) < inside.size:
+    # np.count_nonzero costs a fraction of ndarray.all's reduction; one
+    # radius (a numpy bool) needs neither
+    if not (inside if inside.ndim == 0 else np.count_nonzero(inside) == inside.size):
         worst = np.asarray(s)[~inside].flat[0]
         raise OutOfDomain(f"s={float(worst)!r} outside profile domain [{lo}, {hi})")
 
@@ -289,15 +296,24 @@ def _phi_even(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
 # np.errstate as a decorator costs half of its ``with`` form
 @np.errstate(divide="ignore", invalid="ignore")
 def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
-    """A closed-form derivative at s; non-finite values become typed errors."""
+    """A closed-form derivative at s; non-finite values become typed errors.
+
+    One radius gives a Python float (``_scalar``'s rule, without its call on
+    every surface read), tested without numpy's per-call cost on a scalar.
+    """
     d = np.asarray(fn(s_arr), dtype=float)
-    if np.count_nonzero(np.isfinite(d)) < d.size:
+    if d.ndim:
+        finite = np.count_nonzero(np.isfinite(d)) == d.size
+    else:
+        d = float(d)
+        finite = math.isfinite(d)
+    if not finite:
         lo = p.domain[0]
         if lo > 0.0 and np.any(s_arr == lo):
             # closed-form slope diverges at a positive inner edge (waist)
             raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
         raise NonDifferentiable(f"closed-form derivative non-finite at s={s!r}")
-    return d if d.ndim else float(d)  # _scalar's rule, without its call on every surface read
+    return d
 
 
 def _stencil(f, x, h):
@@ -340,6 +356,8 @@ def profile_derivative(p: ProfileCurve, s):
     NonDifferentiable when no valid stencil fits.
     """
     s_arr = np.asarray(s, dtype=float)
+    if not s_arr.ndim:
+        s_arr = s_arr[()]  # one radius runs on a numpy scalar, not a 0-d array
     _check_in_domain(p, s_arr)
     if p.dphi is not None:
         return _closed_form(p, p.dphi, s_arr, s)
@@ -515,8 +533,9 @@ class SurfaceOfRevolution:
         differentiates twice there.
         """
         s = np.hypot(x, y)
-        # one reduction finds any axis point; NaN counts as nonzero
-        axis = np.count_nonzero(s) < s.size
+        # one reduction finds any axis point, and one point needs none; NaN
+        # counts as nonzero
+        axis = s == 0.0 if s.ndim == 0 else np.count_nonzero(s) < s.size
         if axis:
             if not self.apex_smooth:
                 raise ApexSingularity(f"gradient undefined on the axis of a '{self.kind}' surface")

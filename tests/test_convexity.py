@@ -38,7 +38,7 @@ from slopemetric import (
     two_sheet_hyperboloid,
     verify_equivalence,
 )
-from slopemetric import convexity
+from slopemetric import convexity, metric
 
 BOUNDARY_PARAB = 0.2886751345948129  # 1/sqrt(12)
 GAUSS_MU_MIN = 32.61938194150854     # 12 * e
@@ -361,6 +361,34 @@ class TestPdOracle:
     def test_insufficient_directions_is_a_config_error(self):
         assert issubclass(InsufficientDirections, ConfigError)
         assert issubclass(InsufficientDirections, ValueError)
+
+
+def one_shot_verdicts(fx, fy, nav, n_directions=64):
+    """``_pd_verdicts`` as one stencil over the whole batch: the form the blocks replaced."""
+    dirs = convexity._oracle_directions(fx, fy, n_directions)
+    g11, g12, g22 = metric._direction_hessian(fx[:, None], fy[:, None], dirs, nav)
+    verdicts = np.all(g11 + g22 > 0.0, axis=1) & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1)
+    return verdicts, np.count_nonzero(np.isnan(g11).any(axis=1))
+
+
+class TestBlockedOracle:
+    BLOCK = convexity._PD_BLOCK
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1, 200])
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_blocks_match_one_stencil(self, n, w):
+        nav = NavigationParams(1.0, w)
+        rng = np.random.default_rng(n)
+        # |grad f| spread across the threshold 1/3 and past q = 1/8, where
+        # at nav (1, 3) the uphill stencil leaves the cone (NaN rows)
+        fx, fy = 0.5 * rng.normal(size=(2, n))
+        want, nan_rows = one_shot_verdicts(fx, fy, nav)
+        got = convexity._pd_verdicts(fx, fy, nav, 64)
+        assert got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        if n == 200:
+            assert 0 < np.count_nonzero(want) < n
+            assert (nan_rows > 0) == (w > 1.0)
 
 
 class TestVerifyEquivalence:

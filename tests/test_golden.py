@@ -45,6 +45,11 @@ GOLDEN = {
         ["verify", "--nav", "1,0.25"],
         "45354c01e52705dd2017d4ac440d568658b347a184bc22c3c4d6eb1fa4d8c880",
     ),
+    # w = 0: F = alpha/v, so the threshold and the report are those of nav 1,0.5
+    "builtin suite, nav 1,0": (
+        ["verify", "--nav", "1,0"],
+        "45354c01e52705dd2017d4ac440d568658b347a184bc22c3c4d6eb1fa4d8c880",
+    ),
     "builtin suite, seed 7": (
         ["verify", "--seed", "7"],
         "e54121a312d837df4f8344b5df7378dae409bedc3f66d57987eb22a427abae63",

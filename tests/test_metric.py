@@ -1,8 +1,10 @@
 """Slope metric construction: alpha, beta, F, the indicatrix function, Okubo
 root-solving, and the fundamental tensor."""
 
+import cProfile
 import importlib.util
 import math
+import pstats
 from pathlib import Path
 
 import numpy as np
@@ -10,17 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slopemetric
 from slopemetric import (
+    ApexSingularity,
     DegenerateDenominator,
     GraphSurface,
     NavigationParams,
     NoRoot,
+    OutOfDomain,
     RiemannMetric2,
+    SlopeMetricError,
     StencilOutOfCone,
     SurfaceOfRevolution,
     ZeroVector,
     alpha,
     beta,
+    cone,
+    ellipsoid,
     flat_surface,
     fundamental_tensor,
     hessian_field,
@@ -29,6 +37,8 @@ from slopemetric import (
     okubo_solve,
     one_sheet_hyperboloid,
     paraboloid,
+    profile_from_callable,
+    profile_from_table,
     slope_metric_F,
     surface_from_json,
 )
@@ -175,6 +185,42 @@ class TestSlopeMetric:
             assert F == pytest.approx(np.hypot(*d), rel=1e-10)
 
 
+class TestTinyDirections:
+    """|d|^2 below the smallest normal double: both routes raise ZeroVector."""
+
+    TINY = [(1e-200, 0.0), (0.0, -1e-200), (1e-160, 1e-160), (5e-324, 0.0)]
+    NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.0), NavigationParams(1.0, 0.4)]
+
+    @pytest.mark.parametrize("d", TINY)
+    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_both_routes_raise_zero_vector(self, d, nav):
+        # at nav (1, 0) F = alpha/v and nothing is degenerate: only the
+        # underflowed |d|^2 stands in the way of a value
+        for route in (slope_metric_F, okubo_solve):
+            with pytest.raises(ZeroVector, match=r"\|d\|\^2 underflows"):
+                route(PARAB, 0.3, 0.2, np.array(d), nav)
+
+    def test_batch_and_alpha_raise_too(self):
+        dirs = np.array([[1.0, 0.0], [1e-200, 0.0]])
+        with pytest.raises(ZeroVector, match="underflows"):
+            slope_metric_F(PARAB, 0.3, 0.2, dirs)
+        with pytest.raises(ZeroVector, match="underflows"):
+            alpha(induced_metric(PARAB, 0.3, 0.2), (1e-160, 1e-160))
+
+    def test_zero_direction_message(self):
+        for route in (slope_metric_F, okubo_solve):
+            with pytest.raises(ZeroVector, match="^direction must be nonzero$"):
+                route(PARAB, 0.3, 0.2, np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("scale", [1e-150, 2.0 ** -511])
+    def test_normal_range_keeps_its_digits(self, scale):
+        # |d|^2 >= 2**-1022: still F's full digits, by 1-homogeneity
+        d = np.array([0.6, -0.8])
+        F1 = slope_metric_F(PARAB, 0.3, 0.2, d)
+        assert slope_metric_F(PARAB, 0.3, 0.2, scale * d) == pytest.approx(scale * F1, rel=1e-15)
+        assert okubo_solve(PARAB, 0.3, 0.2, scale * d) == pytest.approx(scale * F1, rel=1e-12)
+
+
 class TestLimaconH:
     def test_flat_unit_circle(self, flat):
         for th in np.linspace(0, 2 * np.pi, 9):
@@ -314,6 +360,101 @@ class TestOkuboOnBenchmarkPairs:
         assert [type(v) for v in surf.gradient(x, y)] == [float, float]
         assert type(slope_metric_F(surf, x, y, d)) is float
         assert type(okubo_solve(surf, x, y, d)) is float
+
+
+    def test_package_calls_per_pair(self):
+        # Python-level calls into slopemetric for one scalar slope_metric_F
+        # and okubo_solve pair, counted by cProfile as
+        # test_package_calls_per_step counts an RK4 step: two surface reads
+        # (5 calls each), F (7), and the root-solve's prologue and four Newton
+        # iterations (19).  A one-value branch that became a function call of
+        # its own would show here and, on the array path, per RK4 step.
+        package = str(Path(slopemetric.__file__).parent)
+        d = np.array([0.6, 0.8])
+
+        def pair():
+            return slope_metric_F(PARAB, 0.15, -0.1, d), okubo_solve(PARAB, 0.15, -0.1, d)
+
+        profile = cProfile.Profile()
+        profile.runcall(pair)
+        stats = pstats.Stats(profile).stats
+        assert sum(calls for (path, _, _), (_, calls, *_) in stats.items()
+                   if path.startswith(package)) == 45
+
+
+def _consistency_surfaces():
+    """The builtins, a 256-row table, a callable profile without dphi, a graph and flat ground."""
+    s = np.linspace(0.0, 4.0, 256)
+    surfs = [SurfaceOfRevolution(p) for p in builtin_profiles()]
+    surfs.append(SurfaceOfRevolution(profile_from_table(s, np.sin(s) / math.sqrt(3.0))))
+    surfs.append(SurfaceOfRevolution(profile_from_callable(lambda r: 1.0 - 0.1 * r ** 3, (0.0, 3.0))))
+    surfs.append(GraphSurface(f=lambda x, y: 0.3 * np.sin(x) * np.cos(2.0 * y)))
+    surfs.append(flat_surface(1.5))
+    return surfs
+
+
+def _consistency_points(surf):
+    if isinstance(surf, SurfaceOfRevolution):
+        radii = interior_radii(surf.profile, n=3)
+        return [(r * math.cos(th), r * math.sin(th)) for r, th in zip(radii, (0.4, 2.5, 4.4))]
+    return [(0.3, -0.2), (-1.7, 0.9), (2.2, 2.6)]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _raised(fn):
+    with pytest.raises(SlopeMetricError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestOnePointMatchesBatch:
+    """A one-point call equals the matching element of the (1,)-array call, bit for bit."""
+
+    SURFACES = _consistency_surfaces()
+    DIRS = [(0.6, -0.8), (-1.0, 0.25), (0.0, 1.0)]
+    NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.75), NavigationParams(2.0, 1.0)]
+
+    @pytest.mark.parametrize("surf", SURFACES, ids=lambda s: s.kind)
+    def test_values(self, surf):
+        for x, y in _consistency_points(surf):
+            X, Y = np.array([x]), np.array([y])
+            for fn in (surf.gradient, surf.hessian):
+                one = fn(x, y)
+                assert all(type(v) is float for v in one)
+                assert _bits(one) == _bits(fn(X, Y))
+            for d in self.DIRS:
+                D = np.array([d])
+                assert _bits(beta(surf, x, y, d)) == _bits(beta(surf, X, Y, D))
+                for nav in self.NAVS:
+                    for fn in (slope_metric_F, limacon_h):
+                        one = fn(surf, x, y, d, nav)
+                        assert type(one) is float
+                        assert _bits(one) == _bits(fn(surf, X, Y, D, nav))
+
+    def test_errors(self):
+        apex = SurfaceOfRevolution(cone(0.5))
+        rim = SurfaceOfRevolution(ellipsoid(1.0, 1.0))
+        steep = NavigationParams(1.0, 6.0)
+        cases = [
+            (ApexSingularity, lambda p, D: apex.gradient(*p), (0.0, 0.0)),
+            (ApexSingularity, lambda p, D: slope_metric_F(apex, *p, D), (0.0, 0.0)),
+            (OutOfDomain, lambda p, D: rim.gradient(*p), (0.9, 0.6)),
+            (OutOfDomain, lambda p, D: limacon_h(rim, *p, D), (0.9, 0.6)),
+            (ZeroVector, lambda p, D: slope_metric_F(PARAB, *p, 0.0 * D), (0.3, 0.2)),
+            # steepest uphill at nav (1, 6): v*alpha - w*beta < 0
+            (DegenerateDenominator, lambda p, D: slope_metric_F(PARAB, *p, -D, steep), (0.3, 0.2)),
+        ]
+        for kind, call, (x, y) in cases:
+            one = _raised(lambda: call((x, y), np.array([x, y])))
+            assert one[0] is kind
+            assert one == _raised(lambda: call(([x], [y]), np.array([[x, y]])))
+        with pytest.raises(NoRoot):
+            okubo_solve(PARAB, 0.3, 0.2, np.array([-0.3, -0.2]), steep)
+        with pytest.raises(ZeroVector, match="^direction must be nonzero$"):
+            okubo_solve(PARAB, 0.3, 0.2, np.array([0.0, 0.0]))
 
 
 class TestFundamentalTensor:
