@@ -11,6 +11,7 @@ from .errors import (
     ConfigError,
     DegenerateDenominator,
     DerivativeBlowupWarning,
+    DirectionOverflow,
     DoubleRootWarning,
     InsufficientDirections,
     NoRoot,

@@ -12,12 +12,13 @@ configuration, 3 surface-domain or geometry error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -194,11 +195,17 @@ def _dump_json(obj) -> str:
     return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(output: str | Iterable[str], out: str | None) -> None:
+    """Write one string, or the chunks of an iterable in turn, to ``out`` or stdout.
+
+    ``out`` is opened only once the first chunk is ready, so a run that
+    fails before then leaves an existing file as it was.
+    """
+    chunks = iter([output] if isinstance(output, str) else output)
+    first = next(chunks, "")
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+        stream.write(first)
+        stream.writelines(chunks)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -353,16 +360,18 @@ def _distinct_text(columns) -> np.ndarray:
     return np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[where]
 
 
-def _rays_csv(rays) -> str:
-    """CSV rows ``ray_id,t,x,y,F``, each value as ``_fmt`` formats it.
+def _rays_csv(rays) -> Iterator[str]:
+    """CSV rows ``ray_id,t,x,y,F``, each value as ``_fmt`` formats it, in chunks.
 
-    The rays of a front share one time grid and F is conserved along each
-    ray, so the t and F columns hold few distinct values and are formatted
-    once per value; x and y take one "%" call per ray.
+    The chunks are the header, then one ray's rows each, so a writer never
+    holds the whole text.  The rays of a front share one time grid and F is
+    conserved along each ray, so the t and F columns hold few distinct
+    values and are formatted once per value, up front; x and y take one "%"
+    call per ray.
     """
     t_text = _distinct_text([np.asarray(ray.t, dtype=float) for ray in rays])
     f_text = _distinct_text([np.asarray(ray.F_values, dtype=float) for ray in rays])
-    parts = ["ray_id,t,x,y,F\n"]
+    yield "ray_id,t,x,y,F\n"
     start = 0
     for rid, ray in enumerate(rays):
         n = len(ray.t)
@@ -370,16 +379,29 @@ def _rays_csv(rays) -> str:
         cells[:, 0] = t_text[start:start + n]
         cells[:, 1:3] = ray.points
         cells[:, 3] = f_text[start:start + n]
-        parts.append((f"{rid},%s,%.17g,%.17g,%s\n" * n) % tuple(cells.ravel().tolist()))
+        yield (f"{rid},%s,%.17g,%.17g,%s\n" * n) % tuple(cells.ravel().tolist())
         start += n
-    return "".join(parts)
 
 
-def _left_domain(what: str, strict: bool) -> int:
-    """Exit code of a run whose ``what`` left the strong-convexity domain."""
-    print(f"{'' if strict else 'warning: '}{what} left the strong-convexity domain",
-          file=sys.stderr)
-    return 3 if strict else 0
+# the stderr line of each early stop, by the status it gives a ray
+_EARLY_STOPS = {
+    gd.STATUS_LEFT_DOMAIN: "left the strong-convexity domain",
+    gd.STATUS_NON_FINITE: "turned non-finite within one step",
+}
+
+
+def _early_stops(statuses: list[str], strict: bool, subject: str) -> int:
+    """Exit code of a run whose rays have these statuses, with one stderr line per kind of stop.
+
+    ``subject.format(count)`` names the ``count`` rays that one line is about.
+    """
+    code = 0
+    for status, what in _EARLY_STOPS.items():
+        count = statuses.count(status)
+        if count:
+            print(f"{'' if strict else 'warning: '}{subject.format(count)} {what}", file=sys.stderr)
+            code = 3 if strict else 0
+    return code
 
 
 def cmd_geodesic(opts) -> int:
@@ -398,7 +420,7 @@ def cmd_geodesic(opts) -> int:
             "F_drift_per_unit_length": gd.conservation_drift(path),
         }
         _emit(_dump_json(payload), opts.out)
-    return _left_domain("geodesic", opts.strict) if path.left_domain else 0
+    return _early_stops([path.status], opts.strict, "geodesic")
 
 
 def cmd_front(opts) -> int:
@@ -418,8 +440,7 @@ def cmd_front(opts) -> int:
             ],
         }
         _emit(_dump_json(payload), opts.out)
-    truncated = sum(s != gd.STATUS_COMPLETE for s in wf.statuses)
-    return _left_domain(f"{truncated} ray(s)", opts.strict) if truncated else 0
+    return _early_stops(wf.statuses, opts.strict, "{} ray(s)")
 
 
 class Command(NamedTuple):

@@ -29,6 +29,10 @@ class ZeroVector(SlopeMetricError, ValueError):
     """A direction argument is the zero vector."""
 
 
+class DirectionOverflow(SlopeMetricError, OverflowError):
+    """A direction is too long for its squared length to be a finite double."""
+
+
 class DegenerateDenominator(SlopeMetricError, ArithmeticError):
     """v*alpha - w*beta <= 0: the drift term overwhelms the base speed."""
 

@@ -25,8 +25,8 @@ operands for the jet and the spray.  The arithmetic is elementwise the
 same as on separate arrays, so every output bit is.  A step that drops no
 ray copies nothing; the spray writes NaN rows only when some row is bad;
 the node's F and the next step's first spray share one ``metric._parts``;
-and the accepted states reach the per-ray tables in one scatter after
-the loop.
+and each accepted node goes straight into ray-major tables, whose rows
+the paths view without a copy.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ __all__ = [
 
 STATUS_COMPLETE = "complete"
 STATUS_LEFT_DOMAIN = "left_convex_domain"
+# the RK4 state turned non-finite within a step, as it does when the step
+# carries the ray past the convexity boundary, where the spray is NaN
+STATUS_NON_FINITE = "non_finite_state"
 
 # Relative F drift per unit F-length tolerated along a path; ten times this
 # raises StepTooLarge.
@@ -68,8 +71,8 @@ class GeodesicPath:
 
     F_values stay constant along the path to within 10x ``DRIFT_TOL`` per unit length;
     every stored point lies inside the strong-convexity domain, and
-    ``status`` records whether the requested length was reached or the
-    boundary cut the path short.
+    ``status`` records whether the requested length was reached, the
+    boundary cut the path short, or a step ended in a non-finite state.
     """
 
     t: np.ndarray
@@ -189,8 +192,16 @@ def _integrate(surf, p0, v0, length, step, nav):
     accepted point serves three uses: its gradient judges strong convexity
     there and gives F, and, for the rays that stay live, its Hessian part
     and F's intermediate values feed the next step's first stage.  A step
-    that drops no ray copies no state, and the accepted states go into the
-    per-ray tables in one scatter after the loop.
+    that drops no ray copies no state.
+
+    Each accepted node goes straight into two ray-major tables, one
+    (rays, nodes, 4) state array and one (rays, nodes) F array, so no step's
+    arrays outlive the step.  Each path's points, velocities and F values
+    are views of its own rows there, so no two paths share memory and no
+    per-ray copy is made; its t is its own copy of the time grid.  A ray
+    whose state turns non-finite within a step stops with
+    ``STATUS_NON_FINITE``, one that steps out of the convexity domain with
+    ``STATUS_LEFT_DOMAIN``.
     """
     if not (0 < length < math.inf and 0 < step < math.inf):
         raise ValueError("length and step must be positive")
@@ -206,12 +217,17 @@ def _integrate(surf, p0, v0, length, step, nav):
     Y = np.concatenate([p0.T, v0.T])
     fx, fy, hessian_at = surf._jet(Y[0], Y[1])
     F, b, al = _node_F(fx, fy, Y[2], Y[3], nav)
+    states = np.empty((n, m + 1, 4))  # rows past a ray's last node are never read
+    states[:, 0] = Y.T
+    # nodes past a ray's halt keep its starting F, which adds no drift
+    fv = np.repeat(F[:, None], m + 1, axis=1)
+    ends = np.ones(n, dtype=int)  # nodes per ray
+    broken = np.zeros(n, dtype=bool)  # rays dropped for a non-finite state
     live = np.arange(n)
-    nodes = [(live, Y, F)]  # per accepted node: the live rays, their states and F
     kept = None  # mask of the last jet read's rows that are still live; None for all
     threshold = convexity_threshold(nav)
 
-    for h in hs:
+    for k, h in enumerate(hs, 1):
         # K[i] is the slope (xdot, ydot, xddot, yddot) of stage i
         K = np.empty((4,) + Y.shape)
         K[0, :2] = Y[2:]
@@ -222,25 +238,20 @@ def _integrate(surf, p0, v0, length, step, nav):
             _accel_at(surf, stage, nav, K[i, 2:])
         Y = Y + (h / 6.0) * (K[0] + 2 * K[1] + 2 * K[2] + K[3])
 
-        _, (Y, live) = _columns(np.isfinite(Y).all(axis=0), Y, live)
+        finite, (Y, survivors) = _columns(np.isfinite(Y).all(axis=0), Y, live)
+        if finite is not None:
+            broken[live[~finite]] = True
+        live = survivors
         fx, fy, hessian_at = surf._jet(Y[0], Y[1])
         kept, (Y, live, fx, fy) = _columns(_convex(fx * fx + fy * fy, threshold), Y, live, fx, fy)
         if not live.size:
             break
         F, b, al = _node_F(fx, fy, Y[2], Y[3], nav)
-        nodes.append((live, Y, F))
+        states[live, k] = Y.T
+        fv[live, k] = F
+        ends[live] = k + 1
 
-    # every node into per-ray tables, one scatter each
-    lives, Ys, Fs = zip(*nodes)
-    rays = np.concatenate(lives)
-    ks = np.repeat(np.arange(len(lives)), [ids.size for ids in lives])
-    states = np.empty((m + 1, 4, n))
-    states[ks, :, rays] = np.concatenate(Ys, axis=1).T
-    # nodes past a ray's halt keep its starting F, which adds no drift
-    fv = np.repeat(Fs[0][None], m + 1, axis=0)
-    fv[ks, rays] = np.concatenate(Fs)
-    ends = np.bincount(rays, minlength=n)
-    drift = _drift(fv, t, step)
+    drift = _drift(fv.T, t, step)
     too_large = np.flatnonzero(drift > 10.0 * DRIFT_TOL)
     if too_large.size:
         raise StepTooLarge(
@@ -250,13 +261,14 @@ def _integrate(surf, p0, v0, length, step, nav):
     return [
         GeodesicPath(
             t=t[:end].copy(),
-            points=states[:end, :2, i].copy(),
-            velocities=states[:end, 2:, i].copy(),
-            F_values=fv[:end, i].copy(),
+            points=states[i, :end, :2],
+            velocities=states[i, :end, 2:],
+            F_values=fv[i, :end],
             step=step,
-            status=STATUS_COMPLETE if end == m + 1 else STATUS_LEFT_DOMAIN,
+            status=(STATUS_COMPLETE if end == m + 1
+                    else STATUS_NON_FINITE if bad else STATUS_LEFT_DOMAIN),
         )
-        for i, end in enumerate(ends.tolist())
+        for i, (end, bad) in enumerate(zip(ends.tolist(), broken.tolist()))
     ]
 
 
@@ -266,7 +278,8 @@ def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,
 
     The initial velocity is rescaled to unit F-speed, so ``length`` is travel
     time.  Integration stops early (status ``left_convex_domain``) if the
-    path reaches the strong-convexity boundary; raises StepTooLarge when the
+    path reaches the strong-convexity boundary, or (``non_finite_state``) if
+    a step ends in a non-finite state; raises StepTooLarge when the
     conserved F drifts more than 10x ``DRIFT_TOL`` per unit length.
     """
     nav = nav or NORMALIZED
@@ -315,8 +328,9 @@ def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
 
     Shoots ``n_rays`` geodesics at equally spaced chart angles; the front at
     time t is the polyline of ray positions at F-arclength t.  Rays that
-    exit the strong-convexity domain are truncated and drop out of later
-    fronts (their status records the early stop).
+    exit the strong-convexity domain, or whose state turns non-finite within
+    a step, are truncated and drop out of later fronts (their status records
+    the early stop).
     """
     nav = nav or NORMALIZED
     seed = np.asarray(seed, dtype=float).reshape(2)

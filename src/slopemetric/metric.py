@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
+    DirectionOverflow,
     NoRoot,
     StencilOutOfCone,
     ZeroVector,
@@ -144,20 +145,29 @@ def _split(tv) -> tuple[np.ndarray, np.ndarray]:
 # squares that alpha and F are built from have then lost their digits, or
 # their whole value, to underflow.
 _MIN_NORM = math.sqrt(np.finfo(float).tiny)
+# |d| above this means |d|^2 above the largest double: alpha^2 and F's
+# numerator overflow to inf, and F would come out NaN or inf.  (alpha^2 =
+# |d|^2 + beta^2 can still overflow within a factor sqrt(1 + |grad f|^2)
+# below it.)
+_MAX_NORM = math.sqrt(np.finfo(float).max)
 
 
 def _require_nonzero(vx, vy):
-    """Raise ZeroVector where a direction is zero or its |d|^2 underflows.
+    """Raise ZeroVector where a direction is zero or its |d|^2 underflows,
+    DirectionOverflow where its |d|^2 overflows.
 
-    np.hypot forms |d| without squaring the components, so the test adds no
-    underflow or overflow of its own.  Floats and numpy scalars (one
+    np.hypot forms |d| without squaring the components, so the tests add no
+    underflow or overflow of their own.  Floats and numpy scalars (one
     direction) are tested without a reduction.
     """
-    short = np.hypot(vx, vy) < _MIN_NORM
+    norm = np.hypot(vx, vy)
+    short, long = norm < _MIN_NORM, norm > _MAX_NORM
     if short if short.ndim == 0 else np.count_nonzero(short):
         if np.count_nonzero((vx == 0.0) & (vy == 0.0)):
             raise ZeroVector("direction must be nonzero")
         raise ZeroVector("direction too small: |d|^2 underflows below the smallest normal double")
+    if long if long.ndim == 0 else np.count_nonzero(long):
+        raise DirectionOverflow("direction too large: |d|^2 overflows above the largest double")
 
 
 def induced_metric(surf: SurfaceSpec, x, y) -> RiemannMetric2:
@@ -228,14 +238,15 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
 
     Positive and 1-homogeneous in tv wherever v*alpha - w*beta > 0; on graph
     surfaces in normalized mode that holds for every nonzero tv because
-    |beta| < alpha always.  Raises ZeroVector / DegenerateDenominator.
+    |beta| < alpha always.  Raises ZeroVector / DirectionOverflow /
+    DegenerateDenominator.
     """
     nav = nav or NORMALIZED
     return _scalar(_F(*surf.gradient(x, y), tv, nav))
 
 
 def _F(fx, fy, tv, nav: NavigationParams):
-    """``slope_metric_F`` at gradient values, with its ZeroVector / DegenerateDenominator."""
+    """``slope_metric_F`` at gradient values, with its errors."""
     vx, vy = _split(tv)
     _require_nonzero(vx, vy)
     F = _quotient(fx, fy, vx, vy, nav)
@@ -267,7 +278,8 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     |h| <= 1e-12 * (1 + |direction|^2).  This route never
     touches the closed-form quotient, so it independently cross-checks
     ``slope_metric_F``.  Reads the surface once; raises NoRoot exactly where
-    the quotient's denominator test raises DegenerateDenominator.
+    the quotient's denominator test raises DegenerateDenominator, and
+    ZeroVector and DirectionOverflow on the directions it raises them on.
 
     After that one read and the denominator test, both loops run on Python
     floats: ``_limacon`` takes the direction's two components, so each

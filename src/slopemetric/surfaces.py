@@ -585,13 +585,7 @@ class GraphSurface:
         return _scalar(np.asarray(self.f(x_arr, y_arr), dtype=float))
 
     def gradient(self, x, y):
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        if self.grad is not None:
-            fx, fy = self.grad(x_arr, y_arr)
-            fx = np.asarray(fx, dtype=float) * np.ones_like(x_arr)
-            fy = np.asarray(fy, dtype=float) * np.ones_like(y_arr)
-        else:
-            fx, fy = _partials(self.f, x_arr, y_arr, _FD_STEP)
+        fx, fy, _ = self._jet(*_chart_arrays(x, y))
         return _scalar(fx, fy)
 
     def hessian(self, x, y):
@@ -600,20 +594,30 @@ class GraphSurface:
         Steps are ``_HESSIAN_STEP_FACTOR * _FD_STEP * max(1, |x|)`` (and |y|);
         f_xy averages the two mixed differences, so the result is symmetric.
         """
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         grad = lambda a, b: np.stack(self.gradient(a, b))
-        (fxx, gy_x), (gx_y, fyy) = _partials(grad, x_arr, y_arr, _HESSIAN_STEP_FACTOR * _FD_STEP)
+        (fxx, gy_x), (gx_y, fyy) = _partials(grad, *_chart_arrays(x, y),
+                                             _HESSIAN_STEP_FACTOR * _FD_STEP)
         return _scalar(fxx, 0.5 * (gy_x + gx_y), fyy)
 
     def _jet(self, x, y):
-        """``gradient`` now and ``hessian`` on demand: (f_x, f_y, hessian_at(rows))."""
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        fx, fy = self.gradient(x_arr, y_arr)
+        """``gradient`` now and ``hessian`` on demand: (f_x, f_y, hessian_at(rows)).
+
+        x and y are float arrays of one shape, or one point's numpy scalars.
+        A supplied ``grad`` that returns fewer values than points (a constant,
+        say) is spread over the points' shape.
+        """
+        if self.grad is None:
+            fx, fy = _partials(self.f, x, y, _FD_STEP)
+        else:
+            fx, fy = self.grad(x, y)
+            if np.ndim(x):
+                fx = np.asarray(fx, dtype=float) * np.ones_like(x)
+                fy = np.asarray(fy, dtype=float) * np.ones_like(y)
 
         def hessian_at(rows=None):
             if rows is None:
-                return self.hessian(x_arr, y_arr)
-            return self.hessian(x_arr.compress(rows), y_arr.compress(rows))
+                return self.hessian(x, y)
+            return self.hessian(x.compress(rows), y.compress(rows))
 
         return fx, fy, hessian_at
 

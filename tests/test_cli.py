@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 import slopemetric
-from slopemetric import DerivativeBlowupWarning, convexity
-from slopemetric.cli import _rays_csv, main
+from slopemetric import DerivativeBlowupWarning, SlopeMetricError, convexity
+from slopemetric import cli
+from slopemetric.cli import _emit, _rays_csv, main
 from slopemetric.convexity import is_strongly_convex_at
-from slopemetric.geodesics import GeodesicPath
+from slopemetric.geodesics import GeodesicPath, wavefront
+from slopemetric.surfaces import surface_from_json
 
 PARAB = '{"kind": "paraboloid", "params": {"h": 100}}'
 PARAB_NEAR = '{"kind": "paraboloid", "params": {"h": 100}, "domain": [0, 1]}'
@@ -365,6 +368,77 @@ class TestFrontCommand:
         ])
         assert code == 3
 
+    def test_non_finite_rays_have_their_own_warning(self, capsys):
+        # at nav (1, 3) one step of 0.5 carries every ray past the convex disk
+        # (radius ~0.085) to a non-finite state
+        args = ["front", "--surface", PARAB, "--seed-point", "0.02,0", "--time", "0.5",
+                "--rays", "16", "--step", "0.5", "--nav", "1,3"]
+        code, _, err = run(capsys, args)
+        assert code == 0
+        assert err == "warning: 16 ray(s) turned non-finite within one step\n"
+        code, _, err = run(capsys, args + ["--strict"])
+        assert code == 3
+        assert err == "16 ray(s) turned non-finite within one step\n"
+
+
+class TestStreamedOutput:
+    """``front`` and ``geodesic`` stream their CSV: the same bytes, in bounded memory."""
+
+    @pytest.mark.parametrize("args", [
+        ["front", "--surface", PARAB, "--seed-point", "0.1,0.05", "--time", "0.1",
+         "--rays", "16", "--step", "0.002", "--fronts", "2"],
+        ["geodesic", "--surface", PARAB, "--start", "0.1,0", "--dir", "1,0.3",
+         "--length", "0.4", "--step", "0.001"],
+    ], ids=["front", "geodesic"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_out_file_match(self, capsys, tmp_path, args, fmt):
+        args = args + ["--format", fmt]
+        code, out, err = run(capsys, args)
+        target = tmp_path / "out.txt"
+        assert run(capsys, args + ["--out", str(target)]) == (code, "", err)
+        assert target.read_bytes() == out.encode()
+
+    def test_writer_peak_below_output_size(self, tmp_path):
+        # the benchmark's front: 256 rays for 0.3 at step 1e-3, ~4.7 MB of CSV
+        wf = wavefront(surface_from_json(PARAB), (0.12, 0.05), 0.3, n_rays=256, step=1e-3,
+                       n_fronts=3)
+        target = tmp_path / "front.csv"
+        tracemalloc.start()
+        try:
+            _emit(_rays_csv(wf.rays), str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < target.stat().st_size
+
+    def test_emit_takes_a_string_or_chunks(self, capsys, tmp_path):
+        _emit("one string\n", None)
+        _emit(iter(["a,", "b\n"]), None)
+        assert capsys.readouterr().out == "one string\na,b\n"
+        target = tmp_path / "t.txt"
+        _emit(["x", "y"], str(target))
+        assert target.read_text() == "xy"
+        _emit([], str(target))
+        assert target.read_text() == ""
+
+    def test_failed_run_leaves_out_file_as_it_was(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "front.csv"
+        target.write_text("earlier output\n")
+        # the seed lies outside the convex domain at nav (1, 6)
+        code, _, _ = run(capsys, ["front", "--surface", PARAB, "--seed-point", "0.1,0",
+                                  "--nav", "1,6", "--out", str(target)])
+        assert code == 3
+        # a failure while the first chunk is being made: --out is not opened yet
+        def fail(columns):
+            raise SlopeMetricError("no text")
+        monkeypatch.setattr(cli, "_distinct_text", fail)
+        for command in (["front", "--seed-point", "0.1,0", "--rays", "8", "--time", "0.01"],
+                        ["geodesic", "--start", "0.1,0", "--dir", "1,0", "--length", "0.01"]):
+            code, _, err = run(capsys, command + ["--surface", PARAB, "--step", "0.005",
+                                                  "--out", str(target)])
+            assert (code, err) == (3, "error: no text\n")
+        assert target.read_text() == "earlier output\n"
+
 
 class TestConfigAndDeterminism:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -409,7 +483,7 @@ class TestConfigAndDeterminism:
             for k in range(len(r.t)):
                 vals = (r.t[k], r.points[k, 0], r.points[k, 1], r.F_values[k])
                 reference.append(",".join([str(rid)] + [format(float(v), ".17g") for v in vals]))
-        assert _rays_csv(rays) == "\n".join(reference) + "\n"
+        assert "".join(_rays_csv(rays)) == "\n".join(reference) + "\n"
 
     def test_import_does_not_load_scipy(self):
         src = str(Path(slopemetric.__file__).resolve().parent.parent)

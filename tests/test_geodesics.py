@@ -275,7 +275,7 @@ class TestSurfaceReads:
         wf = wavefront(parab_surface, (0.02, 0.0), 0.5, n_rays=16, step=0.5,
                        nav=NavigationParams(1.0, 3.0))
         assert 0 in sizes
-        assert wf.statuses == ["left_convex_domain"] * 16
+        assert wf.statuses == ["non_finite_state"] * 16
         for ray in wf.rays:
             assert ray.t.tolist() == [0.0] and ray.points.tolist() == [[0.02, 0.0]]
         assert wf.fronts[0].ray_ids.size == 0
@@ -419,3 +419,16 @@ class TestWavefront:
             assert solo.status == ray.status
             assert solo.points.shape == ray.points.shape
             np.testing.assert_allclose(ray.points, solo.points, rtol=0, atol=1e-12)
+
+    def test_rays_share_no_writable_memory(self, parab_surface):
+        # the rays view rows of one ray-major table, of different lengths;
+        # each ray is filled with its own mark, which a shared cell would lose
+        wf = wavefront(parab_surface, (0.2, 0.05), total_time=0.1, n_rays=8, step=1e-3)
+        assert len({len(ray.t) for ray in wf.rays}) > 1
+        fields = ("t", "points", "velocities", "F_values")
+        for i, ray in enumerate(wf.rays):
+            for f in fields:
+                getattr(ray, f)[...] = -1.0 - i
+        for i, ray in enumerate(wf.rays):
+            for f in fields:
+                assert np.all(getattr(ray, f) == -1.0 - i)

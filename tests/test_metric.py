@@ -16,6 +16,7 @@ import slopemetric
 from slopemetric import (
     ApexSingularity,
     DegenerateDenominator,
+    DirectionOverflow,
     GraphSurface,
     NavigationParams,
     NoRoot,
@@ -186,7 +187,8 @@ class TestSlopeMetric:
 
 
 class TestTinyDirections:
-    """|d|^2 below the smallest normal double: both routes raise ZeroVector."""
+    """|d|^2 below the smallest normal double: both routes raise ZeroVector;
+    above the largest double: both raise DirectionOverflow."""
 
     TINY = [(1e-200, 0.0), (0.0, -1e-200), (1e-160, 1e-160), (5e-324, 0.0)]
     NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.0), NavigationParams(1.0, 0.4)]
@@ -212,9 +214,29 @@ class TestTinyDirections:
             with pytest.raises(ZeroVector, match="^direction must be nonzero$"):
                 route(PARAB, 0.3, 0.2, np.array([0.0, 0.0]))
 
-    @pytest.mark.parametrize("scale", [1e-150, 2.0 ** -511])
+    HUGE = [(1e200, 1.0), (0.0, -1e155), (1e154, 1e154), (-1.7e308, 0.0)]
+
+    @pytest.mark.parametrize("d", HUGE)
+    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_both_routes_raise_direction_overflow(self, d, nav):
+        # raised before any square is formed, so without an overflow warning
+        for route in (slope_metric_F, okubo_solve):
+            with pytest.raises(DirectionOverflow, match=r"\|d\|\^2 overflows"):
+                route(PARAB, 0.3, 0.2, np.array(d), nav)
+
+    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_batch_and_alpha_raise_direction_overflow(self, nav):
+        dirs = np.array([[1.0, 0.0], [1e200, 1.0], [0.6, -0.8]])
+        xs, ys = np.array([0.3, 0.1, -0.2]), np.array([0.2, 0.0, 0.1])
+        for x, y in ((0.3, 0.2), (xs, ys)):
+            with pytest.raises(DirectionOverflow, match="overflows"):
+                slope_metric_F(PARAB, x, y, dirs, nav)
+        with pytest.raises(DirectionOverflow, match="overflows"):
+            alpha(induced_metric(PARAB, 0.3, 0.2), (1e200, 1.0))
+
+    @pytest.mark.parametrize("scale", [1e-150, 2.0 ** -511, 1e150, 2.0 ** 510])
     def test_normal_range_keeps_its_digits(self, scale):
-        # |d|^2 >= 2**-1022: still F's full digits, by 1-homogeneity
+        # 2**-1022 <= |d|^2 < 2**1024: still F's full digits, by 1-homogeneity
         d = np.array([0.6, -0.8])
         F1 = slope_metric_F(PARAB, 0.3, 0.2, d)
         assert slope_metric_F(PARAB, 0.3, 0.2, scale * d) == pytest.approx(scale * F1, rel=1e-15)
