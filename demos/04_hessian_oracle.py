@@ -2,9 +2,11 @@
 
 The direction-dependent metric tensor g_ij (half the direction Hessian of
 F^2) must be positive definite exactly where the pointwise criterion
-|grad f|^2 < 1/3 says so.  The oracle sweeps a fan of directions plus the
-steepest-uphill angle and checks eigenvalue signs; verify_equivalence then
-tallies agreement across every route on random samples.
+|grad f|^2 < 1/3 says so.  fundamental_tensor gives g_ij in Chern & Shen's
+closed form.  The oracle forms it independently, by a finite-difference
+stencil of F^2, over a fan of directions plus the steepest-uphill angle and
+checks eigenvalue signs; verify_equivalence then tallies agreement across
+every route on random samples.
 """
 
 import math

@@ -20,7 +20,6 @@ from .errors import (
     OutOfDomain,
     OutOfRange,
     SlopeMetricError,
-    StencilOutOfCone,
     StepTooLarge,
     ZeroVector,
 )

@@ -41,10 +41,6 @@ class NoRoot(SlopeMetricError, ArithmeticError):
     """The implicit indicatrix equation has no positive root."""
 
 
-class StencilOutOfCone(SlopeMetricError, ArithmeticError):
-    """A finite-difference stencil node fell outside the metric's domain of definition."""
-
-
 class StepTooLarge(SlopeMetricError, RuntimeError):
     """Integration step produced conservation drift beyond 10x the tolerance."""
 

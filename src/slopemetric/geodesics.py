@@ -38,7 +38,7 @@ import numpy as np
 
 from .convexity import Verdict, _convex, _unit_directions, convexity_threshold, is_strongly_convex_at
 from .errors import OutOfDomain, StepTooLarge, ZeroVector
-from .metric import (NORMALIZED, NavigationParams, _F, _parts, _parts_quotient, induced_metric,
+from .metric import (NORMALIZED, NavigationParams, RiemannMetric2, _F, _parts, _parts_quotient,
                      slope_metric_F)
 from .surfaces import SurfaceSpec
 
@@ -413,14 +413,11 @@ def indicatrix(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
     if n < 8:
         raise ValueError("need at least 8 samples")
     dirs = _unit_directions(n)
-    F = slope_metric_F(surf, x, y, dirs, nav)
-    samples = dirs / F[:, None]
-    F_check = slope_metric_F(surf, x, y, samples, nav)
-    max_res = float(np.max(np.abs(F_check - 1.0)))
-
     fx, fy = surf.gradient(x, y)
+    samples = dirs / _F(fx, fy, dirs, nav)[:, None]
+    max_res = float(np.max(np.abs(_F(fx, fy, samples, nav) - 1.0)))
     q = fx * fx + fy * fy
-    a = induced_metric(surf, x, y)
+    a = RiemannMetric2(a11=1.0 + fx * fx, a12=fx * fy, a22=1.0 + fy * fy)  # induced_metric, no re-read
     if q > 0.0:
         e1 = -np.array([fx, fy]) / math.sqrt(q * (1.0 + q))
         e2 = np.array([fy, -fx]) / math.sqrt(q)

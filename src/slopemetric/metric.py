@@ -28,7 +28,6 @@ from .errors import (
     DegenerateDenominator,
     DirectionOverflow,
     NoRoot,
-    StencilOutOfCone,
     ZeroVector,
 )
 from .surfaces import SurfaceSpec, _scalar
@@ -94,7 +93,7 @@ class RiemannMetric2:
 
 @dataclass(frozen=True)
 class FundamentalTensor:
-    """Direction-dependent metric g_ij, half the direction-Hessian of F^2."""
+    """Direction-dependent metric g_ij = (1/2) d^2(F^2)/dy^i dy^j, in closed form."""
 
     g11: float
     g12: float
@@ -117,15 +116,6 @@ class FundamentalTensor:
         vx, vy = _split(tv)
         return _scalar(self.g11 * vx * vx + 2.0 * self.g12 * vx * vy + self.g22 * vy * vy)
 
-    def is_positive_definite(self) -> bool | None:
-        """True / False, or None when trace or det sits within +-1e-7 of zero."""
-        band = 1e-7
-        if self.trace > band and self.det > band:
-            return True
-        if self.trace < -band or self.det < -band:
-            return False
-        return None
-
 
 def _split(tv) -> tuple[np.ndarray, np.ndarray]:
     """The two components of directions (..., 2); numpy scalars for a single (2,) direction.
@@ -146,28 +136,35 @@ def _split(tv) -> tuple[np.ndarray, np.ndarray]:
 # their whole value, to underflow.
 _MIN_NORM = math.sqrt(np.finfo(float).tiny)
 # |d| above this means |d|^2 above the largest double: alpha^2 and F's
-# numerator overflow to inf, and F would come out NaN or inf.  (alpha^2 =
-# |d|^2 + beta^2 can still overflow within a factor sqrt(1 + |grad f|^2)
-# below it.)
+# numerator overflow to inf, and F would come out NaN or inf.
 _MAX_NORM = math.sqrt(np.finfo(float).max)
 
 
-def _require_nonzero(vx, vy):
+def _require_nonzero(vx, vy, fx=0.0, fy=0.0):
     """Raise ZeroVector where a direction is zero or its |d|^2 underflows,
-    DirectionOverflow where its |d|^2 overflows.
+    DirectionOverflow where its |d|^2, or its alpha^2 = |d|^2 + beta^2 at
+    gradient values fx, fy, overflows.
 
     np.hypot forms |d| without squaring the components, so the tests add no
     underflow or overflow of their own.  Floats and numpy scalars (one
-    direction) are tested without a reduction.
+    direction) are tested without a reduction.  alpha^2 <= |d|^2 (1 + |grad f|^2),
+    so alpha^2 is formed, without overflow warnings, only for directions
+    whose bound reaches half the largest double (or whose gradient is NaN).
     """
     norm = np.hypot(vx, vy)
-    short, long = norm < _MIN_NORM, norm > _MAX_NORM
+    short = norm < _MIN_NORM
+    fits = norm <= _MAX_NORM * (2.0 + 2.0 * (fx * fx + fy * fy)) ** -0.5
     if short if short.ndim == 0 else np.count_nonzero(short):
         if np.count_nonzero((vx == 0.0) & (vy == 0.0)):
             raise ZeroVector("direction must be nonzero")
         raise ZeroVector("direction too small: |d|^2 underflows below the smallest normal double")
-    if long if long.ndim == 0 else np.count_nonzero(long):
-        raise DirectionOverflow("direction too large: |d|^2 overflows above the largest double")
+    if not fits if fits.ndim == 0 else np.count_nonzero(fits) < fits.size:
+        if np.count_nonzero(norm > _MAX_NORM):
+            raise DirectionOverflow("direction too large: |d|^2 overflows above the largest double")
+        with np.errstate(over="ignore"):
+            if np.count_nonzero(np.isinf(_parts(fx, fy, vx, vy)[2])):
+                raise DirectionOverflow("direction too large: alpha^2 = |d|^2 + beta^2 overflows"
+                                        " above the largest double")
 
 
 def induced_metric(surf: SurfaceSpec, x, y) -> RiemannMetric2:
@@ -248,7 +245,7 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
 def _F(fx, fy, tv, nav: NavigationParams):
     """``slope_metric_F`` at gradient values, with its errors."""
     vx, vy = _split(tv)
-    _require_nonzero(vx, vy)
+    _require_nonzero(vx, vy, fx, fy)
     F = _quotient(fx, fy, vx, vy, nav)
     nan = np.isnan(F)  # one F is a numpy scalar, tested without a reduction
     if nan if nan.ndim == 0 else np.count_nonzero(nan):
@@ -295,13 +292,13 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     if d.shape != (2,):
         raise ValueError("okubo_solve expects a single direction of shape (2,)")
     dx, dy = d.tolist()
-    _require_nonzero(dx, dy)
+    fx, fy = surf.gradient(x, y)
+    _require_nonzero(dx, dy, fx, fy)
     # solve for the unit-Euclid direction; the root scales by 1-homogeneity.
     # d.dot(d) is np.linalg.norm's own sum of squares (BLAS, so not always
     # dx*dx + dy*dy to the last bit), without its argument handling
     scale = math.sqrt(d.dot(d))
     ux, uy = (d / scale).tolist()
-    fx, fy = surf.gradient(x, y)
     n2, b, a2 = _parts(fx, fy, ux, uy)
     if _denominator(n2, b, a2, nav)[0] <= 0.0:
         raise NoRoot("degenerate denominator: no positive root of the indicatrix equation")
@@ -344,10 +341,62 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     return 2.0 * scale / (lo + hi)
 
 
-# --- direction-Hessian stencils -------------------------------------------
+def _tensor(fx, fy, tv, nav: NavigationParams):
+    """g_ij at gradient values in closed form; raises what ``_F`` raises on tv.
 
-# center, +-e1, +-e2, and the four corners for the mixed term
+    Chern & Shen (*Riemann-Finsler Geometry*, 2005) for F = alpha*phi(s), s = beta/alpha:
+    g_ij = rho a_ij + rho0 f_i f_j + rho1 (f_i alpha_j + alpha_i f_j) + rho2 alpha_i alpha_j,
+    alpha_i = (y_i + f_i beta)/alpha, rho = phi (phi - s phi'), rho0 = phi phi'' + phi'^2,
+    rho1 = phi phi' - s rho0, rho2 = -s rho1.  phi = alpha/(v alpha - w beta) comes from
+    F's cancellation-free denominator; phi' = w phi^2, phi'' = 2 w^2 phi^3, so rho0 = 3 phi'^2.
+    """
+    vx, vy = _split(tv)
+    _require_nonzero(vx, vy, fx, fy)
+    n2, b, a2 = _parts(fx, fy, vx, vy)
+    denom, al = _denominator(n2, b, a2, nav)
+    if not np.all(denom > 0.0):
+        raise DegenerateDenominator("v*alpha - w*beta <= 0: slope term overwhelms the base speed")
+    phi, s = al / denom, b / al
+    dphi = nav.w * phi * phi
+    rho, rho0 = phi * (phi - s * dphi), 3.0 * dphi * dphi
+    rho1 = phi * dphi - s * rho0
+    rho2 = -s * rho1
+    ax, ay = (vx + fx * b) / al, (vy + fy * b) / al
+    g11 = rho * (1.0 + fx * fx) + rho0 * fx * fx + 2.0 * rho1 * fx * ax + rho2 * ax * ax
+    g12 = (rho + rho0) * fx * fy + rho1 * (fx * ay + ax * fy) + rho2 * ax * ay
+    g22 = rho * (1.0 + fy * fy) + rho0 * fy * fy + 2.0 * rho1 * fy * ay + rho2 * ay * ay
+    return g11, g12, g22
+
+
+def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams | None = None):
+    """g_ij for a batch of directions, shape (n, 2) -> three (n,) arrays.
+
+    x, y may be scalars (one chart point for the whole fan) or (n,) arrays pairing
+    each direction with its own point.  ``fundamental_tensor``'s closed form and errors.
+    """
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    return _tensor(*surf.gradient(x, y), dirs, nav or NORMALIZED)
+
+
+def fundamental_tensor(surf: SurfaceSpec, x, y, tv,
+                       nav: NavigationParams | None = None) -> FundamentalTensor:
+    """Half the direction-Hessian of F^2 at (point, direction), in Chern & Shen's closed form.
+
+    Symmetric, 0-homogeneous in tv, g_ij tv^i tv^j = F^2 up to rounding, and
+    positive definite exactly where F is strongly convex.  Raises what ``slope_metric_F`` does.
+    """
+    tv = np.asarray(tv, dtype=float)
+    if tv.shape != (2,):
+        raise ValueError("fundamental_tensor expects a single direction of shape (2,)")
+    g11, g12, g22 = _tensor(*surf.gradient(x, y), tv, nav or NORMALIZED)
+    return FundamentalTensor(g11=float(g11), g12=float(g12), g22=float(g22))
+
+
+# --- the oracle's direction-Hessian stencil --------------------------------
+
+# center, +-e1, +-e2, and the four corners for the mixed term; steps of _STEP * |dir|
 _OFFS2 = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+_STEP = 1e-4
 
 
 def _axis_terms(f, d, h):
@@ -360,11 +409,12 @@ def _axis_terms(f, d, h):
     return prod, sq
 
 
-def _direction_hessian(fx, fy, dirs, nav: NavigationParams, step: float = 1e-4):
+def _direction_hessian(fx, fy, dirs, nav: NavigationParams):
     """g_ij = half the direction-Hessian of F^2 at gradient values, by a 2nd-order stencil.
 
+    The Hessian oracle's route, kept apart from ``_tensor``'s closed form.
     fx, fy broadcast against the leading axes of the nonzero directions
-    ``dirs`` (..., 2); the step is ``step * |dir|``.  Each stencil offset
+    ``dirs`` (..., 2); the step is ``_STEP * |dir|``.  Each stencil offset
     component is -1, 0 or +1, so the nine nodes share three abscissae per
     axis: the 12 component products fx*x, fy*y, x*x and y*y are formed once,
     and each node's climb rate and |tv|^2 are sums of two of them, in the
@@ -373,7 +423,7 @@ def _direction_hessian(fx, fy, dirs, nav: NavigationParams, step: float = 1e-4):
     stencil leaves v*alpha - w*beta > 0 gets NaN entries.
     """
     dx, dy = _split(dirs)
-    h = step * np.linalg.norm(dirs, axis=-1)
+    h = _STEP * np.linalg.norm(dirs, axis=-1)
     bx, sx = _axis_terms(fx, dx, h)
     by, sy = _axis_terms(fy, dy, h)
     E = []
@@ -386,39 +436,3 @@ def _direction_hessian(fx, fy, dirs, nav: NavigationParams, step: float = 1e-4):
     g22 = (E[3] - 2.0 * E[0] + E[4]) / h2
     g12 = (E[5] - E[6] - E[7] + E[8]) / (4.0 * h2)
     return g11, g12, g22
-
-
-def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams | None = None,
-                  step: float = 1e-4):
-    """g_ij for a batch of directions, shape (n, 2) -> three (n,) arrays.
-
-    x, y may be scalars (one chart point for the whole fan) or (n,) arrays
-    pairing each direction with its own point.  The workhorse behind
-    ``fundamental_tensor``; raises StencilOutOfCone when a stencil node
-    leaves v*alpha - w*beta > 0.
-    """
-    nav = nav or NORMALIZED
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if dirs.shape[-1] != 2:
-        raise ValueError("directions must have shape (n, 2)")
-    if np.any(step * np.linalg.norm(dirs, axis=-1) == 0.0):
-        raise ZeroVector("direction must be nonzero")
-    g11, g12, g22 = _direction_hessian(*surf.gradient(x, y), dirs, nav, step)
-    if np.any(np.isnan(g11) | np.isnan(g12) | np.isnan(g22)):
-        raise StencilOutOfCone("difference stencil crossed v*alpha - w*beta <= 0")
-    return g11, g12, g22
-
-
-def fundamental_tensor(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None,
-                       step: float = 1e-4) -> FundamentalTensor:
-    """Half the direction-Hessian of F^2 at (point, direction), by central differences.
-
-    The step is relative (scaled by |tv|).  Symmetric by construction,
-    0-homogeneous in tv, and satisfies g_ij tv^i tv^j = F^2 up to the
-    truncation error of the stencil.
-    """
-    tv = np.asarray(tv, dtype=float)
-    if tv.shape != (2,):
-        raise ValueError("fundamental_tensor expects a single direction of shape (2,)")
-    g11, g12, g22 = hessian_field(surf, x, y, tv[None, :], nav, step=step)
-    return FundamentalTensor(g11=float(g11[0]), g12=float(g12[0]), g22=float(g22[0]))

@@ -40,6 +40,18 @@ def builtin_profiles():
     ]
 
 
+def builtin_windows():
+    """(label, profile, Okubo-check radii, Euler-identity radii): the acceptance windows."""
+    return [
+        ("paraboloid", paraboloid(100.0), (0.05, 4.75), (0.02, 0.28)),
+        ("cone", cone(0.5), (0.1, 4.9), (0.1, 4.9)),
+        ("ellipsoid", ellipsoid(1.0, 1.0), (0.05, 0.95), (0.02, 0.49)),
+        ("hyperboloid2", two_sheet_hyperboloid(0.5, 1.0), (0.05, 4.9), (0.05, 4.9)),
+        ("hyperboloid1", one_sheet_hyperboloid(0.5, 1.0), (1.2, 4.8), (2.05, 4.8)),
+        ("gaussian", gaussian_bump(), (0.05, 4.9), (0.05, 4.9)),
+    ]
+
+
 def interior_radii(profile, n=7):
     """A few radii safely inside the profile domain, away from edges."""
     lo, hi = profile.domain

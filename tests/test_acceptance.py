@@ -25,6 +25,7 @@ from slopemetric import (
     trig_condition,
 )
 from slopemetric.cli import main
+from conftest import builtin_windows
 
 PARAB_JSON = '{"kind": "paraboloid", "params": {"h": 100}}'
 
@@ -129,22 +130,9 @@ def test_criterion_6_equivalence_oracle_via_cli(capsys):
     print(f"criterion 6 PASS: 6 surfaces x 200 points, zero disagreements, {elapsed:.1f}s")
 
 
-def _builtin_windows():
-    from slopemetric import ellipsoid, two_sheet_hyperboloid
-
-    return [
-        ("paraboloid", paraboloid(100.0), (0.05, 4.75), (0.02, 0.28)),
-        ("cone", cone(0.5), (0.1, 4.9), (0.1, 4.9)),
-        ("ellipsoid", ellipsoid(1.0, 1.0), (0.05, 0.95), (0.02, 0.49)),
-        ("hyperboloid2", two_sheet_hyperboloid(0.5, 1.0), (0.05, 4.9), (0.05, 4.9)),
-        ("hyperboloid1", one_sheet_hyperboloid(0.5, 1.0), (1.2, 4.8), (2.05, 4.8)),
-        ("gaussian", gaussian_bump(), (0.05, 4.9), (0.05, 4.9)),
-    ]
-
-
 def test_criterion_7_okubo_consistency():
     worst_overall = 0.0
-    for label, profile, (s_lo, s_hi), _ in _builtin_windows():
+    for label, profile, (s_lo, s_hi), _ in builtin_windows():
         surf = SurfaceOfRevolution(profile)
         worst = 0.0
         for s in np.linspace(s_lo, s_hi, 10):
@@ -162,7 +150,7 @@ def test_criterion_7_okubo_consistency():
 
 def test_criterion_8_euler_identity():
     worst_overall = 0.0
-    for label, profile, _, (c_lo, c_hi) in _builtin_windows():
+    for label, profile, _, (c_lo, c_hi) in builtin_windows():
         surf = SurfaceOfRevolution(profile)
         rng = np.random.default_rng(17)
         worst = 0.0

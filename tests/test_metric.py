@@ -23,7 +23,6 @@ from slopemetric import (
     OutOfDomain,
     RiemannMetric2,
     SlopeMetricError,
-    StencilOutOfCone,
     SurfaceOfRevolution,
     ZeroVector,
     alpha,
@@ -44,7 +43,7 @@ from slopemetric import (
     surface_from_json,
 )
 from slopemetric import convexity, metric
-from conftest import builtin_profiles, interior_radii
+from conftest import builtin_profiles, builtin_windows, interior_radii
 
 # hand values at the paraboloid point (0.1, 0): alpha^2 = 1.04, beta = -0.2,
 # so F(+x) = 1.04/(sqrt(1.04)+0.2) and F(-x) = 1.04/(sqrt(1.04)-0.2)
@@ -214,25 +213,44 @@ class TestTinyDirections:
             with pytest.raises(ZeroVector, match="^direction must be nonzero$"):
                 route(PARAB, 0.3, 0.2, np.array([0.0, 0.0]))
 
-    HUGE = [(1e200, 1.0), (0.0, -1e155), (1e154, 1e154), (-1.7e308, 0.0)]
+    # the last three: |d|^2 is a double, alpha^2 = |d|^2 + beta^2 is not; the
+    # gradient at (0.3, 0.2) is (-0.6, -0.4), so beta^2 adds up to 52% of |d|^2
+    HUGE = [(1e200, 1.0), (0.0, -1e155), (1e154, 1e154), (-1.7e308, 0.0),
+            (1.3e154, 1.0), (0.0, 1.3e154), (-1.0e154, -0.6e154)]
 
     @pytest.mark.parametrize("d", HUGE)
     @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
     def test_both_routes_raise_direction_overflow(self, d, nav):
-        # raised before any square is formed, so without an overflow warning
-        for route in (slope_metric_F, okubo_solve):
-            with pytest.raises(DirectionOverflow, match=r"\|d\|\^2 overflows"):
+        # without an overflow warning, which the test configuration turns into an error
+        match = (r"\|d\|\^2 overflows" if math.hypot(*d) > metric._MAX_NORM
+                 else r"alpha\^2 = \|d\|\^2 \+ beta\^2 overflows")
+        for route in (slope_metric_F, okubo_solve, fundamental_tensor):
+            with pytest.raises(DirectionOverflow, match=match):
                 route(PARAB, 0.3, 0.2, np.array(d), nav)
 
+    @pytest.mark.parametrize("big", [(1e200, 1.0), (1.3e154, 1.0)])
     @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
-    def test_batch_and_alpha_raise_direction_overflow(self, nav):
-        dirs = np.array([[1.0, 0.0], [1e200, 1.0], [0.6, -0.8]])
+    def test_batch_and_alpha_raise_direction_overflow(self, big, nav):
+        dirs = np.array([big, [1.0, 0.0], [0.6, -0.8]])
         xs, ys = np.array([0.3, 0.1, -0.2]), np.array([0.2, 0.0, 0.1])
         for x, y in ((0.3, 0.2), (xs, ys)):
-            with pytest.raises(DirectionOverflow, match="overflows"):
-                slope_metric_F(PARAB, x, y, dirs, nav)
+            for route in (slope_metric_F, hessian_field):
+                with pytest.raises(DirectionOverflow, match="overflows"):
+                    route(PARAB, x, y, dirs, nav)
         with pytest.raises(DirectionOverflow, match="overflows"):
             alpha(induced_metric(PARAB, 0.3, 0.2), (1e200, 1.0))
+
+    @pytest.mark.parametrize("d", [(0.6, 0.8), (-0.6, -0.8)])
+    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_alpha_squared_just_below_the_largest_double(self, d, nav):
+        # alpha^2 is about 0.9 of the largest double (downhill, then uphill):
+        # past the cheap bound, so alpha^2 is formed and tested, and F keeps its digits
+        d = np.array(d)
+        big = 1.05e154 * d
+        assert 0.5 < metric._parts(-0.6, -0.4, *big)[2] / np.finfo(float).max < 1.0
+        F1 = slope_metric_F(PARAB, 0.3, 0.2, d, nav)
+        assert slope_metric_F(PARAB, 0.3, 0.2, big, nav) == pytest.approx(1.05e154 * F1, rel=1e-15)
+        assert okubo_solve(PARAB, 0.3, 0.2, big, nav) == pytest.approx(1.05e154 * F1, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-150, 2.0 ** -511, 1e150, 2.0 ** 510])
     def test_normal_range_keeps_its_digits(self, scale):
@@ -481,9 +499,8 @@ class TestOnePointMatchesBatch:
 
 class TestFundamentalTensor:
     def test_flat_identity(self, flat):
-        # F^2 is exactly quadratic on level ground; a wide stencil leaves
-        # only rounding, comfortably below the 1e-10 flat-limit tolerance
-        g = fundamental_tensor(flat, 0.5, -0.2, np.array([0.6, 0.8]), step=0.05)
+        # F is the Euclidean norm on level ground, so g_ij = delta_ij
+        g = fundamental_tensor(flat, 0.5, -0.2, np.array([0.6, 0.8]))
         assert g.g11 == pytest.approx(1.0, abs=1e-10)
         assert g.g22 == pytest.approx(1.0, abs=1e-10)
         assert g.g12 == pytest.approx(0.0, abs=1e-10)
@@ -518,17 +535,93 @@ class TestFundamentalTensor:
         assert g3.g12 == pytest.approx(g1.g12, abs=1e-6)
         assert g3.g22 == pytest.approx(g1.g22, abs=1e-6)
 
-    def test_stencil_out_of_cone(self, parab_surface):
-        # w at the critical ratio v*alpha/beta for the uphill direction puts
-        # the stencil center on the cone boundary
+    def test_degenerate_denominator_exactly_where_the_quotient_is_nan(self, parab_surface):
+        # w at the critical ratio v*alpha/beta = sqrt(1.04)/0.2 of the uphill
+        # direction at (0.1, 0): just below it F is defined, just above it is not
         w_crit = math.sqrt(1.04) / 0.2
-        nav = NavigationParams(v=1.0, w=w_crit * (1 + 1e-9))
-        with pytest.raises(StencilOutOfCone):
-            fundamental_tensor(parab_surface, 0.1, 0.0, np.array([-1.0, 0.0]), nav, step=1e-2)
+        tv = np.array([-1.0, 0.0])
+        fx, fy = parab_surface.gradient(0.1, 0.0)
+        nan = []
+        for factor in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0):
+            nav = NavigationParams(v=1.0, w=w_crit * factor)
+            nan.append(bool(np.isnan(metric._quotient(fx, fy, *tv, nav))))
+            if nan[-1]:
+                with pytest.raises(DegenerateDenominator):
+                    fundamental_tensor(parab_surface, 0.1, 0.0, tv, nav)
+            else:
+                assert math.isfinite(fundamental_tensor(parab_surface, 0.1, 0.0, tv, nav).det)
+        assert nan == [False, False, True, True]
 
-    def test_pd_verdict_band(self, flat):
-        g = fundamental_tensor(flat, 0.0, 0.0, np.array([1.0, 0.0]), step=0.05)
-        assert g.is_positive_definite() is True
+    CLOSED_FORM_NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.75),
+                        NavigationParams(1.0, 0.5)]
+
+    @pytest.mark.parametrize("nav", CLOSED_FORM_NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_agrees_with_the_oracle_stencil(self, nav):
+        # the stencil's truncation and rounding leave ~1e-6 of the pair's largest |g|
+        for profile in builtin_profiles():
+            surf, x, y, fx, fy, dirs = oracle_batch(profile)
+            want = np.stack(metric._direction_hessian(fx[:, None], fy[:, None], dirs, nav))
+            got = np.stack(hessian_field(surf, np.repeat(x, dirs.shape[1]),
+                                         np.repeat(y, dirs.shape[1]), dirs.reshape(-1, 2), nav))
+            got = got.reshape(want.shape)
+            assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-5, profile.kind
+
+    @staticmethod
+    def _window_samples():
+        """The acceptance suite's Euler-identity samples: 100 per builtin window."""
+        for _, profile, _, (c_lo, c_hi) in builtin_windows():
+            surf = SurfaceOfRevolution(profile)
+            rng = np.random.default_rng(17)
+            for _ in range(100):
+                s, tp = rng.uniform(c_lo, c_hi), rng.uniform(0, 2 * math.pi)
+                d = rng.normal(size=2)
+                while np.hypot(*d) < 0.1:
+                    d = rng.normal(size=2)
+                yield surf, s * math.cos(tp), s * math.sin(tp), d
+
+    def test_euler_identity_to_rounding(self):
+        worst = 0.0
+        for surf, x, y, d in self._window_samples():
+            F = slope_metric_F(surf, x, y, d)
+            worst = max(worst, abs(fundamental_tensor(surf, x, y, d).quad(d) - F * F) / (F * F))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("nav", CLOSED_FORM_NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_shen_determinant(self, nav):
+        # det g = phi^3 N / (v - w s)^3 det a, phi = 1/(v - w s),
+        # N = v^2 - 3 v w s + 2 w^2 b^2 with b^2 = q / (1 + q) (the spray's N)
+        v, w = nav.v, nav.w
+        worst = 0.0
+        for surf, x, y, d in self._window_samples():
+            fx, fy = surf.gradient(x, y)
+            q = fx * fx + fy * fy
+            s = beta(surf, x, y, d) / alpha(induced_metric(surf, x, y), d)
+            N = v * v - 3.0 * v * w * s + 2.0 * w * w * q / (1.0 + q)
+            want = N / (v - w * s) ** 6 * (1.0 + q)
+            worst = max(worst, abs(fundamental_tensor(surf, x, y, d, nav).det - want) / abs(want))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("v", [1.0, 2.0])
+    def test_riemannian_limit(self, v):
+        # w = 0: F = alpha / v, so g_ij = a_ij / v^2
+        nav = NavigationParams(v, 0.0)
+        for surf, x, y, d in self._window_samples():
+            g, a = fundamental_tensor(surf, x, y, d, nav), induced_metric(surf, x, y)
+            for gij, aij in ((g.g11, a.a11), (g.g12, a.a12), (g.g22, a.a22)):
+                assert gij == pytest.approx(aij / (v * v), rel=1e-15, abs=1e-15 * a.a11)
+
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_positive_definite_at_the_ellipsoid_rim(self, k):
+        # at nav (1, 0.5) the threshold is infinite, so the analytic route
+        # says convex up to the rim, where q = |grad f|^2 ~ 10^k / 2.  On the
+        # x axis the chart axes are a_ij's own axes; at a generic polar angle
+        # a_ij's condition number ~ q leaves the chart-frame g11 g22 - g12^2
+        # without its sign from k = 8 on (polar angle 0.7)
+        nav = NavigationParams(1.0, 0.5)
+        surf = SurfaceOfRevolution(ellipsoid(1.0, 1.0))
+        fan = convexity._unit_directions(64)
+        g11, g12, g22 = hessian_field(surf, 1.0 - 10.0 ** -k, 0.0, fan, nav)
+        assert np.all(g11 + g22 > 0.0) and np.all(g11 * g22 - g12 * g12 > 0.0)
 
 
 # the stencil's nodes as (..., 2) coordinates d + h*offset, one per offset,
@@ -578,22 +671,20 @@ class TestDirectionHessianStencil:
         # steep points leave the cone along their uphill stencil only when w > v
         assert (nan_rows > 0) == (nav.w > nav.v)
 
-    def test_hessian_field_raises_where_the_stencil_leaves_the_cone(self):
+    def test_hessian_field_raises_where_a_fan_direction_leaves_the_cone(self):
         nav = NavigationParams(1.0, 3.0)
         outcomes = set()
         for profile in builtin_profiles():
             surf, x, y, fx, fy, dirs = oracle_batch(profile)
-            want = nine_node_hessian(fx[:, None], fy[:, None], dirs, nav)
+            F = metric._quotient(fx[:, None], fy[:, None], dirs[..., 0], dirs[..., 1], nav)
             for i in range(x.size):
-                left = bool(np.isnan(want[0][i]).any() | np.isnan(want[1][i]).any()
-                            | np.isnan(want[2][i]).any())
+                left = bool(np.isnan(F[i]).any())
                 outcomes.add(left)
                 if left:
-                    with pytest.raises(StencilOutOfCone):
+                    with pytest.raises(DegenerateDenominator):
                         hessian_field(surf, x[i], y[i], dirs[i], nav)
                 else:
-                    got = hessian_field(surf, x[i], y[i], dirs[i], nav)
-                    assert [g.tobytes() for g in got] == [r[i].tobytes() for r in want]
+                    assert np.isfinite(hessian_field(surf, x[i], y[i], dirs[i], nav)).all()
         assert outcomes == {True, False}
 
 
