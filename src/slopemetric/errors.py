@@ -30,7 +30,7 @@ class ZeroVector(SlopeMetricError, ValueError):
 
 
 class DirectionOverflow(SlopeMetricError, OverflowError):
-    """A direction is too long for its squared length to be a finite double."""
+    """A direction, or the value computed from it, is not a finite double."""
 
 
 class DegenerateDenominator(SlopeMetricError, ArithmeticError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import Verdict, _convex, _unit_directions, convexity_threshold, is_strongly_convex_at
-from .errors import OutOfDomain, StepTooLarge, ZeroVector
+from .errors import OutOfDomain, StepTooLarge
 from .metric import (NORMALIZED, NavigationParams, RiemannMetric2, _F, _parts, _parts_quotient,
                      slope_metric_F)
 from .surfaces import SurfaceSpec
@@ -120,7 +120,8 @@ def _spray_accel(fx, fy, fxx, fxy, fyy, y1, y2, b, al, nav, out):
     N = v^2 - 3vws + 2w^2 b^2,  b^2 = q / (1 + q).  N has the sign of
     det g_ij, so rows with N <= 0 (or v - w*s <= 0, where F itself breaks
     down) come back NaN: the ray has slipped past the convexity boundary
-    between checks.
+    between checks.  Returns the mask of those rows, or None when there are
+    none.
     """
     q1 = 1.0 + fx * fx + fy * fy
     s = b / al
@@ -132,8 +133,10 @@ def _spray_accel(fx, fy, fxx, fxy, fyy, y1, y2, b, al, nav, out):
     np.multiply(-2.0, along_f * fy + along_y * y2, out=out[1])
     # a NaN in either test leaves its row NaN already
     bad = np.minimum(N, vn - wn * s) <= 0.0
-    if np.count_nonzero(bad):
-        out[:, bad] = np.nan
+    if not np.count_nonzero(bad):
+        return None
+    out[:, bad] = np.nan
+    return bad
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -151,14 +154,14 @@ def _spray_terms(N, q1, s, al, r00, vn, wn):
 def _accel_at(surf, state, nav, out=None):
     """Spray acceleration at states (x, y, xdot, ydot) stacked (4, n), from one jet read.
 
-    Returns (xddot, yddot) stacked (2, n), in ``out`` when given.
+    Returns (xddot, yddot) stacked (2, n), in ``out`` when given, and
+    ``_spray_accel``'s mask of NaN rows (None when there are none).
     """
     x, y, y1, y2 = state
     fx, fy, hessian_at = surf._jet(x, y)
     _, b, a2 = _parts(fx, fy, y1, y2)
     out = np.empty((2, state.shape[1])) if out is None else out
-    _spray_accel(fx, fy, *hessian_at(), y1, y2, b, np.sqrt(a2), nav, out)
-    return out
+    return out, _spray_accel(fx, fy, *hessian_at(), y1, y2, b, np.sqrt(a2), nav, out)
 
 
 def _node_F(fx, fy, y1, y2, nav):
@@ -201,7 +204,10 @@ def _integrate(surf, p0, v0, length, step, nav):
     per-ray copy is made; its t is its own copy of the time grid.  A ray
     whose state turns non-finite within a step stops with
     ``STATUS_NON_FINITE``, one that steps out of the convexity domain with
-    ``STATUS_LEFT_DOMAIN``.
+    ``STATUS_LEFT_DOMAIN``.  A ray whose spray is NaN at a stage (it has
+    slipped past the convexity boundary) runs the step's remaining stages
+    from its step-start state, so that no stage reads the surface at a NaN
+    position; its NaN spray still ends the step NaN.
     """
     if not (0 < length < math.inf and 0 < step < math.inf):
         raise ValueError("length and step must be positive")
@@ -231,11 +237,15 @@ def _integrate(surf, p0, v0, length, step, nav):
         # K[i] is the slope (xdot, ydot, xddot, yddot) of stage i
         K = np.empty((4,) + Y.shape)
         K[0, :2] = Y[2:]
-        _spray_accel(fx, fy, *hessian_at(kept), Y[2], Y[3], b, al, nav, K[0, 2:])
+        stalled = _spray_accel(fx, fy, *hessian_at(kept), Y[2], Y[3], b, al, nav, K[0, 2:])
         for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
             stage = Y + c * K[i - 1]
+            if stalled is not None:
+                stage[:, stalled] = Y[:, stalled]
             K[i, :2] = stage[2:]
-            _accel_at(surf, stage, nav, K[i, 2:])
+            bad = _accel_at(surf, stage, nav, K[i, 2:])[1]
+            if bad is not None:
+                stalled = bad if stalled is None else stalled | bad
         Y = Y + (h / 6.0) * (K[0] + 2 * K[1] + 2 * K[2] + K[3])
 
         finite, (Y, survivors) = _columns(np.isfinite(Y).all(axis=0), Y, live)
@@ -280,13 +290,12 @@ def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,
     time.  Integration stops early (status ``left_convex_domain``) if the
     path reaches the strong-convexity boundary, or (``non_finite_state``) if
     a step ends in a non-finite state; raises StepTooLarge when the
-    conserved F drifts more than 10x ``DRIFT_TOL`` per unit length.
+    conserved F drifts more than 10x ``DRIFT_TOL`` per unit length, and what
+    ``slope_metric_F`` raises on the direction.
     """
     nav = nav or NORMALIZED
     start = np.asarray(start, dtype=float).reshape(2)
     direction = np.asarray(direction, dtype=float).reshape(2)
-    if not np.any(direction):
-        raise ZeroVector("shooting direction must be nonzero")
     if is_strongly_convex_at(surf, start[0], start[1], nav) is not Verdict.CONVEX:
         raise OutOfDomain("start point is not strictly inside the strong-convexity domain")
     F0 = slope_metric_F(surf, start[0], start[1], direction, nav)

@@ -13,8 +13,13 @@ Python floats.
 
 Directions are array-likes with a trailing axis of length 2 and may be
 batched: every operation broadcasts over leading axes of the direction and
-of the chart coordinates.  All functions are pure; nothing here mutates
-shared state, so grid sweeps may fan out across threads freely.
+of the chart coordinates.  Every public entry checks its direction the same
+way: an exact zero raises ZeroVector, a NaN or infinite component
+DirectionOverflow.  Any other direction gets its value by homogeneity from an
+exact power-of-two prescale (``_direction``), so its size decides nothing;
+DirectionOverflow otherwise means that the value is not a finite double.
+All functions are pure; nothing here mutates shared state, so grid sweeps
+may fan out across threads freely.
 """
 
 from __future__ import annotations
@@ -24,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    DirectionOverflow,
-    NoRoot,
-    ZeroVector,
-)
+from .errors import DegenerateDenominator, DirectionOverflow, NoRoot, ZeroVector
 from .surfaces import SurfaceSpec, _scalar
 
 __all__ = [
@@ -82,8 +82,7 @@ class RiemannMetric2:
 
     def quad(self, tv) -> float:
         """Quadratic form a_ij tv^i tv^j."""
-        vx, vy = _split(tv)
-        return _scalar(self.a11 * vx * vx + 2.0 * self.a12 * vx * vy + self.a22 * vy * vy)
+        return _scalar(_quad(self.a11, self.a12, self.a22, *_split(tv)))
 
     def inner(self, u, t) -> float:
         ux, uy = _split(u)
@@ -113,58 +112,61 @@ class FundamentalTensor:
         return (mean - disc, mean + disc)
 
     def quad(self, tv) -> float:
-        vx, vy = _split(tv)
-        return _scalar(self.g11 * vx * vx + 2.0 * self.g12 * vx * vy + self.g22 * vy * vy)
+        return _scalar(_quad(self.g11, self.g12, self.g22, *_split(tv)))
 
 
-def _split(tv) -> tuple[np.ndarray, np.ndarray]:
-    """The two components of directions (..., 2); numpy scalars for a single (2,) direction.
+def _quad(m11, m12, m22, vx, vy):
+    """The quadratic form of the symmetric matrix [[m11, m12], [m12, m22]] at (vx, vy)."""
+    return m11 * vx * vx + 2.0 * m12 * vx * vy + m22 * vy * vy
 
-    Scalars keep a one-point call off numpy's per-call cost on 0-d arrays
-    while its arithmetic, and its floating-point warnings, stay numpy's.
-    """
+
+def _split(tv):
+    """The components of directions (..., 2); two Python floats, not 0-d arrays, for one (2,)."""
     arr = np.asarray(tv, dtype=float)
     if arr.shape[-1] != 2:
         raise ValueError("a tangent direction needs exactly 2 components on the last axis")
     if arr.ndim == 1:
-        return arr[0], arr[1]
+        return arr.tolist()
     return arr[..., 0], arr[..., 1]
 
 
-# |d| below this means |d|^2 below the smallest normal double (2**-1022): the
-# squares that alpha and F are built from have then lost their digits, or
-# their whole value, to underflow.
-_MIN_NORM = math.sqrt(np.finfo(float).tiny)
-# |d| above this means |d|^2 above the largest double: alpha^2 and F's
-# numerator overflow to inf, and F would come out NaN or inf.
-_MAX_NORM = math.sqrt(np.finfo(float).max)
+def _direction(tv):
+    """Checked components of directions (..., 2) times 2**-e, and e: 2**(e-1) <= max |d_i| < 2**e.
 
-
-def _require_nonzero(vx, vy, fx=0.0, fy=0.0):
-    """Raise ZeroVector where a direction is zero or its |d|^2 underflows,
-    DirectionOverflow where its |d|^2, or its alpha^2 = |d|^2 + beta^2 at
-    gradient values fx, fy, overflows.
-
-    np.hypot forms |d| without squaring the components, so the tests add no
-    underflow or overflow of their own.  Floats and numpy scalars (one
-    direction) are tested without a reduction.  alpha^2 <= |d|^2 (1 + |grad f|^2),
-    so alpha^2 is formed, without overflow warnings, only for directions
-    whose bound reaches half the largest double (or whose gradient is NaN).
+    No square of them over- or underflows.  One direction gives Python floats and an int.
     """
-    norm = np.hypot(vx, vy)
-    short = norm < _MIN_NORM
-    fits = norm <= _MAX_NORM * (2.0 + 2.0 * (fx * fx + fy * fy)) ** -0.5
-    if short if short.ndim == 0 else np.count_nonzero(short):
-        if np.count_nonzero((vx == 0.0) & (vy == 0.0)):
+    dx, dy = _split(tv)
+    if isinstance(dx, float):
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise DirectionOverflow("direction must be finite")
+        if dx == 0.0 and dy == 0.0:
             raise ZeroVector("direction must be nonzero")
-        raise ZeroVector("direction too small: |d|^2 underflows below the smallest normal double")
-    if not fits if fits.ndim == 0 else np.count_nonzero(fits) < fits.size:
-        if np.count_nonzero(norm > _MAX_NORM):
-            raise DirectionOverflow("direction too large: |d|^2 overflows above the largest double")
+        e = math.frexp(max(abs(dx), abs(dy)))[1]
+        return math.ldexp(dx, -e), math.ldexp(dy, -e), e
+    big = np.maximum(np.abs(dx), np.abs(dy))  # NaN where either component is NaN
+    if np.count_nonzero(np.isfinite(big)) < big.size:
+        raise DirectionOverflow("direction must be finite")
+    if np.count_nonzero(big) < big.size:
+        raise ZeroVector("direction must be nonzero")
+    e = np.frexp(big)[1]
+    return np.ldexp(dx, -e), np.ldexp(dy, -e), e
+
+
+def _times_pow2(value, e):
+    """value * 2**e, exactly; DirectionOverflow where that is not a finite double."""
+    if isinstance(value, np.ndarray):
         with np.errstate(over="ignore"):
-            if np.count_nonzero(np.isinf(_parts(fx, fy, vx, vy)[2])):
-                raise DirectionOverflow("direction too large: alpha^2 = |d|^2 + beta^2 overflows"
-                                        " above the largest double")
+            value = np.ldexp(value, e)
+        if np.count_nonzero(np.isfinite(value)) == value.size:
+            return value
+    else:
+        try:
+            value = math.ldexp(value, e)
+        except OverflowError:  # where np.ldexp returns inf
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise DirectionOverflow("the value at this direction is not a finite double")
 
 
 def induced_metric(surf: SurfaceSpec, x, y) -> RiemannMetric2:
@@ -175,15 +177,15 @@ def induced_metric(surf: SurfaceSpec, x, y) -> RiemannMetric2:
 
 def alpha(a: RiemannMetric2, tv):
     """Riemannian length sqrt(a_ij tv^i tv^j); 1-homogeneous and positive."""
-    vx, vy = _split(tv)
-    _require_nonzero(vx, vy)
-    return _scalar(np.sqrt(a.quad(tv)))
+    vx, vy, e = _direction(tv)
+    return _scalar(_times_pow2(np.sqrt(_quad(a.a11, a.a12, a.a22, vx, vy)), e))
 
 
 def beta(surf: SurfaceSpec, x, y, tv):
     """Climb rate f_x*xdot + f_y*ydot of a chart direction; linear in tv."""
-    _, b, _ = _parts(*surf.gradient(x, y), *_split(tv))
-    return _scalar(b)
+    fx, fy = surf.gradient(x, y)
+    vx, vy, e = _direction(tv)
+    return _scalar(_times_pow2(_parts(fx, fy, vx, vy)[1], e))
 
 
 def _parts(fx, fy, vx, vy):
@@ -235,8 +237,8 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
 
     Positive and 1-homogeneous in tv wherever v*alpha - w*beta > 0; on graph
     surfaces in normalized mode that holds for every nonzero tv because
-    |beta| < alpha always.  Raises ZeroVector / DirectionOverflow /
-    DegenerateDenominator.
+    |beta| < alpha always.  Raises ZeroVector / DirectionOverflow (see the
+    module docstring) / DegenerateDenominator.
     """
     nav = nav or NORMALIZED
     return _scalar(_F(*surf.gradient(x, y), tv, nav))
@@ -244,15 +246,12 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
 
 def _F(fx, fy, tv, nav: NavigationParams):
     """``slope_metric_F`` at gradient values, with its errors."""
-    vx, vy = _split(tv)
-    _require_nonzero(vx, vy, fx, fy)
+    vx, vy, e = _direction(tv)
     F = _quotient(fx, fy, vx, vy, nav)
     nan = np.isnan(F)  # one F is a numpy scalar, tested without a reduction
     if nan if nan.ndim == 0 else np.count_nonzero(nan):
-        raise DegenerateDenominator(
-            "v*alpha - w*beta <= 0: slope term overwhelms the base speed"
-        )
-    return F
+        raise DegenerateDenominator("v*alpha - w*beta <= 0: slope term overwhelms the base speed")
+    return _times_pow2(F, e)
 
 
 def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
@@ -261,10 +260,15 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     h(tv) = |tv|^2 + beta^2 - v*sqrt(|tv|^2 + beta^2) + w*beta, i.e.
     alpha^2 - v*alpha + w*beta.  Scaling any direction by 1/F lands on the
     zero set, which in the steepest-descent frame is the limacon
-    r = v + w*sin(incline)*cos(theta).
+    r = v + w*sin(incline)*cos(theta).  h is not homogeneous: it is evaluated
+    on tv itself, after the direction check.
     """
     nav = nav or NORMALIZED
-    return _scalar(_limacon(*surf.gradient(x, y), *_split(tv), nav))
+    fx, fy = surf.gradient(x, y)
+    _direction(tv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _limacon(fx, fy, *_split(tv), nav)
+    return _scalar(_times_pow2(h, 0))  # DirectionOverflow where h is not a finite double
 
 
 def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None = None) -> float:
@@ -276,29 +280,25 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     touches the closed-form quotient, so it independently cross-checks
     ``slope_metric_F``.  Reads the surface once; raises NoRoot exactly where
     the quotient's denominator test raises DegenerateDenominator, and
-    ZeroVector and DirectionOverflow on the directions it raises them on.
+    ZeroVector and DirectionOverflow where it raises them.
 
-    After that one read and the denominator test, both loops run on Python
-    floats: ``_limacon`` takes the direction's two components, so each
-    iteration costs its arithmetic, not numpy's per-call overhead on 0-d
-    arrays.  h(lam) stays the limacon evaluated at lam * direction through
-    alpha, beta and alpha^2, and is deliberately not collapsed to the
-    quadratic lam^2*alpha^2 - lam*(v*alpha - w*beta): that quadratic's root
-    is the closed-form quotient itself, and the check would stop being
-    independent.
+    Both loops run on Python floats.  h(lam) stays the limacon evaluated at
+    lam * direction through alpha, beta and alpha^2, and is deliberately not
+    collapsed to the quadratic lam^2*alpha^2 - lam*(v*alpha - w*beta): that
+    quadratic's root is the closed-form quotient itself, and the check would
+    stop being independent.
     """
     nav = nav or NORMALIZED
     d = np.asarray(direction, dtype=float)
     if d.shape != (2,):
         raise ValueError("okubo_solve expects a single direction of shape (2,)")
-    dx, dy = d.tolist()
     fx, fy = surf.gradient(x, y)
-    _require_nonzero(dx, dy, fx, fy)
-    # solve for the unit-Euclid direction; the root scales by 1-homogeneity.
-    # d.dot(d) is np.linalg.norm's own sum of squares (BLAS, so not always
-    # dx*dx + dy*dy to the last bit), without its argument handling
+    dx, dy, e = _direction(d)
+    # solve for the unit-Euclid direction; the root scales by 1-homogeneity.  The BLAS
+    # dot is np.linalg.norm's sum of squares, not always dx*dx + dy*dy to the last bit
+    d = np.array((dx, dy))
     scale = math.sqrt(d.dot(d))
-    ux, uy = (d / scale).tolist()
+    ux, uy = dx / scale, dy / scale
     n2, b, a2 = _parts(fx, fy, ux, uy)
     if _denominator(n2, b, a2, nav)[0] <= 0.0:
         raise NoRoot("degenerate denominator: no positive root of the indicatrix equation")
@@ -324,7 +324,7 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
             break
         lam = nxt
         if abs(fl) <= tol and abs(step_nwt) <= 1e-13 * lam:
-            return scale / lam
+            return _times_pow2(scale / lam, e)
 
     lo, hi = 1e-12, 1e6
     if not (f(lo) < 0.0 < f(hi)):
@@ -333,12 +333,12 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if (hi - lo) <= 1e-14 * mid and abs(fm) <= tol:
-            return scale / mid
+            return _times_pow2(scale / mid, e)
         if fm < 0.0:
             lo = mid
         else:
             hi = mid
-    return 2.0 * scale / (lo + hi)
+    return _times_pow2(2.0 * scale / (lo + hi), e)
 
 
 def _tensor(fx, fy, tv, nav: NavigationParams):
@@ -350,8 +350,7 @@ def _tensor(fx, fy, tv, nav: NavigationParams):
     rho1 = phi phi' - s rho0, rho2 = -s rho1.  phi = alpha/(v alpha - w beta) comes from
     F's cancellation-free denominator; phi' = w phi^2, phi'' = 2 w^2 phi^3, so rho0 = 3 phi'^2.
     """
-    vx, vy = _split(tv)
-    _require_nonzero(vx, vy, fx, fy)
+    vx, vy, _ = _direction(tv)
     n2, b, a2 = _parts(fx, fy, vx, vy)
     denom, al = _denominator(n2, b, a2, nav)
     if not np.all(denom > 0.0):

@@ -278,6 +278,14 @@ def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
         raise OutOfDomain(f"s={float(worst)!r} outside profile domain [{lo}, {hi})")
 
 
+def _check_finite_point(x, y) -> None:
+    """Raise OutOfDomain where a chart point has a NaN or infinite coordinate, as radii do."""
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not (finite if finite.ndim == 0 else np.count_nonzero(finite) == finite.size):
+        bx, by = (float(np.asarray(a)[~finite].flat[0]) for a in (x, y))
+        raise OutOfDomain(f"point ({bx!r}, {by!r}) is not finite")
+
+
 def eval_profile(p: ProfileCurve, s):
     """Profile height phi(s).  Scalar in, float out; array in, array out."""
     s_arr = np.asarray(s, dtype=float)
@@ -582,6 +590,7 @@ class GraphSurface:
 
     def height(self, x, y):
         x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        _check_finite_point(x_arr, y_arr)
         return _scalar(np.asarray(self.f(x_arr, y_arr), dtype=float))
 
     def gradient(self, x, y):
@@ -594,9 +603,10 @@ class GraphSurface:
         Steps are ``_HESSIAN_STEP_FACTOR * _FD_STEP * max(1, |x|)`` (and |y|);
         f_xy averages the two mixed differences, so the result is symmetric.
         """
+        x, y = _chart_arrays(x, y)
+        _check_finite_point(x, y)  # before the stencil's nodes name a shifted point
         grad = lambda a, b: np.stack(self.gradient(a, b))
-        (fxx, gy_x), (gx_y, fyy) = _partials(grad, *_chart_arrays(x, y),
-                                             _HESSIAN_STEP_FACTOR * _FD_STEP)
+        (fxx, gy_x), (gx_y, fyy) = _partials(grad, x, y, _HESSIAN_STEP_FACTOR * _FD_STEP)
         return _scalar(fxx, 0.5 * (gy_x + gx_y), fyy)
 
     def _jet(self, x, y):
@@ -604,8 +614,10 @@ class GraphSurface:
 
         x and y are float arrays of one shape, or one point's numpy scalars.
         A supplied ``grad`` that returns fewer values than points (a constant,
-        say) is spread over the points' shape.
+        say) is spread over the points' shape.  A NaN or infinite point raises
+        OutOfDomain.
         """
+        _check_finite_point(x, y)
         if self.grad is None:
             fx, fy = _partials(self.f, x, y, _FD_STEP)
         else:

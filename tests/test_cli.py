@@ -381,6 +381,28 @@ class TestFrontCommand:
         assert err == "16 ray(s) turned non-finite within one step\n"
 
 
+# a bowl: a ray that climbs past the convexity edge gets a NaN spray at RK4
+# stage 2 or 3, and the next stage used to read the surface at a NaN position,
+# which aborted the whole batch with "s=nan outside profile domain"
+BOWL = '{"kind": "hyperboloid2", "params": {"a": 1, "b": 1}}'
+
+
+class TestMidStepNaN:
+    @pytest.mark.parametrize("args, subject", [
+        (["front", "--surface", BOWL, "--seed-point", "0.65,0", "--time", "1",
+          "--rays", "16", "--step", "0.02"], "1 ray(s)"),
+        (["geodesic", "--surface", BOWL, "--start", "0.6,0", "--dir", "1,0",
+          "--length", "1", "--step", "0.1"], "geodesic"),
+    ], ids=["front", "geodesic"])
+    def test_ray_ends_non_finite_and_the_run_returns(self, capsys, args, subject):
+        code, out, err = run(capsys, args)
+        assert code == 0 and out
+        assert f"warning: {subject} turned non-finite within one step\n" in err
+        code, _, err = run(capsys, args + ["--strict"])
+        assert code == 3
+        assert f"{subject} turned non-finite within one step\n" in err
+
+
 class TestStreamedOutput:
     """``front`` and ``geodesic`` stream their CSV: the same bytes, in bounded memory."""
 

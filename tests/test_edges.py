@@ -1,0 +1,136 @@
+"""The edge matrix: every public metric and convexity entry at degenerate points and directions.
+
+Each case gives a finite value or a SlopeMetricError.  The suite's
+``error::RuntimeWarning`` filter turns a numpy warning into a test failure,
+so each case is a no-warning check as well.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from slopemetric import (
+    DegenerateDenominator,
+    DirectionOverflow,
+    FundamentalTensor,
+    NavigationParams,
+    OutOfDomain,
+    SlopeMetricError,
+    SurfaceOfRevolution,
+    Verdict,
+    ZeroVector,
+    alpha,
+    beta,
+    flat_surface,
+    fundamental_tensor,
+    hessian_field,
+    indicatrix,
+    induced_metric,
+    is_strongly_convex_at,
+    limacon_h,
+    okubo_solve,
+    pd_oracle,
+    slope_metric_F,
+)
+from conftest import builtin_profiles
+
+SURFACES = [SurfaceOfRevolution(p) for p in builtin_profiles()] + [flat_surface()]
+
+# the ellipsoid(1, 1) rim and the hyperboloid1(0.5, 1) waist both lie at radius 1
+POINTS = {
+    "axis": (0.0, 0.0),
+    "nan": (math.nan, 0.2),
+    "inf": (math.inf, 0.0),
+    "rim": (math.nextafter(1.0, 0.0), 0.0),
+    "outside": (2.0, -1.5),
+    "waist": (1.0, 0.0),
+}
+
+DIRECTIONS = {
+    "zero": (0.0, 0.0),
+    "nan": (math.nan, 1.0),
+    "inf": (0.0, -math.inf),
+    "tiny": (5e-324, -5e-324),
+    "huge": (-1.7e308, 1.7e308),
+}
+
+NAVS = [NavigationParams(1.0, 1.0), NavigationParams(2.0, 1.0), NavigationParams(1.0, 3.0)]
+
+
+def _metric_entries(surf, x, y, d, nav):
+    """Each public metric entry at one point and direction, one-point and (1,)-batch forms."""
+    X, Y, D = np.array([x]), np.array([y]), np.array([d])
+    return {
+        "alpha": lambda: alpha(induced_metric(surf, x, y), d),
+        "beta": lambda: beta(surf, x, y, d),
+        "beta batch": lambda: beta(surf, X, Y, D),
+        "slope_metric_F": lambda: slope_metric_F(surf, x, y, d, nav),
+        "slope_metric_F batch": lambda: slope_metric_F(surf, X, Y, D, nav),
+        "limacon_h": lambda: limacon_h(surf, x, y, d, nav),
+        "limacon_h batch": lambda: limacon_h(surf, X, Y, D, nav),
+        "okubo_solve": lambda: okubo_solve(surf, x, y, np.array(d), nav),
+        "fundamental_tensor": lambda: fundamental_tensor(surf, x, y, d, nav),
+        "hessian_field": lambda: hessian_field(surf, x, y, D, nav),
+    }
+
+
+def _outcome(call):
+    """The SlopeMetricError type a call raises, or None after checking its value is finite."""
+    try:
+        value = call()
+    except SlopeMetricError as exc:
+        return type(exc)
+    if isinstance(value, FundamentalTensor):
+        value = (value.g11, value.g12, value.g22)
+    assert np.isfinite(np.asarray(value, dtype=float)).all(), value
+    return None
+
+
+def _point_error(surf, x, y):
+    """The error the point's surface read raises, or None; every entry reads the point first."""
+    try:
+        surf.gradient(x, y)
+    except SlopeMetricError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+@pytest.mark.parametrize("surf", SURFACES, ids=lambda s: s.kind)
+class TestEdgeMatrix:
+    def test_metric_entries(self, surf, nav):
+        for (x, y) in POINTS.values():
+            point_error = _point_error(surf, x, y)
+            for name, d in DIRECTIONS.items():
+                for entry, call in _metric_entries(surf, x, y, d, nav).items():
+                    got = _outcome(call)
+                    case = (entry, (x, y), name)
+                    if point_error is not None:
+                        assert got is point_error, case
+                    elif name == "zero":
+                        assert got is ZeroVector, case
+                    elif name in ("nan", "inf"):
+                        assert got is DirectionOverflow, case
+
+    def test_point_entries(self, surf, nav):
+        # the convexity verdicts, and the indicatrix, which samples F over a fan
+        for (x, y) in POINTS.values():
+            point_error = _point_error(surf, x, y)
+            for call in (lambda: is_strongly_convex_at(surf, x, y, nav),
+                         lambda: pd_oracle(surf, x, y, nav)):
+                try:
+                    verdict = call()
+                except SlopeMetricError as exc:
+                    assert type(exc) is point_error, (x, y)
+                else:
+                    assert point_error is None and isinstance(verdict, (Verdict, bool)), (x, y)
+            got = _outcome(lambda: indicatrix(surf, x, y, nav, n=16).samples)
+            if point_error is not None:
+                assert got is point_error, (x, y)
+            else:
+                assert got in (None, DegenerateDenominator), (x, y)
+
+    def test_non_finite_points_are_out_of_domain(self, surf, nav):
+        for x, y in (POINTS["nan"], POINTS["inf"], (0.3, -math.inf)):
+            assert _point_error(surf, x, y) is OutOfDomain

@@ -25,6 +25,7 @@ from slopemetric import (
     paraboloid,
     profile_from_table,
     slope_metric_F,
+    two_sheet_hyperboloid,
     wavefront,
 )
 import slopemetric
@@ -202,7 +203,7 @@ class TestSpray:
         th, ph = rng.uniform(0, 2 * math.pi, (2, n))
         p = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         v = rng.uniform(0.5, 2.0, n)[:, None] * np.stack([np.cos(ph), np.sin(ph)], axis=-1)
-        spray = _accel_at(surf, np.vstack([p.T, v.T]), nav).T
+        spray = _accel_at(surf, np.vstack([p.T, v.T]), nav)[0].T
         oracle = stencil_accel(surf, p, v, nav)
         err = np.linalg.norm(spray - oracle, axis=-1)
         assert np.max(err) <= 1e-7 * np.max(np.linalg.norm(oracle, axis=-1))
@@ -210,11 +211,12 @@ class TestSpray:
     def test_flat_ground_has_no_force(self, flat):
         p = np.array([[0.3, -0.2], [1.0, 2.0]])
         v = np.array([[1.0, 0.5], [-0.2, 0.9]])
-        assert np.all(_accel_at(flat, np.vstack([p.T, v.T]), NavigationParams()) == 0.0)
+        assert np.all(_accel_at(flat, np.vstack([p.T, v.T]), NavigationParams())[0] == 0.0)
 
     def test_past_convexity_is_nan(self, parab_surface):
         # q = 4 s^2 = 0.64 > 1/3: det g_ij <= 0 for the uphill direction
-        acc = _accel_at(parab_surface, np.array([[0.4], [0.0], [-1.0], [0.0]]), NavigationParams())
+        state = np.array([[0.4], [0.0], [-1.0], [0.0]])
+        acc, _ = _accel_at(parab_surface, state, NavigationParams())
         assert np.all(np.isnan(acc))
 
 
@@ -279,6 +281,18 @@ class TestSurfaceReads:
         for ray in wf.rays:
             assert ray.t.tolist() == [0.0] and ray.points.tolist() == [[0.02, 0.0]]
         assert wf.fronts[0].ray_ids.size == 0
+
+    def test_mid_step_nan_spray_ends_only_its_ray(self):
+        # on a bowl, the ray that climbs past the convexity edge gets a NaN
+        # spray at stage 2 or 3; it ends non-finite and the batch returns
+        surf = SurfaceOfRevolution(two_sheet_hyperboloid(1.0, 1.0))
+        wf = wavefront(surf, (0.65, 0.0), 1.0, n_rays=16, step=0.02)
+        assert wf.statuses.count("non_finite_state") == 1
+        for ray in wf.rays:
+            assert np.isfinite(ray.points).all() and np.isfinite(ray.F_values).all()
+        # the stalled ray's last node is the last one accepted
+        path = geodesic_shoot(surf, (0.6, 0.0), (1.0, 0.0), 1.0, step=0.1)
+        assert path.status == "non_finite_state" and len(path.t) > 1
 
 
 class TestIndicatrix:

@@ -186,65 +186,119 @@ class TestSlopeMetric:
 
 
 class TestTinyDirections:
-    """|d|^2 below the smallest normal double: both routes raise ZeroVector;
-    above the largest double: both raise DirectionOverflow."""
+    """F is 1-homogeneous and g_ij 0-homogeneous: a direction's size decides
+    nothing but the size of F, down to subnormal and up to the largest doubles."""
 
-    TINY = [(1e-200, 0.0), (0.0, -1e-200), (1e-160, 1e-160), (5e-324, 0.0)]
-    NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.0), NavigationParams(1.0, 0.4)]
+    NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.0), NavigationParams(1.0, 0.4),
+            NavigationParams(2.0, 1.0)]
 
-    @pytest.mark.parametrize("d", TINY)
+    @staticmethod
+    def _window_samples(nav):
+        """Points of both acceptance windows of every builtin, each with a direction F takes."""
+        rng = np.random.default_rng(23)
+        for _, profile, okubo_radii, euler_radii in builtin_windows():
+            surf = SurfaceOfRevolution(profile)
+            for lo, hi in (okubo_radii, euler_radii):
+                for _ in range(6):
+                    s, (tp, td) = rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi, 2)
+                    x, y = s * math.cos(tp), s * math.sin(tp)
+                    d = np.array([math.cos(td), math.sin(td)])
+                    try:
+                        slope_metric_F(surf, x, y, d, nav)
+                    except DegenerateDenominator:
+                        continue
+                    yield surf, x, y, d * rng.uniform(0.1, 3.0)
+
+    @pytest.mark.parametrize("k", [-1000, -511, 510, 1000])
     @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
-    def test_both_routes_raise_zero_vector(self, d, nav):
-        # at nav (1, 0) F = alpha/v and nothing is degenerate: only the
-        # underflowed |d|^2 stands in the way of a value
-        for route in (slope_metric_F, okubo_solve):
-            with pytest.raises(ZeroVector, match=r"\|d\|\^2 underflows"):
-                route(PARAB, 0.3, 0.2, np.array(d), nav)
+    def test_power_of_two_scaling_is_exact(self, k, nav):
+        n = 0
+        for surf, x, y, d in self._window_samples(nav):
+            big = np.ldexp(d, k)
+            for route in (slope_metric_F, okubo_solve):
+                assert route(surf, x, y, big, nav) == math.ldexp(route(surf, x, y, d, nav), k)
+            assert fundamental_tensor(surf, x, y, big, nav) == fundamental_tensor(surf, x, y, d, nav)
+            n += 1
+        assert n >= 40
 
-    def test_batch_and_alpha_raise_too(self):
-        dirs = np.array([[1.0, 0.0], [1e-200, 0.0]])
-        with pytest.raises(ZeroVector, match="underflows"):
-            slope_metric_F(PARAB, 0.3, 0.2, dirs)
-        with pytest.raises(ZeroVector, match="underflows"):
-            alpha(induced_metric(PARAB, 0.3, 0.2), (1e-160, 1e-160))
+    @pytest.mark.parametrize("d", [(5e-324, 0.0), (0.0, -1e-320), (1e-200, 1e-200), (1e200, 1.0),
+                                   (1.3e154, 1.0), (-1.0e154, -0.6e154), (1.7e308, 1.7e308)])
+    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_both_routes_give_the_value_by_homogeneity(self, d, nav):
+        # c * F(d / c) in Python floats, which overflow to inf without a warning
+        c = max(abs(d[0]), abs(d[1]))
+        want = c * slope_metric_F(PARAB, 0.3, 0.2, np.array(d) / c, nav)
+        assert math.isfinite(fundamental_tensor(PARAB, 0.3, 0.2, np.array(d), nav).det)
+        for route in (slope_metric_F, okubo_solve):
+            if math.isinf(want):
+                with pytest.raises(DirectionOverflow, match="not a finite double"):
+                    route(PARAB, 0.3, 0.2, np.array(d), nav)
+            else:
+                assert route(PARAB, 0.3, 0.2, np.array(d), nav) == pytest.approx(want, rel=1e-12,
+                                                                                 abs=1e-323)
+
+    def test_batch_and_alpha(self):
+        dirs = np.array([[1e200, 1.0], [5e-324, 0.0], [0.6, -0.8]])
+        F = slope_metric_F(PARAB, 0.3, 0.2, dirs)
+        assert F.tolist() == [slope_metric_F(PARAB, 0.3, 0.2, d) for d in dirs]
+        xs, ys = np.array([0.3, 0.1, -0.2]), np.array([0.2, 0.0, 0.1])
+        for route in (slope_metric_F, hessian_field):
+            assert np.isfinite(route(PARAB, xs, ys, dirs)).all()
+        a = induced_metric(PARAB, 0.3, 0.2)
+        assert alpha(a, (1e200, 1.0)) == pytest.approx(1e200 * math.sqrt(a.a11), rel=1e-15)
 
     def test_zero_direction_message(self):
-        for route in (slope_metric_F, okubo_solve):
+        for route in (slope_metric_F, okubo_solve, fundamental_tensor, limacon_h,
+                      lambda *a: beta(*a[:4])):
             with pytest.raises(ZeroVector, match="^direction must be nonzero$"):
                 route(PARAB, 0.3, 0.2, np.array([0.0, 0.0]))
 
-    # the last three: |d|^2 is a double, alpha^2 = |d|^2 + beta^2 is not; the
-    # gradient at (0.3, 0.2) is (-0.6, -0.4), so beta^2 adds up to 52% of |d|^2
-    HUGE = [(1e200, 1.0), (0.0, -1e155), (1e154, 1e154), (-1.7e308, 0.0),
-            (1.3e154, 1.0), (0.0, 1.3e154), (-1.0e154, -0.6e154)]
+    @pytest.mark.parametrize("d", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_components_raise_direction_overflow(self, d):
+        for route in (slope_metric_F, okubo_solve, fundamental_tensor, limacon_h,
+                      lambda *a: beta(*a[:4])):
+            with pytest.raises(DirectionOverflow, match="^direction must be finite$"):
+                route(PARAB, 0.3, 0.2, np.array(d))
+        for route in (slope_metric_F, hessian_field, limacon_h):
+            with pytest.raises(DirectionOverflow, match="^direction must be finite$"):
+                route(PARAB, 0.3, 0.2, np.array([[1.0, 0.0], d]))
+        with pytest.raises(DirectionOverflow, match="^direction must be finite$"):
+            alpha(induced_metric(PARAB, 0.3, 0.2), d)
 
-    @pytest.mark.parametrize("d", HUGE)
-    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
-    def test_both_routes_raise_direction_overflow(self, d, nav):
-        # without an overflow warning, which the test configuration turns into an error
-        match = (r"\|d\|\^2 overflows" if math.hypot(*d) > metric._MAX_NORM
-                 else r"alpha\^2 = \|d\|\^2 \+ beta\^2 overflows")
-        for route in (slope_metric_F, okubo_solve, fundamental_tensor):
-            with pytest.raises(DirectionOverflow, match=match):
-                route(PARAB, 0.3, 0.2, np.array(d), nav)
+    @pytest.mark.parametrize("nav", NAVS[:3], ids=lambda n: f"nav{n.v:g},{n.w:g}")
+    def test_uphill_F_past_the_largest_double_raises(self, nav):
+        # uphill at v = 1, F is more than |d|: at |d| = 1.7e308 it is not a finite double
+        d = np.array([-1.7e308, 0.0])
+        for route in (slope_metric_F, okubo_solve):
+            with pytest.raises(DirectionOverflow, match="not a finite double"):
+                route(PARAB, 0.3, 0.2, d, nav)
+        with pytest.raises(DirectionOverflow, match="not a finite double"):
+            slope_metric_F(PARAB, 0.3, 0.2, np.array([[1.0, 0.0], d]), nav)
+        # g_ij is 0-homogeneous: the same direction has its tensor
+        g = fundamental_tensor(PARAB, 0.3, 0.2, d, nav)
+        assert g == fundamental_tensor(PARAB, 0.3, 0.2, np.ldexp(d, -1000), nav)
 
-    @pytest.mark.parametrize("big", [(1e200, 1.0), (1.3e154, 1.0)])
-    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
-    def test_batch_and_alpha_raise_direction_overflow(self, big, nav):
-        dirs = np.array([big, [1.0, 0.0], [0.6, -0.8]])
-        xs, ys = np.array([0.3, 0.1, -0.2]), np.array([0.2, 0.0, 0.1])
-        for x, y in ((0.3, 0.2), (xs, ys)):
-            for route in (slope_metric_F, hessian_field):
-                with pytest.raises(DirectionOverflow, match="overflows"):
-                    route(PARAB, x, y, dirs, nav)
-        with pytest.raises(DirectionOverflow, match="overflows"):
-            alpha(induced_metric(PARAB, 0.3, 0.2), (1e200, 1.0))
+    def test_uphill_numerator_at_nav_2_1(self):
+        # v^2*|d|^2 overflowed here before the prescale, and F came out 0.0
+        nav = NavigationParams(2.0, 1.0)
+        d = (-1e154, 0.0)
+        F = slope_metric_F(PARAB, 0.3, 0.2, d, nav)
+        assert F == pytest.approx(okubo_solve(PARAB, 0.3, 0.2, np.array(d), nav), rel=1e-12)
+        unit = slope_metric_F(PARAB, 0.3, 0.2, (-1.0, 0.0), nav)
+        assert F == pytest.approx(1e154 * unit, rel=1e-15)
+
+    def test_limacon_h_past_the_largest_double_raises(self):
+        # h is not homogeneous: alpha^2 of this direction is not a finite double
+        for tv in ((1.3e154, 1.0), np.array([[1.0, 0.0], [1e200, 1.0]])):
+            with pytest.raises(DirectionOverflow, match="not a finite double"):
+                limacon_h(PARAB, 0.3, 0.2, tv)
+        assert limacon_h(PARAB, 0.3, 0.2, (1.3e150, 1.0)) > 0.0
 
     @pytest.mark.parametrize("d", [(0.6, 0.8), (-0.6, -0.8)])
     @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
     def test_alpha_squared_just_below_the_largest_double(self, d, nav):
-        # alpha^2 is about 0.9 of the largest double (downhill, then uphill):
-        # past the cheap bound, so alpha^2 is formed and tested, and F keeps its digits
+        # alpha^2 of the direction itself is about 0.9 of the largest double
+        # (downhill, then uphill); F of the prescaled direction keeps its digits
         d = np.array(d)
         big = 1.05e154 * d
         assert 0.5 < metric._parts(-0.6, -0.4, *big)[2] / np.finfo(float).max < 1.0
@@ -406,9 +460,11 @@ class TestOkuboOnBenchmarkPairs:
         # Python-level calls into slopemetric for one scalar slope_metric_F
         # and okubo_solve pair, counted by cProfile as
         # test_package_calls_per_step counts an RK4 step: two surface reads
-        # (5 calls each), F (7), and the root-solve's prologue and four Newton
-        # iterations (19).  A one-value branch that became a function call of
-        # its own would show here and, on the array path, per RK4 step.
+        # (5 calls each), F (8), and the root-solve's prologue and four Newton
+        # iterations (21).  Each route's direction check and exact scale-back
+        # (``_direction``, ``_split``, ``_times_pow2``) is three calls.  A
+        # one-value branch that became a function call of its own would show
+        # here and, on the array path, per RK4 step.
         package = str(Path(slopemetric.__file__).parent)
         d = np.array([0.6, 0.8])
 
@@ -419,7 +475,7 @@ class TestOkuboOnBenchmarkPairs:
         profile.runcall(pair)
         stats = pstats.Stats(profile).stats
         assert sum(calls for (path, _, _), (_, calls, *_) in stats.items()
-                   if path.startswith(package)) == 45
+                   if path.startswith(package)) == 48
 
 
 def _consistency_surfaces():
@@ -477,8 +533,12 @@ class TestOnePointMatchesBatch:
     def test_errors(self):
         apex = SurfaceOfRevolution(cone(0.5))
         rim = SurfaceOfRevolution(ellipsoid(1.0, 1.0))
+        flat = flat_surface()
         steep = NavigationParams(1.0, 6.0)
         cases = [
+            (OutOfDomain, lambda p, D: flat.gradient(*p), (math.nan, 0.0)),
+            (OutOfDomain, lambda p, D: slope_metric_F(flat, *p, D), (math.inf, 0.2)),
+            (DirectionOverflow, lambda p, D: slope_metric_F(PARAB, 0.3, 0.2, D), (math.nan, 0.2)),
             (ApexSingularity, lambda p, D: apex.gradient(*p), (0.0, 0.0)),
             (ApexSingularity, lambda p, D: slope_metric_F(apex, *p, D), (0.0, 0.0)),
             (OutOfDomain, lambda p, D: rim.gradient(*p), (0.9, 0.6)),

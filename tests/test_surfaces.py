@@ -22,6 +22,7 @@ from slopemetric import (
     cone,
     ellipsoid,
     eval_profile,
+    flat_surface,
     gaussian_bump,
     one_sheet_hyperboloid,
     paraboloid,
@@ -106,6 +107,16 @@ class TestDomainCheck:
         for s in (bad, np.float64(bad), np.array(bad), np.array([ok, bad, ok, -math.inf])):
             with pytest.raises(OutOfDomain, match=message):
                 evaluate(profile, s)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.3, -math.inf)])
+    def test_graph_reads_reject_non_finite_points(self, x, y):
+        message = re.escape(f"point ({x!r}, {y!r}) is not finite")
+        graphs = (flat_surface(), GraphSurface(f=lambda x, y: 0.2 * x * x - 0.1 * x * y))
+        for surf in graphs:
+            for read in (surf.gradient, surf.hessian, surf.height):
+                for X, Y in ((x, y), (np.array([0.1, x]), np.array([0.2, y]))):
+                    with pytest.raises(OutOfDomain, match=message):
+                        read(X, Y)
 
     def test_negative_zero_on_the_axis_is_inside(self):
         p = paraboloid(100.0)
