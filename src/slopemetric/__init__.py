@@ -24,6 +24,7 @@ from .errors import (
     ZeroVector,
 )
 from .surfaces import (
+    DEFAULT_SCAN_SMAX,
     GraphSurface,
     ProfileCurve,
     SurfaceOfRevolution,
@@ -58,7 +59,6 @@ from .metric import (
     slope_metric_F,
 )
 from .convexity import (
-    DEFAULT_SCAN_SMAX,
     ConvexityDomain,
     EquivalenceReport,
     SamplePlan,

@@ -6,7 +6,7 @@ the library; every run is configured by flags and/or a JSON config file
 CSV uses 17 significant digits so golden files stay stable.
 
 Exit codes: 0 success, 1 verification disagreement, 2 malformed
-configuration, 3 surface-domain or geometry error.
+configuration, 3 surface-domain or geometry error, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -126,8 +127,8 @@ class Option(NamedTuple):
     help: str | None = None
 
 
-# every subcommand takes these; a command may change their defaults, or
-# replace one by declaring an option with the same flag
+# every subcommand takes these; a command replaces one by declaring an
+# option with the same flag
 SHARED = (
     Option("surface", "--surface", SURFACE, REQUIRED, "surface JSON (inline or file path)"),
     Option("config", "--config", CONFIG, None, "JSON config file; flags override its keys"),
@@ -444,21 +445,20 @@ def cmd_front(opts) -> int:
 
 
 class Command(NamedTuple):
-    """A subcommand; ``defaults`` changes the defaults of shared options."""
-
     run: Callable[[argparse.Namespace], int]
     help: str
     options: tuple[Option, ...]
-    defaults: dict = {}
 
 
 STEP = Option("step", "--step", FLOAT, 1e-3)
+CSV = Option("format", "--format", FORMAT, "csv")
 
 COMMANDS = {
     "analyze": Command(cmd_analyze, "criterion field, verdict map, radial profile", (
         Option("resolution", "--resolution", INT, 64, "grid points per axis"),
         Option("bbox", "--bbox", BOX, None, "xmin,xmax,ymin,ymax"),
-    ), {"band": cx.CRITERION_BAND}),
+        Option("band", "--band", FLOAT, cx.CRITERION_BAND),
+    )),
     "domain": Command(cmd_domain, "strong-convexity intervals and boundary roots", (
         Option("resolution", "--resolution", INT, 2048, "scan panels (>= 64)"),
         Option("smax", "--smax", FLOAT, None, "clip radius for unbounded domains"),
@@ -478,14 +478,16 @@ COMMANDS = {
         Option("dir", "--dir", PAIR, REQUIRED, "initial direction 'dx,dy'"),
         Option("length", "--length", FLOAT, 0.5, "F-arclength (travel time)"),
         STEP,
-    ), {"format": "csv"}),
+        CSV,
+    )),
     "front": Command(cmd_front, "propagate a unit-speed front from a seed", (
         Option("seed_point", "--seed-point", PAIR, REQUIRED, "chart point 'x,y'"),
         Option("time", "--time", FLOAT, 0.5, "total propagation time"),
         Option("rays", "--rays", INT, 64),
         STEP,
         Option("fronts", "--fronts", INT, 1, "number of reported fronts"),
-    ), {"format": "csv"}),
+        CSV,
+    )),
 }
 
 
@@ -498,8 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         own = {opt.flag: opt for opt in command.options}
-        options = [own.pop(opt.flag, opt._replace(default=command.defaults.get(opt.key, opt.default)))
-                   for opt in SHARED] + list(own.values())
+        options = [own.pop(opt.flag, opt) for opt in SHARED] + list(own.values())
         p = sub.add_parser(name, help=command.help)
         for opt in options:
             p.add_argument(opt.flag, dest=opt.key, help=opt.help, **opt.kind.flag)
@@ -538,6 +539,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except BrokenPipeError:
+            # the reader closed stdout early: no failure of the run.  Point stdout
+            # at devnull so the final flush stays quiet; 141 is a shell's SIGPIPE code
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,22 +27,20 @@ from .errors import (
     DerivativeBlowupWarning,
     DoubleRootWarning,
     InsufficientDirections,
-    NonDifferentiable,
-    OutOfDomain,
+    SlopeMetricError,
 )
 from .metric import NORMALIZED, NavigationParams, _direction_hessian
 from .surfaces import (
-    DEFAULT_SCAN_SMAX,
     ProfileCurve,
     SurfaceOfRevolution,
     SurfaceSpec,
     TrigProfile,
     _scalar,
+    _scan_window,
     profile_derivative,
 )
 
 __all__ = [
-    "DEFAULT_SCAN_SMAX",
     "Verdict",
     "ConvexityDomain",
     "SamplePlan",
@@ -226,28 +224,14 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
                      nav: NavigationParams | None = None) -> ConvexityDomain:
     """Scan phi'^2 - threshold of ``nav``, bracket sign changes, bisect each boundary root.
 
-    The scan grid is uniform with ``resolution`` panels (>= 64); the domain
-    is clipped to ``s_max`` (default 100, which must exceed the inner edge
-    when given).  Emits DoubleRootWarning when the criterion grazes the
-    threshold without a clean crossing.
+    The scan grid is uniform with ``resolution`` panels (>= 64) on
+    ``_scan_window(p, s_max)``.  Emits DoubleRootWarning when the criterion
+    grazes the threshold without a clean crossing.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    lo, hi = p.domain
-    if s_max is not None and not s_max > lo:
-        raise ValueError(f"s_max {s_max} must exceed the profile's inner edge {lo}")
+    grid = np.linspace(*_scan_window(p, s_max), resolution + 1)
     threshold = convexity_threshold(nav or NORMALIZED)
-    hi_eff = min(hi, s_max if s_max is not None else DEFAULT_SCAN_SMAX)
-    if math.isfinite(hi) and hi_eff >= hi:
-        hi_eff = hi - max(1e-12, (hi - lo) * 1e-9)
-    if not hi_eff > lo:
-        raise OutOfDomain(f"empty scan range [{lo}, {hi_eff}]")
-    lo_eff = lo
-    try:
-        profile_derivative(p, lo_eff)
-    except (OutOfDomain, NonDifferentiable):
-        lo_eff = lo + (hi_eff - lo) * 1e-9
-    grid = np.linspace(lo_eff, hi_eff, resolution + 1)
     cond = np.square(np.asarray(profile_derivative(p, grid), dtype=float))
     c = cond - threshold
 
@@ -278,7 +262,7 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
             continue
         mid = 0.5 * (a + b)
         if crit(mid) < 0:
-            a_rep = lo if a == float(grid[0]) and lo_eff != lo else a
+            a_rep = p.domain[0] if a == float(grid[0]) else a
             if intervals and intervals[-1][1] == a:
                 intervals[-1] = (intervals[-1][0], b)
             else:
@@ -426,21 +410,13 @@ class EquivalenceReport:
 
 
 def _revolution_sample_range(surf: SurfaceOfRevolution, plan: SamplePlan) -> tuple[float, float]:
+    """``plan.s_range``, else ``_scan_window``'s, started past a waist or non-smooth apex."""
     if plan.s_range is not None:
         return plan.s_range
-    lo, hi = surf.profile.domain
-    hi_eff = min(hi, DEFAULT_SCAN_SMAX)
-    if math.isfinite(hi) and hi_eff >= hi:
-        hi_eff = hi * (1 - 1e-9)
-    if not hi_eff > lo:
-        raise OutOfDomain(f"empty scan range [{lo}, {hi_eff}]")
-    lo_eff = lo
-    try:
-        profile_derivative(surf.profile, lo_eff)
-        if lo == 0.0 and not surf.apex_smooth:
-            lo_eff = max(plan.band, 1e-6)
-    except (OutOfDomain, NonDifferentiable):
-        lo_eff = lo + max(plan.band, (hi_eff - lo) * 1e-6)
+    lo = surf.profile.domain[0]
+    lo_eff, hi_eff = _scan_window(surf.profile)
+    if lo_eff > lo or (lo == 0.0 and not surf.apex_smooth):
+        lo_eff = lo + max(plan.band, 1e-6 * (hi_eff - lo))
     return (lo_eff, hi_eff)
 
 
@@ -533,7 +509,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
         roots = tuple(r for r, _ in dom.boundary_roots)
         try:
             trig = TrigProfile.from_profile(surf.profile)
-        except Exception:
+        except SlopeMetricError:
             trig = None
     else:
         bbox = surf.bounding_box()

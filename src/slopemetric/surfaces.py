@@ -52,7 +52,7 @@ __all__ = [
     "surface_from_json",
 ]
 
-# Unbounded profile domains are clipped to this radius (scans, samples, inversion).
+# Unbounded profile domains are clipped to this radius (``_scan_window``).
 DEFAULT_SCAN_SMAX = 100.0
 
 # |phi'(0+)| below this counts as a smooth axis point (even extension).
@@ -396,6 +396,29 @@ def _second_derivative(p: ProfileCurve, s_arr: np.ndarray, s):
     return _central_difference(p, f, s_arr, s, _HESSIAN_STEP_FACTOR * _FD_STEP)
 
 
+def _scan_window(p: ProfileCurve, s_max: float | None = None) -> tuple[float, float]:
+    """The finite window [lo, hi] of radii on which p is scanned, sampled and inverted.
+
+    p's domain clipped at ``s_max`` (default ``DEFAULT_SCAN_SMAX``; ValueError
+    at or below the inner edge), a finite outer edge pulled in by max(1e-12,
+    1e-9 of the width) and an inner edge where phi' fails (a waist) pushed
+    out by 1e-9 of the width.  Raises OutOfDomain when nothing is left.
+    """
+    lo, hi = p.domain
+    if s_max is not None and not s_max > lo:
+        raise ValueError(f"s_max {s_max} must exceed the profile's inner edge {lo}")
+    hi_eff = min(hi, DEFAULT_SCAN_SMAX if s_max is None else s_max)
+    if math.isfinite(hi) and hi_eff >= hi:
+        hi_eff = hi - max(1e-12, (hi - lo) * 1e-9)
+    if not hi_eff > lo:
+        raise OutOfDomain(f"empty scan range [{lo}, {hi_eff}]")
+    try:
+        profile_derivative(p, lo)
+    except (OutOfDomain, NonDifferentiable):
+        return lo + (hi_eff - lo) * 1e-9, hi_eff
+    return lo, hi_eff
+
+
 @dataclass(frozen=True)
 class TrigProfile:
     """Height parametrization s = m(u) of a profile, on one monotone branch.
@@ -403,7 +426,7 @@ class TrigProfile:
     m inverts phi: m(phi(s)) = s on the branch, and m'(u) = 1/phi'(m(u))
     wherever phi' does not vanish.  Only the nonnegative branch (s >= 0) is
     represented; profiles that are not strictly monotone on the requested
-    s-range raise NotInvertible.
+    s-range raise NotInvertible.  The default s-range is ``_scan_window``'s.
     """
 
     profile: ProfileCurve
@@ -415,16 +438,9 @@ class TrigProfile:
     def from_profile(cls, p: ProfileCurve, s_range: tuple[float, float] | None = None) -> "TrigProfile":
         lo, hi = p.domain
         auto = s_range is None
-        if auto:
-            hi_eff = min(hi, max(DEFAULT_SCAN_SMAX, 2 * lo))
-            if math.isfinite(hi):
-                hi_eff = min(hi_eff, hi - max(1e-12, (hi - lo) * 1e-12))
-            s_range = (lo, hi_eff)
-        s_lo, s_hi = float(s_range[0]), float(s_range[1])
+        s_lo, s_hi = map(float, _scan_window(p) if auto else s_range)
         if not (lo <= s_lo < s_hi < hi):
             raise OutOfDomain(f"s-range [{s_lo}, {s_hi}] not inside profile domain [{lo}, {hi})")
-        if s_lo < 0:
-            raise NotInvertible("only the nonnegative branch s >= 0 is supported")
         # strict monotonicity scan, 256 panels
         grid = np.linspace(s_lo, s_hi, 257)
         vals = np.asarray(p.phi(grid), dtype=float)

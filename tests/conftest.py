@@ -9,6 +9,8 @@ from slopemetric import (
     gaussian_bump,
     one_sheet_hyperboloid,
     paraboloid,
+    profile_from_table,
+    surface_from_json,
     two_sheet_hyperboloid,
 )
 
@@ -38,6 +40,19 @@ def builtin_profiles():
         one_sheet_hyperboloid(0.5, 1.0),
         gaussian_bump(),
     ]
+
+
+def window_profiles():
+    """The builtins, a spline table and a "domain"-restricted waist, as pytest params.
+
+    Together they have a smooth and a non-smooth apex, a waist, an unbounded
+    and a finite outer edge, and a table's inner edge off the axis.
+    """
+    s = np.linspace(0.5, 4.0, 64)
+    restricted = {"kind": "hyperboloid1", "params": {"a": 0.5, "b": 1.0}, "domain": [1.0, 3.0]}
+    return ([pytest.param(p, id=p.kind) for p in builtin_profiles()]
+            + [pytest.param(profile_from_table(s, s ** 1.5), id="table"),
+               pytest.param(surface_from_json(restricted).profile, id="hyperboloid1-restricted")])
 
 
 def builtin_windows():

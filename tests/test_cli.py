@@ -462,6 +462,37 @@ class TestStreamedOutput:
         assert target.read_text() == "earlier output\n"
 
 
+class TestClosedStdout:
+    def test_reader_that_leaves_early_gets_141_and_no_stderr(self):
+        # the benchmark-sized front writes ~4.7 MB; its reader takes 10 bytes and
+        # closes the pipe.  That is no verification disagreement (exit 1)
+        src = str(Path(slopemetric.__file__).resolve().parent.parent)
+        proc = subprocess.Popen([sys.executable, "-m", "slopemetric.cli", "front", "--surface", PARAB,
+                                 "--seed-point", "0.1,0", "--time", "0.3", "--rays", "256"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
+
+
+@pytest.mark.parametrize("command, key, default", [
+    ("analyze", "band", 1e-9), ("verify", "band", 1e-3), ("geodesic", "format", "csv"),
+    ("front", "format", "csv"), ("indicatrix", "format", "json"),
+])
+def test_a_command_replaces_a_shared_option_by_its_flag(command, key, default):
+    options = cli._build_parser().parse_args([command]).options
+    assert [opt.default for opt in options if opt.key == key] == [default]
+    # the replacement keeps the shared option's place in the help text
+    assert [opt.flag for opt in options[:len(cli.SHARED)]] == [opt.flag for opt in cli.SHARED]
+
+
 class TestConfigAndDeterminism:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = {"surface": json.loads(PARAB), "smax": 1.0, "resolution": 256}

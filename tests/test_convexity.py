@@ -37,6 +37,8 @@ from slopemetric import (
     verify_equivalence,
 )
 from slopemetric import convexity, metric
+from slopemetric.surfaces import _scan_window
+from conftest import window_profiles
 
 BOUNDARY_PARAB = 0.2886751345948129  # 1/sqrt(12)
 GAUSS_MU_MIN = 32.61938194150854     # 12 * e
@@ -147,6 +149,11 @@ class TestTrigCondition:
             mu = trig_condition(trig, 100.0)
         assert mu == math.inf  # condition holds by limit
 
+    def test_finite_at_the_waist_height(self):
+        # the default height range starts just past the waist, where phi' is defined
+        trig = TrigProfile.from_profile(one_sheet_hyperboloid(0.5, 1.0))
+        assert math.isfinite(trig_condition(trig, trig.u_range[0]))
+
     def test_reciprocity(self, builtin_profile):
         from slopemetric import NotInvertible
         from conftest import interior_radii
@@ -240,6 +247,11 @@ class TestConvexityDomain:
         )
         with pytest.warns(DoubleRootWarning):
             convexity_domain(grazer, resolution=2048)
+
+    @pytest.mark.parametrize("profile", window_profiles())
+    def test_scans_the_window(self, profile):
+        assert convexity_domain(profile).scan_range == _scan_window(profile)
+        assert convexity_domain(profile, s_max=2.5).scan_range == _scan_window(profile, 2.5)
 
     def test_asymptotes(self):
         assert condition_asymptote(cone(0.5)) == {"limit": 0.25, "behavior": "constant"}
@@ -485,6 +497,25 @@ class TestVerifyEquivalence:
         expected = [reference(x, y) for x, y in zip(*seen["points"])]
         assert expected.count(None) > 0 and expected.count(True) > 0
         assert [bool(v) for v in seen["verdicts"]] == [e is True for e in expected]
+
+    @pytest.mark.parametrize("band", [1e-3, 1e-6])
+    @pytest.mark.parametrize("profile", window_profiles())
+    def test_samples_the_window(self, profile, band):
+        # a waist (hyperboloid1) or non-smooth apex (cone) is kept out by the
+        # band, or by 1e-6 of the window's width where that is wider
+        lo, hi = _scan_window(profile)
+        if profile.kind in ("cone", "hyperboloid1"):
+            edge = profile.domain[0]
+            lo = edge + max(band, 1e-6 * (hi - edge))
+        plan = SamplePlan(band=band)
+        assert convexity._revolution_sample_range(SurfaceOfRevolution(profile), plan) == (lo, hi)
+
+    def test_a_bug_in_the_profile_is_not_trig_skipped(self):
+        # phi raises an error of no package type: the height route must not
+        # swallow it and count every point as trig_skipped
+        p = profile_from_callable(lambda s: s.bogus, (0.0, math.inf), dphi=lambda s: -2.0 * s)
+        with pytest.raises(AttributeError, match="bogus"):
+            verify_equivalence(SurfaceOfRevolution(p), SamplePlan(n_points=20))
 
     def test_subnormal_heights_are_trig_skipped(self, gauss_surface, monkeypatch):
         # phi(s) = exp(-s^2)/(2 sqrt 6) is subnormal beyond s ~ 26.59 and 0 near

@@ -33,7 +33,7 @@ from slopemetric import (
     surface_from_json,
     two_sheet_hyperboloid,
 )
-from conftest import interior_radii
+from conftest import interior_radii, window_profiles
 
 GAUSS_PEAK = 0.20412414523193154  # 1/(2*sqrt(6))
 
@@ -218,6 +218,40 @@ class TestInversion:
     def test_negative_branch_rejected(self):
         with pytest.raises((NotInvertible, OutOfDomain)):
             TrigProfile.from_profile(paraboloid(100.0), (-1.0, 1.0))
+
+
+class TestScanWindow:
+    """``_scan_window``: the one radial window of the domain scan, verify's sampler
+    and the default height inversion."""
+
+    @pytest.mark.parametrize("profile, s_max, window", [
+        (paraboloid(100.0), None, (0.0, 100.0)),
+        (paraboloid(100.0), 5.0, (0.0, 5.0)),
+        (ellipsoid(1.0, 1.0), None, (0.0, 1.0 - 1e-9)),
+        (ellipsoid(1.0, 1.0), 7.0, (0.0, 1.0 - 1e-9)),
+        # phi' diverges at the waist s = 1, so the window starts 1e-9 of its width past it
+        (one_sheet_hyperboloid(0.5, 1.0), None, (1.0 + 99.0 * 1e-9, 100.0)),
+        (one_sheet_hyperboloid(0.5, 1.0), 3.0, (1.0 + 2.0 * 1e-9, 3.0)),
+        # a finite edge comes in by at least 1e-12
+        (profile_from_callable(np.square, (0.0, 1e-4), dphi=lambda s: 2.0 * s), None,
+         (0.0, 1e-4 - 1e-12)),
+    ], ids=["paraboloid", "paraboloid-smax", "ellipsoid", "ellipsoid-smax-past-edge",
+            "waist", "waist-smax", "narrow"])
+    def test_rules(self, profile, s_max, window):
+        assert surfaces._scan_window(profile, s_max) == window
+
+    @pytest.mark.parametrize("profile", window_profiles())
+    def test_inversion_runs_inside_the_window(self, profile):
+        lo, hi = surfaces._scan_window(profile)
+        s_lo, s_hi = TrigProfile.from_profile(profile).s_range
+        assert lo <= s_lo < s_hi <= hi
+        # only a numerically flat head or tail is trimmed: the gaussian's underflow
+        assert (s_lo, s_hi) == (lo, hi) or profile.kind == "gaussian"
+
+    def test_waist_past_the_default_scan_radius_raises(self):
+        # as the domain scan and verify's sampler do
+        with pytest.raises(OutOfDomain, match=re.escape("empty scan range [150.0, 100.0]")):
+            TrigProfile.from_profile(one_sheet_hyperboloid(0.5, 150.0))
 
 
 class TestGradient:
