@@ -6,7 +6,8 @@ the library; every run is configured by flags and/or a JSON config file
 CSV uses 17 significant digits so golden files stay stable.
 
 Exit codes: 0 success, 1 verification disagreement, 2 malformed
-configuration, 3 surface-domain or geometry error, 141 stdout closed early.
+configuration, 3 surface-domain or geometry error, 4 output not writable
+(``--out`` cannot be opened, or a write fails), 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -196,17 +197,29 @@ def _dump_json(obj) -> str:
     return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
 
 
+class _WriteFailed(Exception):
+    """``--out`` could not be opened, or writing the output failed (an OSError)."""
+
+
 def _emit(output: str | Iterable[str], out: str | None) -> None:
     """Write one string, or the chunks of an iterable in turn, to ``out`` or stdout.
 
     ``out`` is opened only once the first chunk is ready, so a run that
-    fails before then leaves an existing file as it was.
+    fails before then leaves an existing file as it was.  stdout is flushed
+    here, so a failing write raises here too; an OSError other than a closed
+    pipe becomes ``_WriteFailed``.
     """
     chunks = iter([output] if isinstance(output, str) else output)
     first = next(chunks, "")
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
-        stream.write(first)
-        stream.writelines(chunks)
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+            stream.write(first)
+            stream.writelines(chunks)
+            stream.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _WriteFailed(exc) from exc
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -512,6 +525,12 @@ def _build_parser() -> argparse.ArgumentParser:
 _REPORTED = (DoubleRootWarning, DerivativeBlowupWarning)
 
 
+def _quiet_stdout() -> None:
+    """Point stdout at devnull, so the interpreter's final flush of what a failed
+    write left buffered adds nothing to stderr."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
@@ -540,10 +559,14 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except BrokenPipeError:
-            # the reader closed stdout early: no failure of the run.  Point stdout
-            # at devnull so the final flush stays quiet; 141 is a shell's SIGPIPE code
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            # the reader closed stdout early: no failure of the run.  141 is a
+            # shell's SIGPIPE code
+            _quiet_stdout()
             return 141
+        except _WriteFailed as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            _quiet_stdout()
+            return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

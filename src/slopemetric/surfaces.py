@@ -2,10 +2,11 @@
 
 A surface of revolution is the graph z = phi(sqrt(x^2 + y^2)) of a radial
 profile phi on a half-open interval [s_min, s_max); a general surface is a
-graph z = f(x, y).  Both expose heights and gradients, vectorized over
-numpy arrays.  A profile can additionally be inverted on a strictly
-monotone branch, giving the height parametrization s = m(u) of the same
-generator (the nonnegative branch only; mirrored branches are rejected).
+graph z = f(x, y).  Both expose heights, gradients and Hessians, vectorized
+over numpy arrays, from derivatives each carries in closed form.  A profile
+can additionally be inverted on a strictly monotone branch, giving the
+height parametrization s = m(u) of the same generator (the nonnegative
+branch only; mirrored branches are rejected).
 
 Surfaces are immutable after construction and all operations are pure, so
 one surface may be evaluated concurrently from any number of threads.
@@ -61,14 +62,6 @@ _APEX_SLOPE_TOL = 1e-8
 # Bisection tolerance for profile inversion, absolute in s.
 _INVERT_TOL = 1e-12
 
-# Base step of numeric first derivatives, scaled by max(1, |s|) (or |x|, |y|).
-_FD_STEP = 1e-5
-
-# Second derivatives by differences of first derivatives use steps this many
-# times _FD_STEP, so the first derivative's own rounding noise (~eps/_FD_STEP
-# when it is numeric) stays small against the outer step.
-_HESSIAN_STEP_FACTOR = 100.0
-
 
 @dataclass(frozen=True)
 class ProfileCurve:
@@ -80,34 +73,26 @@ class ProfileCurve:
         Builtin tag ("paraboloid", "cone", ...) or "custom".
     phi : callable
         Vectorized map s -> z.
-    dphi : callable or None
-        Closed-form derivative; None switches ``profile_derivative`` to
-        4th-order central differences with step ``_FD_STEP * max(1, |s|)``.
+    dphi, d2phi : callable
+        Vectorized closed-form first and second derivatives of phi, the only
+        source of ``profile_derivative`` and ``profile_second_derivative``.
     domain : (float, float)
         Half-open interval [s_min, s_max), s_min >= 0; s_max may be inf.
     params : dict
         Shape coefficients, kept for reporting and serialization.
-    d2phi : callable or None
-        Closed-form second derivative; None switches
-        ``profile_second_derivative`` to central differences of
-        ``profile_derivative``.
     """
 
     kind: str
     phi: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray] | None
+    dphi: Callable[[np.ndarray], np.ndarray]
+    d2phi: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float]
     params: dict = field(default_factory=dict)
-    d2phi: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         lo, hi = self.domain
         if not (0.0 <= lo < hi):
             raise ConfigError(f"invalid profile domain [{lo}, {hi})")
-
-    @property
-    def derivative_mode(self) -> str:
-        return "closed-form" if self.dphi is not None else "central-difference"
 
     def __call__(self, s):
         return eval_profile(self, s)
@@ -236,10 +221,12 @@ def profile_from_table(s: Sequence[float], z: Sequence[float]) -> ProfileCurve:
 def profile_from_callable(
     phi: Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float],
-    dphi: Callable[[np.ndarray], np.ndarray] | None = None,
+    dphi: Callable[[np.ndarray], np.ndarray],
+    d2phi: Callable[[np.ndarray], np.ndarray],
 ) -> ProfileCurve:
-    """Wrap an arbitrary vectorized callable as a "custom" profile curve."""
-    return ProfileCurve(kind="custom", phi=phi, dphi=dphi, domain=(float(domain[0]), float(domain[1])))
+    """Wrap vectorized callables phi, phi' and phi'' as a "custom" profile curve."""
+    return ProfileCurve(kind="custom", phi=phi, dphi=dphi, d2phi=d2phi,
+                        domain=(float(domain[0]), float(domain[1])))
 
 
 def _scalar(*values):
@@ -296,15 +283,10 @@ def eval_profile(p: ProfileCurve, s):
     return _scalar(z)
 
 
-def _phi_even(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
-    # Even extension across the axis; valid for rotation profiles with s_min = 0.
-    return np.asarray(p.phi(np.abs(s)), dtype=float)
-
-
 # np.errstate as a decorator costs half of its ``with`` form
-@np.errstate(divide="ignore", invalid="ignore")
-def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
-    """A closed-form derivative at s; non-finite values become typed errors.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray):
+    """A closed-form derivative at radii s_arr; non-finite values become typed errors.
 
     One radius gives a Python float (``_scalar``'s rule, without its call on
     every surface read), tested without numpy's per-call cost on a scalar.
@@ -320,80 +302,30 @@ def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray, s):
         if lo > 0.0 and np.any(s_arr == lo):
             # closed-form slope diverges at a positive inner edge (waist)
             raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
-        raise NonDifferentiable(f"closed-form derivative non-finite at s={s!r}")
+        radii, values = np.broadcast_arrays(s_arr, d)
+        worst = radii[~np.isfinite(values)].flat[0]
+        raise NonDifferentiable(f"closed-form derivative non-finite at s={float(worst)!r}")
     return d
 
 
-def _stencil(f, x, h):
-    """4th-order central difference of f at x with step h."""
-    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
-
-
-def _partials(g, x, y, step: float):
-    """(dg/dx, dg/dy) by ``_stencil``, steps ``step * max(1, |x|)`` and ``step * max(1, |y|)``."""
-    hx = step * np.maximum(1.0, np.abs(x))
-    hy = step * np.maximum(1.0, np.abs(y))
-    return _stencil(lambda a: g(a, y), x, hx), _stencil(lambda b: g(x, b), y, hy)
-
-
-def _central_difference(p: ProfileCurve, f, s_arr: np.ndarray, s, step: float):
-    """``_stencil`` of f at s, step ``step * max(1, |s|)``.
-
-    The step shrinks near a finite domain edge.  On an axis domain (s_min = 0)
-    only the upper edge limits it, so f must accept the reflected nodes s < 0.
-    """
-    lo, hi = p.domain
-    h = step * np.maximum(1.0, np.abs(s_arr))
-    if math.isfinite(hi):
-        h = np.minimum(h, (hi - s_arr) / 2.5)
-    if lo != 0.0:
-        h = np.minimum(h, (s_arr - lo) / 2.5)
-    if np.any(h <= 0):
-        raise NonDifferentiable(f"no room for a difference stencil at s={s!r}")
-    d = _stencil(f, s_arr, h)
-    if not np.all(np.isfinite(d)):
-        raise NonDifferentiable(f"numeric derivative non-finite at s={s!r}")
-    return _scalar(d)
-
-
 def profile_derivative(p: ProfileCurve, s):
-    """dphi/ds, closed form when available, else 4th-order central differences.
+    """dphi/ds from the profile's closed form ``dphi``.
 
-    The numeric path reflects evenly across s=0 when the domain starts at the
-    axis, and shrinks the step near a finite domain edge.  Raises
-    NonDifferentiable when no valid stencil fits.
+    Raises OutOfDomain outside the domain and at a waist, NonDifferentiable
+    where the closed form is not finite.
     """
     s_arr = np.asarray(s, dtype=float)
     if not s_arr.ndim:
         s_arr = s_arr[()]  # one radius runs on a numpy scalar, not a 0-d array
     _check_in_domain(p, s_arr)
-    if p.dphi is not None:
-        return _closed_form(p, p.dphi, s_arr, s)
-    if p.domain[0] == 0.0:
-        f = lambda q: _phi_even(p, q)
-    else:
-        f = lambda q: np.asarray(p.phi(q), dtype=float)
-    return _central_difference(p, f, s_arr, s, _FD_STEP)
+    return _closed_form(p, p.dphi, s_arr)
 
 
 def profile_second_derivative(p: ProfileCurve, s):
-    """d^2phi/ds^2, closed form when available, else central differences of
-    ``profile_derivative`` (odd reflection across the axis, steps
-    ``_HESSIAN_STEP_FACTOR`` times wider than the first derivative's)."""
+    """d^2phi/ds^2 from the profile's closed form ``d2phi``; errors as ``profile_derivative``'s."""
     s_arr = np.asarray(s, dtype=float)
     _check_in_domain(p, s_arr)
-    return _second_derivative(p, s_arr, s)
-
-
-def _second_derivative(p: ProfileCurve, s_arr: np.ndarray, s):
-    """``profile_second_derivative`` at radii already checked to lie in the domain."""
-    if p.d2phi is not None:
-        return _closed_form(p, p.d2phi, s_arr, s)
-    if p.domain[0] == 0.0:
-        f = lambda q: np.sign(q) * profile_derivative(p, np.abs(q))
-    else:
-        f = lambda q: np.asarray(profile_derivative(p, q))
-    return _central_difference(p, f, s_arr, s, _HESSIAN_STEP_FACTOR * _FD_STEP)
+    return _closed_form(p, p.d2phi, s_arr)
 
 
 def _scan_window(p: ProfileCurve, s_max: float | None = None) -> tuple[float, float]:
@@ -577,7 +509,7 @@ class SurfaceOfRevolution:
             if rows is not None:
                 s_r, safe, d_r, x_r, y_r = (a.compress(rows) for a in (s, s_safe, d, x, y))
             # s_r is a subset of the radii profile_derivative just checked
-            d2 = _second_derivative(self.profile, s_r, s_r)
+            d2 = _closed_form(self.profile, self.profile.d2phi, s_r)
             radial = d_r / safe
             if axis:
                 radial = np.where(s_r == 0.0, d2, radial)
@@ -595,12 +527,25 @@ class SurfaceOfRevolution:
         return (-r, r, -r, r)
 
 
+def _spread(values, x):
+    """Derivative values as float arrays of x's shape; a constant return is spread over it."""
+    if not np.ndim(x):
+        return values
+    ones = np.ones_like(x)
+    return tuple(np.asarray(v, dtype=float) * ones for v in values)
+
+
 @dataclass(frozen=True)
 class GraphSurface:
-    """General graph surface z = f(x, y) with supplied or numeric gradient."""
+    """General graph surface z = f(x, y) with closed-form derivatives.
+
+    ``grad(x, y)`` returns (f_x, f_y) and ``hess(x, y)`` returns (f_xx, f_xy,
+    f_yy); both are vectorized like f, and either may return constants.
+    """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+    grad: Callable[[np.ndarray, np.ndarray], tuple]
+    hess: Callable[[np.ndarray, np.ndarray], tuple]
     bbox: tuple[float, float, float, float] = (-10.0, 10.0, -10.0, 10.0)
     kind: str = "graph"
 
@@ -614,38 +559,22 @@ class GraphSurface:
         return _scalar(fx, fy)
 
     def hessian(self, x, y):
-        """(f_xx, f_xy, f_yy) by 4th-order central differences of ``gradient``.
-
-        Steps are ``_HESSIAN_STEP_FACTOR * _FD_STEP * max(1, |x|)`` (and |y|);
-        f_xy averages the two mixed differences, so the result is symmetric.
-        """
-        x, y = _chart_arrays(x, y)
-        _check_finite_point(x, y)  # before the stencil's nodes name a shifted point
-        grad = lambda a, b: np.stack(self.gradient(a, b))
-        (fxx, gy_x), (gx_y, fyy) = _partials(grad, x, y, _HESSIAN_STEP_FACTOR * _FD_STEP)
-        return _scalar(fxx, 0.5 * (gy_x + gx_y), fyy)
+        """(f_xx, f_xy, f_yy) from the supplied ``hess``."""
+        return _scalar(*self._jet(*_chart_arrays(x, y))[2]())
 
     def _jet(self, x, y):
         """``gradient`` now and ``hessian`` on demand: (f_x, f_y, hessian_at(rows)).
 
         x and y are float arrays of one shape, or one point's numpy scalars.
-        A supplied ``grad`` that returns fewer values than points (a constant,
-        say) is spread over the points' shape.  A NaN or infinite point raises
-        OutOfDomain.
+        ``hessian_at(rows)`` reads ``hess`` at the points a boolean mask
+        selects (all by default).  A NaN or infinite point raises OutOfDomain.
         """
         _check_finite_point(x, y)
-        if self.grad is None:
-            fx, fy = _partials(self.f, x, y, _FD_STEP)
-        else:
-            fx, fy = self.grad(x, y)
-            if np.ndim(x):
-                fx = np.asarray(fx, dtype=float) * np.ones_like(x)
-                fy = np.asarray(fy, dtype=float) * np.ones_like(y)
+        fx, fy = _spread(self.grad(x, y), x)
 
         def hessian_at(rows=None):
-            if rows is None:
-                return self.hessian(x, y)
-            return self.hessian(x.compress(rows), y.compress(rows))
+            x_r, y_r = (x, y) if rows is None else (x.compress(rows), y.compress(rows))
+            return _spread(self.hess(x_r, y_r), x_r)
 
         return fx, fy, hessian_at
 
@@ -660,8 +589,8 @@ def flat_surface(height: float = 0.0) -> GraphSurface:
     """Horizontal plane z = height; its slope metric is the Euclidean norm."""
     return GraphSurface(
         f=lambda x, y: np.full_like(np.asarray(x, dtype=float), height),
-        grad=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),
-                           np.zeros_like(np.asarray(y, dtype=float))),
+        grad=lambda x, y: (0.0, 0.0),
+        hess=lambda x, y: (0.0, 0.0, 0.0),
         kind="flat",
     )
 

@@ -42,16 +42,21 @@ def builtin_profiles():
     ]
 
 
+def table_profile():
+    """A 64-row spline table of s^1.5 whose inner edge lies off the axis."""
+    s = np.linspace(0.5, 4.0, 64)
+    return profile_from_table(s, s ** 1.5)
+
+
 def window_profiles():
     """The builtins, a spline table and a "domain"-restricted waist, as pytest params.
 
     Together they have a smooth and a non-smooth apex, a waist, an unbounded
     and a finite outer edge, and a table's inner edge off the axis.
     """
-    s = np.linspace(0.5, 4.0, 64)
     restricted = {"kind": "hyperboloid1", "params": {"a": 0.5, "b": 1.0}, "domain": [1.0, 3.0]}
     return ([pytest.param(p, id=p.kind) for p in builtin_profiles()]
-            + [pytest.param(profile_from_table(s, s ** 1.5), id="table"),
+            + [pytest.param(table_profile(), id="table"),
                pytest.param(surface_from_json(restricted).profile, id="hyperboloid1-restricted")])
 
 
@@ -65,6 +70,17 @@ def builtin_windows():
         ("hyperboloid1", one_sheet_hyperboloid(0.5, 1.0), (1.2, 4.8), (2.05, 4.8)),
         ("gaussian", gaussian_bump(), (0.05, 4.9), (0.05, 4.9)),
     ]
+
+
+def central_difference(f, x):
+    """4th-order central difference of f at x with step 1e-5 * max(1, |x|).
+
+    The tests' oracle for every closed-form derivative the library carries;
+    its nodes reach 2 steps either side of x, so x must lie that far inside
+    f's domain.
+    """
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
 
 
 def interior_radii(profile, n=7):

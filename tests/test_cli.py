@@ -270,6 +270,12 @@ class TestIndicatrixCommand:
         code, _, err = run(capsys, ["indicatrix", "--surface", surf, "--at", "0,0"])
         assert code == 3
 
+    def test_overflowing_slope_is_one_error_line(self, capsys):
+        # phi' = -2s overflows at s = 1e308: numpy's overflow warning (an error
+        # under the suite's filter) stays inside the typed error, which names s
+        code, out, err = run(capsys, ["indicatrix", "--surface", PARAB, "--at", "1e308,0"])
+        assert (code, out, err) == (3, "", "error: closed-form derivative non-finite at s=1e+308\n")
+
     def test_missing_point_is_config_error(self, capsys):
         code, _, _ = run(capsys, ["indicatrix", "--surface", PARAB])
         assert code == 2
@@ -480,6 +486,32 @@ class TestClosedStdout:
             proc.kill()
             proc.stderr.close()
         assert err == b""
+
+
+class TestUnwritableOutput:
+    """A failed output write is one error line and exit 4, not a traceback."""
+
+    ARGV = [sys.executable, "-m", "slopemetric.cli", "domain", "--surface", PARAB, "--smax", "1"]
+
+    def run_cli(self, argv, stdout):
+        src = str(Path(slopemetric.__file__).resolve().parent.parent)
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = self.run_cli(self.ARGV, full)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    def test_out_in_a_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        proc = self.run_cli(self.ARGV + ["--out", str(target)], subprocess.PIPE)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot write output: [Errno 2]")
+        assert one_error_line(proc.stderr)
 
 
 @pytest.mark.parametrize("command, key, default", [

@@ -244,6 +244,7 @@ class TestConvexityDomain:
         grazer = profile_from_callable(
             lambda s: np.sin(s) / math.sqrt(3.0), (0.0, 4.0),
             dphi=lambda s: np.cos(s) / math.sqrt(3.0),
+            d2phi=lambda s: -np.sin(s) / math.sqrt(3.0),
         )
         with pytest.warns(DoubleRootWarning):
             convexity_domain(grazer, resolution=2048)
@@ -303,7 +304,8 @@ class TestPanelScan:
     def test_zero_at_an_interior_grid_point(self, monkeypatch):
         # phi' = SLOPE * 2s meets the threshold at the grid point s = 1/2
         p = profile_from_callable(lambda s: self.SLOPE * s * s, (0.0, math.inf),
-                                  dphi=lambda s: self.SLOPE * (2.0 * s))
+                                  dphi=lambda s: self.SLOPE * (2.0 * s),
+                                  d2phi=lambda s: np.full_like(s, 2.0 * self.SLOPE))
         c = self.criterion(p)
         assert c[32] == 0.0 and np.all(c[:32] < 0.0) and np.all(c[33:] > 0.0)
         dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
@@ -312,7 +314,8 @@ class TestPanelScan:
 
     def test_zero_at_the_last_grid_point(self, monkeypatch):
         p = profile_from_callable(lambda s: 0.5 * self.SLOPE * s * s, (0.0, math.inf),
-                                  dphi=lambda s: self.SLOPE * s)
+                                  dphi=lambda s: self.SLOPE * s,
+                                  d2phi=lambda s: np.full_like(s, self.SLOPE))
         c = self.criterion(p)
         assert c[-1] == 0.0 and np.all(c[:-1] < 0.0)
         dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
@@ -329,7 +332,10 @@ class TestPanelScan:
         def dphi(s):
             return 2.0 * self.SLOPE * np.maximum(0.0, 1.0 - np.abs(s - 0.5) / width)
 
-        p = profile_from_callable(lambda s: np.zeros_like(s), (0.0, math.inf), dphi=dphi)
+        def d2phi(s):
+            return np.where(np.abs(s - 0.5) < width, -2.0 * self.SLOPE * np.sign(s - 0.5) / width, 0.0)
+
+        p = profile_from_callable(lambda s: np.zeros_like(s), (0.0, math.inf), dphi=dphi, d2phi=d2phi)
         c = self.criterion(p)
         assert np.flatnonzero(c > 0.0).tolist() == [32]
         dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
@@ -458,7 +464,7 @@ class TestVerifyEquivalence:
             return -2.0 * x, -2.0 * y
 
         surf = GraphSurface(f=lambda x, y: 100.0 - x * x - y * y, grad=grad,
-                            bbox=(-1.0, 1.0, -1.0, 1.0))
+                            hess=lambda x, y: (-2.0, 0.0, -2.0), bbox=(-1.0, 1.0, -1.0, 1.0))
         rep = verify_equivalence(surf, SamplePlan(n_points=50, seed=0))
         assert rep.samples == 50
         assert calls == [50]
@@ -513,7 +519,8 @@ class TestVerifyEquivalence:
     def test_a_bug_in_the_profile_is_not_trig_skipped(self):
         # phi raises an error of no package type: the height route must not
         # swallow it and count every point as trig_skipped
-        p = profile_from_callable(lambda s: s.bogus, (0.0, math.inf), dphi=lambda s: -2.0 * s)
+        p = profile_from_callable(lambda s: s.bogus, (0.0, math.inf), dphi=lambda s: -2.0 * s,
+                                  d2phi=lambda s: np.full_like(s, -2.0))
         with pytest.raises(AttributeError, match="bogus"):
             verify_equivalence(SurfaceOfRevolution(p), SamplePlan(n_points=20))
 
@@ -592,7 +599,8 @@ class TestSampleDraws:
             return -2.0 * x, -2.0 * y
 
         bbox = (-0.3, 0.7, -1.25, 0.5)
-        surf = GraphSurface(f=lambda x, y: 100.0 - x * x - y * y, grad=grad, bbox=bbox)
+        surf = GraphSurface(f=lambda x, y: 100.0 - x * x - y * y, grad=grad,
+                            hess=lambda x, y: (-2.0, 0.0, -2.0), bbox=bbox)
         plan = SamplePlan(n_points=250, seed=11)
         want, _ = per_call_points(plan, (), bbox=bbox)
         assert bits(*convexity._sample_points(plan, (), bbox=bbox)) == bits(*want)

@@ -187,8 +187,12 @@ class TestSpray:
         "paraboloid": (lambda: SurfaceOfRevolution(paraboloid(100.0)), _uniform_radii(0.02, 0.25)),
         "gaussian": (lambda: SurfaceOfRevolution(gaussian_bump()), _uniform_radii(0.1, 2.5)),
         "table": (bumpy_table_surface, _knot_midpoint_radii),
-        "graph": (lambda: GraphSurface(f=lambda x, y: 0.2 * np.sin(x) * np.cos(0.7 * y) + 0.1 * x),
-                  _uniform_radii(0.1, 2.5)),
+        "graph": (lambda: GraphSurface(
+            f=lambda x, y: 0.2 * np.sin(x) * np.cos(0.7 * y) + 0.1 * x,
+            grad=lambda x, y: (0.2 * np.cos(x) * np.cos(0.7 * y) + 0.1, -0.14 * np.sin(x) * np.sin(0.7 * y)),
+            hess=lambda x, y: (-0.2 * np.sin(x) * np.cos(0.7 * y), -0.14 * np.cos(x) * np.sin(0.7 * y),
+                               -0.098 * np.sin(x) * np.cos(0.7 * y))),
+            _uniform_radii(0.1, 2.5)),
     }
 
     @pytest.mark.parametrize("nav", [(1.0, 1.0), (1.0, 0.5)], ids=["nav11", "nav105"])
@@ -264,7 +268,7 @@ class TestSurfaceReads:
             return sum(calls for (path, _, _), (_, calls, *_) in stats.items()
                        if path.startswith(package))
 
-        assert (package_calls(20) - package_calls(10)) / 10 == 57
+        assert (package_calls(20) - package_calls(10)) / 10 == 53
 
     def test_rays_all_leaving_on_one_step(self, parab_surface, monkeypatch):
         # At nav (1, 3) the convex disk has radius sqrt(1/35)/2 ~ 0.085; one

@@ -383,7 +383,8 @@ class TestOkubo:
             calls.append((x, y))
             return 0.4 * x, -0.3 * y
 
-        surf = GraphSurface(f=lambda x, y: 0.2 * x * x - 0.15 * y * y, grad=grad)
+        surf = GraphSurface(f=lambda x, y: 0.2 * x * x - 0.15 * y * y, grad=grad,
+                            hess=lambda x, y: (0.4, 0.0, -0.3))
         F = okubo_solve(surf, 0.5, 0.3, np.array([0.6, -0.8]))
         assert len(calls) == 1
         assert F == pytest.approx(slope_metric_F(surf, 0.5, 0.3, np.array([0.6, -0.8])),
@@ -479,12 +480,17 @@ class TestOkuboOnBenchmarkPairs:
 
 
 def _consistency_surfaces():
-    """The builtins, a 256-row table, a callable profile without dphi, a graph and flat ground."""
+    """The builtins, a 256-row table, a callable profile, a graph and flat ground."""
     s = np.linspace(0.0, 4.0, 256)
     surfs = [SurfaceOfRevolution(p) for p in builtin_profiles()]
     surfs.append(SurfaceOfRevolution(profile_from_table(s, np.sin(s) / math.sqrt(3.0))))
-    surfs.append(SurfaceOfRevolution(profile_from_callable(lambda r: 1.0 - 0.1 * r ** 3, (0.0, 3.0))))
-    surfs.append(GraphSurface(f=lambda x, y: 0.3 * np.sin(x) * np.cos(2.0 * y)))
+    surfs.append(SurfaceOfRevolution(profile_from_callable(
+        lambda r: 1.0 - 0.1 * r ** 3, (0.0, 3.0), dphi=lambda r: -0.3 * r ** 2, d2phi=lambda r: -0.6 * r)))
+    surfs.append(GraphSurface(
+        f=lambda x, y: 0.3 * np.sin(x) * np.cos(2.0 * y),
+        grad=lambda x, y: (0.3 * np.cos(x) * np.cos(2.0 * y), -0.6 * np.sin(x) * np.sin(2.0 * y)),
+        hess=lambda x, y: (-0.3 * np.sin(x) * np.cos(2.0 * y), -0.6 * np.cos(x) * np.sin(2.0 * y),
+                           -1.2 * np.sin(x) * np.cos(2.0 * y))))
     surfs.append(flat_surface(1.5))
     return surfs
 

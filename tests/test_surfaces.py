@@ -14,6 +14,7 @@ from slopemetric import (
     ApexSingularity,
     ConfigError,
     GraphSurface,
+    NonDifferentiable,
     NotInvertible,
     OutOfDomain,
     OutOfRange,
@@ -33,9 +34,13 @@ from slopemetric import (
     surface_from_json,
     two_sheet_hyperboloid,
 )
-from conftest import interior_radii, window_profiles
+from conftest import builtin_profiles, central_difference, interior_radii, table_profile, window_profiles
 
 GAUSS_PEAK = 0.20412414523193154  # 1/(2*sqrt(6))
+
+# every builtin and a spline table: the profiles whose closed forms the
+# difference oracle checks
+CLOSED_FORM_PROFILES = [pytest.param(p, id=p.kind) for p in builtin_profiles() + [table_profile()]]
 
 
 class TestEvalProfile:
@@ -75,18 +80,28 @@ class TestProfileDerivative:
         with pytest.raises(OutOfDomain):
             profile_derivative(one_sheet_hyperboloid(0.5, 1.0), 1.0)
 
-    def test_closed_vs_central_difference(self, builtin_profile):
-        # numeric twin: same curve, derivative by differences only
-        numeric = profile_from_callable(builtin_profile.phi, builtin_profile.domain)
-        for s in interior_radii(builtin_profile):
-            d_closed = profile_derivative(builtin_profile, s)
-            d_num = profile_derivative(numeric, s)
-            assert d_num == pytest.approx(d_closed, rel=1e-6)
+    @pytest.mark.parametrize("profile", CLOSED_FORM_PROFILES)
+    def test_closed_vs_central_difference(self, profile):
+        # oracle: differences of phi alone
+        for s in interior_radii(profile):
+            d_num = central_difference(lambda q: np.asarray(profile.phi(q), dtype=float), s)
+            assert d_num == pytest.approx(profile_derivative(profile, s), rel=1e-6)
 
-    def test_derivative_mode_tag(self):
-        assert paraboloid(100.0).derivative_mode == "closed-form"
-        numeric = profile_from_callable(lambda s: 1.0 + 0 * s, (0.0, 5.0))
-        assert numeric.derivative_mode == "central-difference"
+    def test_derivatives_are_required(self):
+        with pytest.raises(TypeError):
+            profile_from_callable(np.square, (0.0, 1.0))
+        with pytest.raises(TypeError):
+            GraphSurface(f=lambda x, y: x * y)
+        with pytest.raises(TypeError):
+            GraphSurface(f=lambda x, y: x * y, grad=lambda x, y: (y, x))
+
+    def test_non_finite_closed_form_names_the_radius(self):
+        # phi' = -2s overflows past s ~ 9e307; numpy's overflow warning stays
+        # inside the typed error
+        message = re.escape("closed-form derivative non-finite at s=1e+308")
+        for s in (1e308, np.float64(1e308), np.array([1.0, 1e308, 1.5e308])):
+            with pytest.raises(NonDifferentiable, match=message):
+                profile_derivative(paraboloid(100.0), s)
 
 
 class TestDomainCheck:
@@ -111,7 +126,10 @@ class TestDomainCheck:
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.3, -math.inf)])
     def test_graph_reads_reject_non_finite_points(self, x, y):
         message = re.escape(f"point ({x!r}, {y!r}) is not finite")
-        graphs = (flat_surface(), GraphSurface(f=lambda x, y: 0.2 * x * x - 0.1 * x * y))
+        graph = GraphSurface(f=lambda x, y: 0.2 * x * x - 0.1 * x * y,
+                             grad=lambda x, y: (0.4 * x - 0.1 * y, -0.1 * x),
+                             hess=lambda x, y: (0.4, -0.1, 0.0))
+        graphs = (flat_surface(), graph)
         for surf in graphs:
             for read in (surf.gradient, surf.hessian, surf.height):
                 for X, Y in ((x, y), (np.array([0.1, x]), np.array([0.2, y]))):
@@ -207,7 +225,7 @@ class TestInversion:
             assert eval_profile(p, trig.m(u)) == pytest.approx(u, abs=1e-8)
 
     def test_not_invertible(self):
-        bump = profile_from_callable(lambda s: np.sin(s), (0.0, 6.0))
+        bump = profile_from_callable(np.sin, (0.0, 6.0), dphi=np.cos, d2phi=lambda s: -np.sin(s))
         with pytest.raises(NotInvertible):
             TrigProfile.from_profile(bump, (0.5, 4.0))
 
@@ -233,7 +251,8 @@ class TestScanWindow:
         (one_sheet_hyperboloid(0.5, 1.0), None, (1.0 + 99.0 * 1e-9, 100.0)),
         (one_sheet_hyperboloid(0.5, 1.0), 3.0, (1.0 + 2.0 * 1e-9, 3.0)),
         # a finite edge comes in by at least 1e-12
-        (profile_from_callable(np.square, (0.0, 1e-4), dphi=lambda s: 2.0 * s), None,
+        (profile_from_callable(np.square, (0.0, 1e-4), dphi=lambda s: 2.0 * s,
+                               d2phi=lambda s: np.full_like(s, 2.0)), None,
          (0.0, 1e-4 - 1e-12)),
     ], ids=["paraboloid", "paraboloid-smax", "ellipsoid", "ellipsoid-smax-past-edge",
             "waist", "waist-smax", "narrow"])
@@ -288,15 +307,6 @@ class TestGradient:
         q = fx**2 + fy**2
         assert np.max(np.abs(q - q[0])) <= 1e-12
 
-    def test_rotational_symmetry_numeric_profile(self):
-        numeric = profile_from_callable(lambda s: 100.0 - np.square(s), (0.0, math.inf))
-        surf = SurfaceOfRevolution(numeric)
-        s = 0.37
-        th = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        fx, fy = surf.gradient(s * np.cos(th), s * np.sin(th))
-        q = fx**2 + fy**2
-        assert np.max(np.abs(q - q[0])) <= 1e-6
-
     def test_smooth_axis(self, parab_surface, gauss_surface):
         assert parab_surface.gradient(0.0, 0.0) == (0.0, 0.0)
         assert gauss_surface.gradient(0.0, 0.0) == (0.0, 0.0)
@@ -329,19 +339,12 @@ def _gradient_differences(surf, x, y, h=1e-5):
 
 
 class TestHessian:
-    def test_second_derivative_closed_vs_central_difference(self, builtin_profile):
-        # numeric twin: closed-form slope, second derivative by differences of it
-        numeric = profile_from_callable(builtin_profile.phi, builtin_profile.domain,
-                                        dphi=builtin_profile.dphi)
-        for s in interior_radii(builtin_profile):
-            d2 = profile_second_derivative(builtin_profile, s)
-            assert profile_second_derivative(numeric, s) == pytest.approx(d2, rel=1e-6, abs=1e-9)
-
-    def test_second_derivative_fully_numeric(self):
-        numeric = profile_from_callable(lambda s: np.exp(-np.square(s)), (0.0, math.inf))
-        s = np.array([0.0, 0.3, 1.0, 2.5])
-        exact = (4.0 * s * s - 2.0) * np.exp(-s * s)
-        np.testing.assert_allclose(profile_second_derivative(numeric, s), exact, atol=1e-6)
+    @pytest.mark.parametrize("profile", CLOSED_FORM_PROFILES)
+    def test_second_derivative_closed_vs_central_difference(self, profile):
+        # oracle: differences of the closed-form slope
+        for s in interior_radii(profile):
+            d2_num = central_difference(lambda q: np.asarray(profile.dphi(q), dtype=float), s)
+            assert d2_num == pytest.approx(profile_second_derivative(profile, s), rel=1e-6, abs=1e-9)
 
     def test_matches_gradient_differences(self, builtin_profile):
         surf = SurfaceOfRevolution(builtin_profile)
@@ -356,7 +359,13 @@ class TestHessian:
     def test_table_and_graph_match_gradient_differences(self):
         s = np.linspace(0.0, 3.0, 128)
         table = SurfaceOfRevolution(profile_from_table(s, np.exp(-s * s) * np.cos(s)))
-        graph = GraphSurface(f=lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x * y)
+        graph = GraphSurface(
+            f=lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x * y,
+            grad=lambda x, y: (np.cos(x) * np.cos(0.7 * y) + 0.1 * y,
+                               -0.7 * np.sin(x) * np.sin(0.7 * y) + 0.1 * x),
+            hess=lambda x, y: (-np.sin(x) * np.cos(0.7 * y),
+                               -0.7 * np.cos(x) * np.sin(0.7 * y) + 0.1,
+                               -0.49 * np.sin(x) * np.cos(0.7 * y)))
         x = np.array([0.3, -1.1, 0.8, 1.7])
         y = np.array([0.2, 0.5, -1.3, 0.4])
         for surf in (table, graph):
