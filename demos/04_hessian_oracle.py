@@ -10,6 +10,7 @@ every route on random samples.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -49,7 +50,7 @@ print("\n=== a deliberately wrong threshold is caught ===")
 # the patched bound reaches the analytic and profile routes only
 with mock.patch("slopemetric.convexity.convexity_threshold", return_value=0.5):
     rep_bad = verify_equivalence(
-        SurfaceOfRevolution(paraboloid(100.0, s_max=1.0)),
+        SurfaceOfRevolution(replace(paraboloid(100.0), domain=(0.0, 1.0))),
         SamplePlan(n_points=300, seed=42),
     )
 print(f"with threshold corrupted to 0.5: {len(rep_bad.disagreements)} disagreements "

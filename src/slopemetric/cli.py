@@ -136,8 +136,8 @@ SHARED = (
     Option("nav", "--nav", NAV, (1.0, 1.0), "navigation params 'v,w' (default 1,1)"),
     Option("out", "--out", STR, None, "output file (default stdout)"),
     Option("format", "--format", FORMAT, "json"),
-    Option("seed", "--seed", INT, 0),
-    Option("band", "--band", FLOAT, 1e-3),
+    Option("seed", "--seed", INT, cx.SamplePlan.seed),
+    Option("band", "--band", FLOAT, cx.SamplePlan.band),
     Option("strict", "--strict", BOOL, False),
 )
 
@@ -479,8 +479,8 @@ COMMANDS = {
     "verify": Command(cmd_verify, "cross-check all convexity routes on random samples", (
         Option("surfaces", "--surface", SURFACES, None,
                "surface JSON (inline or file path); repeatable"),
-        Option("samples", "--samples", INT, 200),
-        Option("directions", "--directions", INT, 64),
+        Option("samples", "--samples", INT, cx.SamplePlan.n_points),
+        Option("directions", "--directions", INT, cx.SamplePlan.n_directions),
     )),
     "indicatrix": Command(cmd_indicatrix, "sample the unit curve and fit the limacon", (
         Option("at", "--at", PAIR, REQUIRED, "chart point 'x,y'"),

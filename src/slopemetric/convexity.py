@@ -106,12 +106,11 @@ def _convex(q, threshold: float, band: float = CRITERION_BAND):
     return q < threshold - band
 
 
-def is_strongly_convex_at(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
-                          band: float = CRITERION_BAND) -> Verdict:
-    """Pointwise verdict from the gradient criterion f_x^2 + f_y^2 < threshold of ``nav``."""
+def is_strongly_convex_at(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMALIZED) -> Verdict:
+    """Verdict of f_x^2 + f_y^2 < threshold of ``nav``; indeterminate within ``CRITERION_BAND``."""
     fx, fy = surf.gradient(x, y)
-    threshold = convexity_threshold(nav or NORMALIZED)
-    return Verdict(criterion_verdict(fx * fx + fy * fy, threshold, band))
+    threshold = convexity_threshold(nav)
+    return Verdict(criterion_verdict(fx * fx + fy * fy, threshold))
 
 
 def cartesian_condition(p: ProfileCurve, s):
@@ -221,7 +220,7 @@ def _panel_roots(grid: np.ndarray, c: np.ndarray, crit) -> list[float]:
 
 
 def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | None = None,
-                     nav: NavigationParams | None = None) -> ConvexityDomain:
+                     nav: NavigationParams = NORMALIZED) -> ConvexityDomain:
     """Scan phi'^2 - threshold of ``nav``, bracket sign changes, bisect each boundary root.
 
     The scan grid is uniform with ``resolution`` panels (>= 64) on
@@ -231,12 +230,9 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     grid = np.linspace(*_scan_window(p, s_max), resolution + 1)
-    threshold = convexity_threshold(nav or NORMALIZED)
-    cond = np.square(np.asarray(profile_derivative(p, grid), dtype=float))
-    c = cond - threshold
-
-    def crit(s: float) -> float:
-        return float(profile_derivative(p, s)) ** 2 - threshold
+    threshold = convexity_threshold(nav)
+    c = cartesian_condition(p, grid) - threshold
+    crit = lambda s: cartesian_condition(p, s) - threshold
 
     roots = sorted(set(_panel_roots(grid, c, crit)))
 
@@ -341,21 +337,20 @@ def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray
     return verdicts
 
 
-def pd_oracle(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
-              n_directions: int = 64) -> bool:
+def pd_oracle(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMALIZED) -> bool:
     """Brute-force positive definiteness of g_ij over a fan of directions.
 
-    Sweeps ``n_directions`` equally spaced angles and requires trace > 0 and
-    det > 0 for every one.  Convexity of the slope metric is lost first along
-    the steepest-uphill direction, and just past the breakdown the indefinite
-    cone around it is narrower than any fixed angular spacing, so the uphill
-    angle joins the fan; the verdict still rests purely on Hessian eigenvalue
-    signs.  A stencil that leaves v*alpha - w*beta > 0 means F is not a norm
-    at the point, so the verdict is False.
+    Sweeps verify's default fan of ``SamplePlan.n_directions`` (64) equally spaced
+    angles and requires trace > 0 and det > 0 for every one.  Convexity is lost
+    first along the steepest-uphill direction, and just past the breakdown the
+    indefinite cone around it is narrower than any fixed angular spacing, so the
+    uphill angle joins the fan; the verdict still rests purely on Hessian
+    eigenvalue signs.  A stencil that leaves v*alpha - w*beta > 0 means F is not
+    a norm at the point, so the verdict is False.
     """
     fx, fy = surf.gradient(x, y)
-    return bool(_pd_verdicts(np.atleast_1d(fx), np.atleast_1d(fy), nav or NORMALIZED,
-                             n_directions)[0])
+    return bool(_pd_verdicts(np.atleast_1d(fx), np.atleast_1d(fy), nav,
+                             SamplePlan.n_directions)[0])
 
 
 @dataclass(frozen=True)
@@ -477,8 +472,8 @@ def _sample_points(plan: SamplePlan, roots: tuple[float, ...], window=None, bbox
     return xs, ys, ss
 
 
-def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
-                       nav: NavigationParams | None = None) -> EquivalenceReport:
+def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan = SamplePlan(),
+                       nav: NavigationParams = NORMALIZED) -> EquivalenceReport:
     """Randomly sample the surface and tally agreement among all routes.
 
     For each sampled point the gradient criterion, the Cartesian profile
@@ -489,8 +484,6 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan | None = None,
     Indeterminate verdicts are tallied separately.  The points are drawn
     first; each route then judges all of them in one array evaluation.
     """
-    plan = plan or SamplePlan()
-    nav = nav or NORMALIZED
     threshold = convexity_threshold(nav)
     is_rev = isinstance(surf, SurfaceOfRevolution)
     report = EquivalenceReport(

@@ -283,7 +283,7 @@ def _integrate(surf, p0, v0, length, step, nav):
 
 
 def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,
-                   step: float = 1e-3, nav: NavigationParams | None = None) -> GeodesicPath:
+                   step: float = 1e-3, nav: NavigationParams = NORMALIZED) -> GeodesicPath:
     """Trace the extremal from ``start`` along ``direction`` for an F-length.
 
     The initial velocity is rescaled to unit F-speed, so ``length`` is travel
@@ -293,7 +293,6 @@ def geodesic_shoot(surf: SurfaceSpec, start, direction, length: float,
     conserved F drifts more than 10x ``DRIFT_TOL`` per unit length, and what
     ``slope_metric_F`` raises on the direction.
     """
-    nav = nav or NORMALIZED
     start = np.asarray(start, dtype=float).reshape(2)
     direction = np.asarray(direction, dtype=float).reshape(2)
     if is_strongly_convex_at(surf, start[0], start[1], nav) is not Verdict.CONVEX:
@@ -331,7 +330,7 @@ class WavefrontResult:
 
 
 def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
-              step: float = 1e-3, nav: NavigationParams | None = None,
+              step: float = 1e-3, nav: NavigationParams = NORMALIZED,
               n_fronts: int = 1) -> WavefrontResult:
     """Propagate a unit-F-speed front from a seed point.
 
@@ -341,7 +340,6 @@ def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
     a step, are truncated and drop out of later fronts (their status records
     the early stop).
     """
-    nav = nav or NORMALIZED
     seed = np.asarray(seed, dtype=float).reshape(2)
     if is_strongly_convex_at(surf, seed[0], seed[1], nav) is not Verdict.CONVEX:
         raise OutOfDomain("seed point is not strictly inside the strong-convexity domain")
@@ -408,7 +406,7 @@ def _discrete_convexity(samples: np.ndarray) -> bool:
     return not (np.any(signs > 0) and np.any(signs < 0))
 
 
-def indicatrix(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
+def indicatrix(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMALIZED,
                n: int = 256) -> Indicatrix:
     """Sample n unit-F directions at (x, y) and fit the limacon polar profile.
 
@@ -418,7 +416,6 @@ def indicatrix(surf: SurfaceSpec, x, y, nav: NavigationParams | None = None,
     with the incline); the fit is reported along with a discrete convexity
     flag, which goes False outside the strong-convexity domain.
     """
-    nav = nav or NORMALIZED
     if n < 8:
         raise ValueError("need at least 8 samples")
     dirs = _unit_directions(n)

@@ -232,7 +232,7 @@ def _parts_quotient(n2, b, a2, nav: NavigationParams):
     return a2 / np.where(denom > 0.0, denom, np.nan), al
 
 
-def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
+def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams = NORMALIZED):
     """Travel-time norm alpha^2 / (v*alpha - w*beta) of a chart direction.
 
     Positive and 1-homogeneous in tv wherever v*alpha - w*beta > 0; on graph
@@ -240,7 +240,6 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = N
     |beta| < alpha always.  Raises ZeroVector / DirectionOverflow (see the
     module docstring) / DegenerateDenominator.
     """
-    nav = nav or NORMALIZED
     return _scalar(_F(*surf.gradient(x, y), tv, nav))
 
 
@@ -254,7 +253,7 @@ def _F(fx, fy, tv, nav: NavigationParams):
     return _times_pow2(F, e)
 
 
-def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
+def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams = NORMALIZED):
     """Implicit indicatrix function; zero exactly on the unit curve of F.
 
     h(tv) = |tv|^2 + beta^2 - v*sqrt(|tv|^2 + beta^2) + w*beta, i.e.
@@ -263,7 +262,6 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     r = v + w*sin(incline)*cos(theta).  h is not homogeneous: it is evaluated
     on tv itself, after the direction check.
     """
-    nav = nav or NORMALIZED
     fx, fy = surf.gradient(x, y)
     _direction(tv)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -271,7 +269,7 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams | None = None):
     return _scalar(_times_pow2(h, 0))  # DirectionOverflow where h is not a finite double
 
 
-def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None = None) -> float:
+def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORMALIZED) -> float:
     """The unique F > 0 with h(direction/F) = 0, found by root-solving.
 
     At most 60 Newton iterations on lam = 1/F, with the analytic dh/dlam,
@@ -288,7 +286,6 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams | None
     quadratic's root is the closed-form quotient itself, and the check would
     stop being independent.
     """
-    nav = nav or NORMALIZED
     d = np.asarray(direction, dtype=float)
     if d.shape != (2,):
         raise ValueError("okubo_solve expects a single direction of shape (2,)")
@@ -367,18 +364,18 @@ def _tensor(fx, fy, tv, nav: NavigationParams):
     return g11, g12, g22
 
 
-def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams | None = None):
+def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams = NORMALIZED):
     """g_ij for a batch of directions, shape (n, 2) -> three (n,) arrays.
 
     x, y may be scalars (one chart point for the whole fan) or (n,) arrays pairing
     each direction with its own point.  ``fundamental_tensor``'s closed form and errors.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    return _tensor(*surf.gradient(x, y), dirs, nav or NORMALIZED)
+    return _tensor(*surf.gradient(x, y), dirs, nav)
 
 
 def fundamental_tensor(surf: SurfaceSpec, x, y, tv,
-                       nav: NavigationParams | None = None) -> FundamentalTensor:
+                       nav: NavigationParams = NORMALIZED) -> FundamentalTensor:
     """Half the direction-Hessian of F^2 at (point, direction), in Chern & Shen's closed form.
 
     Symmetric, 0-homogeneous in tv, g_ij tv^i tv^j = F^2 up to rounding, and
@@ -387,7 +384,7 @@ def fundamental_tensor(surf: SurfaceSpec, x, y, tv,
     tv = np.asarray(tv, dtype=float)
     if tv.shape != (2,):
         raise ValueError("fundamental_tensor expects a single direction of shape (2,)")
-    g11, g12, g22 = _tensor(*surf.gradient(x, y), tv, nav or NORMALIZED)
+    g11, g12, g22 = _tensor(*surf.gradient(x, y), tv, nav)
     return FundamentalTensor(g11=float(g11), g12=float(g12), g22=float(g22))
 
 

@@ -4,9 +4,9 @@ A surface of revolution is the graph z = phi(sqrt(x^2 + y^2)) of a radial
 profile phi on a half-open interval [s_min, s_max); a general surface is a
 graph z = f(x, y).  Both expose heights, gradients and Hessians, vectorized
 over numpy arrays, from derivatives each carries in closed form.  A profile
-can additionally be inverted on a strictly monotone branch, giving the
-height parametrization s = m(u) of the same generator (the nonnegative
-branch only; mirrored branches are rejected).
+can additionally be inverted where it is strictly monotone on its scan
+window (``_scan_window``, nonnegative radii), giving the height
+parametrization s = m(u) of the same generator.
 
 Surfaces are immutable after construction and all operations are pure, so
 one surface may be evaluated concurrently from any number of threads.
@@ -78,6 +78,7 @@ class ProfileCurve:
         source of ``profile_derivative`` and ``profile_second_derivative``.
     domain : (float, float)
         Half-open interval [s_min, s_max), s_min >= 0; s_max may be inf.
+        Restrict it with ``dataclasses.replace(p, domain=(lo, hi))``, as JSON "domain" does.
     params : dict
         Shape coefficients, kept for reporting and serialization.
     """
@@ -98,8 +99,8 @@ class ProfileCurve:
         return eval_profile(self, s)
 
 
-def paraboloid(h: float = 100.0, s_max: float = math.inf) -> ProfileCurve:
-    """phi(s) = h - s^2 with hilltop height h > 0."""
+def paraboloid(h: float = 100.0) -> ProfileCurve:
+    """phi(s) = h - s^2 on [0, inf) with hilltop height h > 0."""
     if h <= 0:
         raise ConfigError("paraboloid needs h > 0")
     return ProfileCurve(
@@ -107,13 +108,13 @@ def paraboloid(h: float = 100.0, s_max: float = math.inf) -> ProfileCurve:
         phi=lambda s: h - np.square(s),
         dphi=lambda s: -2.0 * np.asarray(s, dtype=float),
         d2phi=lambda s: np.full_like(np.asarray(s, dtype=float), -2.0),
-        domain=(0.0, s_max),
+        domain=(0.0, math.inf),
         params={"h": float(h)},
     )
 
 
-def cone(a: float, s_max: float = math.inf) -> ProfileCurve:
-    """phi(s) = a*s, a > 0.  The axis point s=0 is a non-smooth apex."""
+def cone(a: float) -> ProfileCurve:
+    """phi(s) = a*s on [0, inf), a > 0.  The axis point s=0 is a non-smooth apex."""
     if a <= 0:
         raise ConfigError("cone needs a > 0")
     return ProfileCurve(
@@ -121,7 +122,7 @@ def cone(a: float, s_max: float = math.inf) -> ProfileCurve:
         phi=lambda s: a * np.asarray(s, dtype=float),
         dphi=lambda s: np.full_like(np.asarray(s, dtype=float), a),
         d2phi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        domain=(0.0, s_max),
+        domain=(0.0, math.inf),
         params={"a": float(a)},
     )
 
@@ -140,8 +141,8 @@ def ellipsoid(a: float, c: float) -> ProfileCurve:
     )
 
 
-def two_sheet_hyperboloid(a: float, b: float, s_max: float = math.inf) -> ProfileCurve:
-    """phi(s) = a*sqrt(s^2 + b^2), a, b > 0 (upper sheet)."""
+def two_sheet_hyperboloid(a: float, b: float) -> ProfileCurve:
+    """phi(s) = a*sqrt(s^2 + b^2) on [0, inf), a, b > 0 (upper sheet)."""
     if a <= 0 or b <= 0:
         raise ConfigError("two-sheet hyperboloid needs a > 0 and b > 0")
     return ProfileCurve(
@@ -149,13 +150,13 @@ def two_sheet_hyperboloid(a: float, b: float, s_max: float = math.inf) -> Profil
         phi=lambda s: a * np.sqrt(np.square(s) + b * b),
         dphi=lambda s: a * np.asarray(s, dtype=float) / np.sqrt(np.square(s) + b * b),
         d2phi=lambda s: a * b * b / (np.square(s) + b * b) ** 1.5,
-        domain=(0.0, s_max),
+        domain=(0.0, math.inf),
         params={"a": float(a), "b": float(b)},
     )
 
 
-def one_sheet_hyperboloid(a: float, b: float, s_max: float = math.inf) -> ProfileCurve:
-    """phi(s) = a*sqrt(s^2 - b^2) on [|b|, s_max), a, b > 0.
+def one_sheet_hyperboloid(a: float, b: float) -> ProfileCurve:
+    """phi(s) = a*sqrt(s^2 - b^2) on [|b|, inf), a, b > 0.
 
     phi itself is defined at the waist s = |b|, but the derivative diverges
     there, so differentiation requires s > |b|.
@@ -168,20 +169,20 @@ def one_sheet_hyperboloid(a: float, b: float, s_max: float = math.inf) -> Profil
         phi=lambda s: a * np.sqrt(np.square(s) - b * b),
         dphi=lambda s: a * np.asarray(s, dtype=float) / np.sqrt(np.square(s) - b * b),
         d2phi=lambda s: -a * b * b / (np.square(s) - b * b) ** 1.5,
-        domain=(b, s_max),
+        domain=(b, math.inf),
         params={"a": float(a), "b": float(b)},
     )
 
 
-def gaussian_bump(s_max: float = math.inf) -> ProfileCurve:
-    """phi(s) = exp(-s^2) / (2*sqrt(6)), the bell-shaped bump."""
+def gaussian_bump() -> ProfileCurve:
+    """phi(s) = exp(-s^2) / (2*sqrt(6)) on [0, inf), the bell-shaped bump."""
     amp = 1.0 / (2.0 * math.sqrt(6.0))
     return ProfileCurve(
         kind="gaussian",
         phi=lambda s: amp * np.exp(-np.square(s)),
         dphi=lambda s: -2.0 * amp * np.asarray(s, dtype=float) * np.exp(-np.square(s)),
         d2phi=lambda s: amp * (4.0 * np.square(s) - 2.0) * np.exp(-np.square(s)),
-        domain=(0.0, s_max),
+        domain=(0.0, math.inf),
         params={},
     )
 
@@ -265,33 +266,45 @@ def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
         raise OutOfDomain(f"s={float(worst)!r} outside profile domain [{lo}, {hi})")
 
 
+def _require_finite(values, error, message: str, *coords) -> None:
+    """Raise ``error`` where ``values`` is not finite; the first such point's ``coords``
+    (broadcast with it) fill ``message``'s ``{!r}`` as floats, one bare and several as a tuple."""
+    finite = np.isfinite(values)
+    if finite if finite.ndim == 0 else np.count_nonzero(finite) == finite.size:
+        return
+    values, *coords = np.broadcast_arrays(values, *coords)
+    bad = ~np.isfinite(values)
+    where = tuple(float(c[bad].flat[0]) for c in coords)
+    raise error(message.format(where[0] if len(where) == 1 else where))
+
+
 def _check_finite_point(x, y) -> None:
     """Raise OutOfDomain where a chart point has a NaN or infinite coordinate, as radii do."""
-    finite = np.isfinite(x) & np.isfinite(y)
-    if not (finite if finite.ndim == 0 else np.count_nonzero(finite) == finite.size):
-        bx, by = (float(np.asarray(a)[~finite].flat[0]) for a in (x, y))
-        raise OutOfDomain(f"point ({bx!r}, {by!r}) is not finite")
+    _require_finite(np.maximum(np.abs(x), np.abs(y)), OutOfDomain, "point {!r} is not finite", x, y)
 
 
+# np.errstate as a decorator costs half of its ``with`` form
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def eval_profile(p: ProfileCurve, s):
     """Profile height phi(s).  Scalar in, float out; array in, array out."""
     s_arr = np.asarray(s, dtype=float)
     _check_in_domain(p, s_arr)
     z = np.asarray(p.phi(s_arr), dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise OutOfDomain(f"profile evaluated non-finite at s={s!r}")
+    _require_finite(z, OutOfDomain, "profile evaluated non-finite at s={!r}", s_arr)
     return _scalar(z)
 
 
-# np.errstate as a decorator costs half of its ``with`` form
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray):
     """A closed-form derivative at radii s_arr; non-finite values become typed errors.
 
-    One radius gives a Python float (``_scalar``'s rule, without its call on
-    every surface read), tested without numpy's per-call cost on a scalar.
+    A constant return is spread over the radii.  One radius gives a Python
+    float (``_scalar``'s rule, without its call on every surface read),
+    tested without numpy's per-call cost on a scalar.
     """
     d = np.asarray(fn(s_arr), dtype=float)
+    if d.shape != s_arr.shape:
+        d = np.full(s_arr.shape, d)
     if d.ndim:
         finite = np.count_nonzero(np.isfinite(d)) == d.size
     else:
@@ -302,9 +315,7 @@ def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray):
         if lo > 0.0 and np.any(s_arr == lo):
             # closed-form slope diverges at a positive inner edge (waist)
             raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
-        radii, values = np.broadcast_arrays(s_arr, d)
-        worst = radii[~np.isfinite(values)].flat[0]
-        raise NonDifferentiable(f"closed-form derivative non-finite at s={float(worst)!r}")
+        _require_finite(d, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s_arr)
     return d
 
 
@@ -356,9 +367,9 @@ class TrigProfile:
     """Height parametrization s = m(u) of a profile, on one monotone branch.
 
     m inverts phi: m(phi(s)) = s on the branch, and m'(u) = 1/phi'(m(u))
-    wherever phi' does not vanish.  Only the nonnegative branch (s >= 0) is
-    represented; profiles that are not strictly monotone on the requested
-    s-range raise NotInvertible.  The default s-range is ``_scan_window``'s.
+    wherever phi' does not vanish.  The branch is ``_scan_window``'s radii
+    less any numerically flat head or tail; a profile that is not strictly
+    monotone there raises NotInvertible.
     """
 
     profile: ProfileCurve
@@ -367,25 +378,17 @@ class TrigProfile:
     increasing: bool
 
     @classmethod
-    def from_profile(cls, p: ProfileCurve, s_range: tuple[float, float] | None = None) -> "TrigProfile":
-        lo, hi = p.domain
-        auto = s_range is None
-        s_lo, s_hi = map(float, _scan_window(p) if auto else s_range)
-        if not (lo <= s_lo < s_hi < hi):
-            raise OutOfDomain(f"s-range [{s_lo}, {s_hi}] not inside profile domain [{lo}, {hi})")
-        # strict monotonicity scan, 256 panels
-        grid = np.linspace(s_lo, s_hi, 257)
+    def from_profile(cls, p: ProfileCurve) -> "TrigProfile":
+        grid = np.linspace(*_scan_window(p), 257)  # strict monotonicity scan, 256 panels
         vals = np.asarray(p.phi(grid), dtype=float)
+        # trim numerically flat head/tail (e.g. an underflowed far tail)
+        nz = np.nonzero(np.diff(vals))[0]
+        if nz.size == 0:
+            raise NotInvertible(f"profile '{p.kind}' is numerically constant on [{grid[0]}, {grid[-1]}]")
+        grid = grid[nz[0]: nz[-1] + 2]
+        vals = vals[nz[0]: nz[-1] + 2]
         diffs = np.diff(vals)
-        if auto:
-            # trim numerically flat head/tail (e.g. an underflowed far tail)
-            nz = np.nonzero(diffs)[0]
-            if nz.size == 0:
-                raise NotInvertible(f"profile '{p.kind}' is numerically constant on [{s_lo}, {s_hi}]")
-            grid = grid[nz[0]: nz[-1] + 2]
-            vals = vals[nz[0]: nz[-1] + 2]
-            diffs = np.diff(vals)
-            s_lo, s_hi = float(grid[0]), float(grid[-1])
+        s_lo, s_hi = float(grid[0]), float(grid[-1])
         if np.all(diffs > 0):
             increasing = True
         elif np.all(diffs < 0):
@@ -401,8 +404,10 @@ class TrigProfile:
         """Radius m(u) with phi(m(u)) = u, bisected to 1e-12 absolute in s."""
         u_arr = np.asarray(u, dtype=float)
         u_lo, u_hi = self.u_range
-        if np.any((u_arr < u_lo) | (u_arr > u_hi) | ~np.isfinite(u_arr)):
-            raise OutOfRange(f"height u={u!r} outside profile range [{u_lo}, {u_hi}]")
+        outside = (u_arr < u_lo) | (u_arr > u_hi) | ~np.isfinite(u_arr)
+        if np.any(outside):
+            worst = float(u_arr[outside].flat[0])
+            raise OutOfRange(f"height u={worst!r} outside profile range [{u_lo}, {u_hi}]")
         s_lo, s_hi = self.s_range
         shape = u_arr.shape
         u_flat = np.atleast_1d(u_arr).ravel()
@@ -458,9 +463,7 @@ class SurfaceOfRevolution:
         return abs(d0) <= _APEX_SLOPE_TOL
 
     def height(self, x, y):
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        z = eval_profile(self.profile, np.hypot(x_arr, y_arr))
-        return z
+        return eval_profile(self.profile, np.hypot(x, y))
 
     def gradient(self, x, y):
         """(f_x, f_y) = phi'(s) * (x/s, y/s) with s = sqrt(x^2 + y^2).
@@ -527,12 +530,16 @@ class SurfaceOfRevolution:
         return (-r, r, -r, r)
 
 
-def _spread(values, x):
-    """Derivative values as float arrays of x's shape; a constant return is spread over it."""
-    if not np.ndim(x):
-        return values
-    ones = np.ones_like(x)
-    return tuple(np.asarray(v, dtype=float) * ones for v in values)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _graph_closed_form(fn, x, y):
+    """A graph's ``grad`` or ``hess`` at x, y (a constant spread over x's shape), checked finite."""
+    values = fn(x, y)
+    if np.ndim(x):
+        ones = np.ones_like(x)
+        values = tuple(np.asarray(v, dtype=float) * ones for v in values)
+    for v in values:
+        _require_finite(v, NonDifferentiable, "closed-form derivative non-finite at {!r}", x, y)
+    return values
 
 
 @dataclass(frozen=True)
@@ -549,10 +556,14 @@ class GraphSurface:
     bbox: tuple[float, float, float, float] = (-10.0, 10.0, -10.0, 10.0)
     kind: str = "graph"
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def height(self, x, y):
+        """f(x, y); OutOfDomain at a non-finite point or where f is not finite, as ``eval_profile``."""
         x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         _check_finite_point(x_arr, y_arr)
-        return _scalar(np.asarray(self.f(x_arr, y_arr), dtype=float))
+        z = np.asarray(self.f(x_arr, y_arr), dtype=float)
+        _require_finite(z, OutOfDomain, "surface evaluated non-finite at {!r}", x_arr, y_arr)
+        return _scalar(z)
 
     def gradient(self, x, y):
         fx, fy, _ = self._jet(*_chart_arrays(x, y))
@@ -567,14 +578,15 @@ class GraphSurface:
 
         x and y are float arrays of one shape, or one point's numpy scalars.
         ``hessian_at(rows)`` reads ``hess`` at the points a boolean mask
-        selects (all by default).  A NaN or infinite point raises OutOfDomain.
+        selects (all by default).  A NaN or infinite point raises OutOfDomain,
+        a non-finite derivative NonDifferentiable.
         """
         _check_finite_point(x, y)
-        fx, fy = _spread(self.grad(x, y), x)
+        fx, fy = _graph_closed_form(self.grad, x, y)
 
         def hessian_at(rows=None):
             x_r, y_r = (x, y) if rows is None else (x.compress(rows), y.compress(rows))
-            return _spread(self.hess(x_r, y_r), x_r)
+            return _graph_closed_form(self.hess, x_r, y_r)
 
         return fx, fy, hessian_at
 
@@ -585,10 +597,10 @@ class GraphSurface:
 SurfaceSpec = SurfaceOfRevolution | GraphSurface
 
 
-def flat_surface(height: float = 0.0) -> GraphSurface:
-    """Horizontal plane z = height; its slope metric is the Euclidean norm."""
+def flat_surface() -> GraphSurface:
+    """Horizontal plane z = 0; its slope metric, as any level plane's, is the Euclidean norm."""
     return GraphSurface(
-        f=lambda x, y: np.full_like(np.asarray(x, dtype=float), height),
+        f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         grad=lambda x, y: (0.0, 0.0),
         hess=lambda x, y: (0.0, 0.0, 0.0),
         kind="flat",

@@ -16,7 +16,7 @@ import slopemetric
 from slopemetric import DerivativeBlowupWarning, SlopeMetricError, convexity
 from slopemetric import cli
 from slopemetric.cli import _emit, _rays_csv, main
-from slopemetric.convexity import is_strongly_convex_at
+from slopemetric.convexity import convexity_threshold, criterion_verdict
 from slopemetric.geodesics import GeodesicPath, wavefront
 from slopemetric.surfaces import surface_from_json
 
@@ -173,10 +173,12 @@ class TestAnalyzeCommand:
         verdict = np.array(d["verdict"])
         assert np.count_nonzero(verdict == "indeterminate") > 0
         surf = slopemetric.surface_from_json(PARAB)
+        threshold = convexity_threshold(slopemetric.NORMALIZED)
         for i, x in enumerate(d["x"]):
             for j, y in enumerate(d["y"]):
                 if verdict[i, j] != "outside":
-                    assert verdict[i, j] == is_strongly_convex_at(surf, x, y, band=1e-3).value
+                    fx, fy = surf.gradient(x, y)
+                    assert verdict[i, j] == criterion_verdict(fx * fx + fy * fy, threshold, 1e-3)
 
     def test_grazing_warning_follows_nav(self, capsys):
         # at nav (1, 0.5) the threshold is inf, so nothing grazes it

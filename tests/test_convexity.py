@@ -2,6 +2,7 @@
 route-equivalence verifier."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,22 @@ class TestConvexityDomain:
         (root, _), = dom.boundary_roots
         assert root == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
 
+    def test_residuals_are_the_reported_condition(self):
+        # the scan, the bisection and the residual all square phi' as cartesian_condition does
+        p = paraboloid(100.0)
+        dom = convexity_domain(p, resolution=2048, s_max=1.0, nav=NavigationParams(1.0, 2.1))
+        assert dom.boundary_roots
+        for root, residual in dom.boundary_roots:
+            assert residual == abs(cartesian_condition(p, root) - dom.threshold)
+
+    def test_constant_slope_closed_form(self):
+        # a line profile whose phi' returns a bare constant: convex on the whole window
+        p = profile_from_callable(lambda s: 0.5 * s, (0.0, 5.0), lambda s: 0.5, lambda s: 0.0)
+        dom = convexity_domain(p)
+        assert dom.is_entire
+        assert dom.intervals == ((0.0, _scan_window(p)[1]),)
+        assert verify_equivalence(SurfaceOfRevolution(p), SamplePlan(n_points=40)).ok
+
     @pytest.mark.parametrize("profile, s_max", [
         (paraboloid(100.0), -1.0), (paraboloid(100.0), 0.0), (one_sheet_hyperboloid(0.5, 1.0), 1.0),
     ])
@@ -371,8 +388,9 @@ class TestPdOracle:
         assert pd_oracle(parab_surface, 0.4, 0.0, NavigationParams(1.0, 2.0)) is False
 
     def test_insufficient_directions(self, flat):
+        # the oracle's fan is sized by the sample plan only
         with pytest.raises(InsufficientDirections):
-            pd_oracle(flat, 0.0, 0.0, n_directions=4)
+            verify_equivalence(flat, SamplePlan(n_points=1, n_directions=4))
 
     def test_insufficient_directions_is_a_config_error(self):
         assert issubclass(InsufficientDirections, ConfigError)
@@ -436,7 +454,7 @@ class TestVerifyEquivalence:
     def test_corrupted_threshold_detected(self, monkeypatch):
         # a wrong bound corrupts the analytic routes; the Hessian oracle never reads it
         monkeypatch.setattr(convexity, "convexity_threshold", lambda nav: 0.5)
-        surf = SurfaceOfRevolution(paraboloid(100.0, s_max=1.0))
+        surf = SurfaceOfRevolution(replace(paraboloid(100.0), domain=(0.0, 1.0)))
         rep = verify_equivalence(surf, SamplePlan(n_points=150, seed=0))
         assert len(rep.disagreements) > 0
 
@@ -533,7 +551,9 @@ class TestVerifyEquivalence:
                             lambda p, s: sampled.append(s) or condition(p, s))
         rep = verify_equivalence(gauss_surface,
                                  SamplePlan(n_points=200, seed=0, s_range=(20.0, 27.3)))
-        (s,) = sampled
+        # the domain scan reads the condition first, the Cartesian route's samples last
+        s = sampled[-1]
+        assert s.shape == (200,)
         lost = gauss_surface.profile.phi(s) < np.finfo(float).tiny
         assert np.count_nonzero(lost & (s < 27.2)) > 0
         assert rep.trig_skipped == np.count_nonzero(lost)

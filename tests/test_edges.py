@@ -5,25 +5,34 @@ Each case gives a finite value or a SlopeMetricError.  The suite's
 so each case is a no-warning check as well.
 """
 
+import inspect
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from slopemetric import (
+    NORMALIZED,
     DegenerateDenominator,
     DirectionOverflow,
     FundamentalTensor,
+    GraphSurface,
     NavigationParams,
+    NonDifferentiable,
     OutOfDomain,
+    SamplePlan,
     SlopeMetricError,
     SurfaceOfRevolution,
     Verdict,
     ZeroVector,
     alpha,
     beta,
+    convexity_domain,
     flat_surface,
     fundamental_tensor,
+    geodesic_shoot,
     hessian_field,
     indicatrix,
     induced_metric,
@@ -32,10 +41,26 @@ from slopemetric import (
     okubo_solve,
     pd_oracle,
     slope_metric_F,
+    verify_equivalence,
+    wavefront,
 )
 from conftest import builtin_profiles
 
-SURFACES = [SurfaceOfRevolution(p) for p in builtin_profiles()] + [flat_surface()]
+
+def _hypot_cubed(x, y):
+    return np.hypot(x, y) ** 3
+
+
+# the cone z = r as a graph: its closed-form gradient (x, y)/r is 0/0 at the apex
+GRAPH_CONE = GraphSurface(
+    f=lambda x, y: np.hypot(x, y),
+    grad=lambda x, y: (x / np.hypot(x, y), y / np.hypot(x, y)),
+    hess=lambda x, y: (y * y / _hypot_cubed(x, y), -x * y / _hypot_cubed(x, y),
+                       x * x / _hypot_cubed(x, y)),
+    kind="graph-cone",
+)
+
+SURFACES = [SurfaceOfRevolution(p) for p in builtin_profiles()] + [flat_surface(), GRAPH_CONE]
 
 # the ellipsoid(1, 1) rim and the hyperboloid1(0.5, 1) waist both lie at radius 1
 POINTS = {
@@ -134,3 +159,30 @@ class TestEdgeMatrix:
     def test_non_finite_points_are_out_of_domain(self, surf, nav):
         for x, y in (POINTS["nan"], POINTS["inf"], (0.3, -math.inf)):
             assert _point_error(surf, x, y) is OutOfDomain
+
+
+def test_graph_derivatives_name_the_first_non_finite_point():
+    # each entry raises what the surface read raises, as at a profile's
+    # non-finite closed form, and numpy's 0/0 warning stays inside the error
+    message = re.escape("closed-form derivative non-finite at (0.0, 0.0)")
+    X, Y = np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])
+    for call in (lambda: GRAPH_CONE.gradient(0.0, 0.0),
+                 lambda: GRAPH_CONE.gradient(X, Y),
+                 lambda: GRAPH_CONE.hessian(X, Y),
+                 lambda: slope_metric_F(GRAPH_CONE, 0.0, 0.0, (1.0, 0.0)),
+                 lambda: is_strongly_convex_at(GRAPH_CONE, 0.0, 0.0),
+                 lambda: pd_oracle(GRAPH_CONE, 0.0, 0.0)):
+        with pytest.raises(NonDifferentiable, match=message):
+            call()
+    # a height that is not finite is OutOfDomain, as a profile's is
+    log_cone = replace(GRAPH_CONE, f=lambda x, y: np.log(np.hypot(x, y)))
+    with pytest.raises(OutOfDomain, match=re.escape("surface evaluated non-finite at (0.0, 0.0)")):
+        log_cone.height(X, Y)
+
+
+def test_nav_defaults_in_the_signatures():
+    for entry in (slope_metric_F, limacon_h, okubo_solve, hessian_field, fundamental_tensor,
+                  is_strongly_convex_at, convexity_domain, pd_oracle, verify_equivalence,
+                  geodesic_shoot, wavefront, indicatrix):
+        assert inspect.signature(entry).parameters["nav"].default is NORMALIZED, entry.__name__
+    assert inspect.signature(verify_equivalence).parameters["plan"].default == SamplePlan()

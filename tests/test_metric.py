@@ -177,7 +177,7 @@ class TestSlopeMetric:
 
     def test_riemannian_limit(self):
         # constant height: F collapses to the Euclidean norm
-        level = flat_surface(3.7)
+        level = flat_surface()
         rng = np.random.default_rng(5)
         for _ in range(20):
             d = rng.normal(size=2)
@@ -491,7 +491,7 @@ def _consistency_surfaces():
         grad=lambda x, y: (0.3 * np.cos(x) * np.cos(2.0 * y), -0.6 * np.sin(x) * np.sin(2.0 * y)),
         hess=lambda x, y: (-0.3 * np.sin(x) * np.cos(2.0 * y), -0.6 * np.cos(x) * np.sin(2.0 * y),
                            -1.2 * np.sin(x) * np.cos(2.0 * y))))
-    surfs.append(flat_surface(1.5))
+    surfs.append(flat_surface())
     return surfs
 
 

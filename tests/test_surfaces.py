@@ -63,6 +63,14 @@ class TestEvalProfile:
         with pytest.raises(OutOfDomain):
             eval_profile(paraboloid(100.0), -0.1)
 
+    def test_non_finite_height_names_the_radius(self):
+        # phi = 100 - s^2 overflows past s ~ 1.3e154; numpy's overflow warning
+        # stays inside the typed error
+        message = re.escape("profile evaluated non-finite at s=1e+200")
+        for s in (np.float64(1e200), np.array([1.0, 1e200, 2e200])):
+            with pytest.raises(OutOfDomain, match=message):
+                eval_profile(paraboloid(100.0), s)
+
 
 class TestProfileDerivative:
     def test_paraboloid(self):
@@ -94,6 +102,15 @@ class TestProfileDerivative:
             GraphSurface(f=lambda x, y: x * y)
         with pytest.raises(TypeError):
             GraphSurface(f=lambda x, y: x * y, grad=lambda x, y: (y, x))
+
+    def test_constant_closed_forms_spread_over_the_radii(self):
+        # a line profile whose phi' and phi'' return bare constants
+        p = profile_from_callable(lambda s: 0.5 * s, (0.0, 5.0), lambda s: 0.5, lambda s: 0.0)
+        s = np.array([0.0, 1.0, 4.5])
+        for evaluate, value in ((profile_derivative, 0.5), (profile_second_derivative, 0.0)):
+            d = evaluate(p, s)
+            assert isinstance(d, np.ndarray) and d.tolist() == [value] * 3
+            assert evaluate(p, 1.0) == value
 
     def test_non_finite_closed_form_names_the_radius(self):
         # phi' = -2s overflows past s ~ 9e307; numpy's overflow warning stays
@@ -225,17 +242,17 @@ class TestInversion:
             assert eval_profile(p, trig.m(u)) == pytest.approx(u, abs=1e-8)
 
     def test_not_invertible(self):
-        bump = profile_from_callable(np.sin, (0.0, 6.0), dphi=np.cos, d2phi=lambda s: -np.sin(s))
+        bump = profile_from_callable(np.sin, (0.5, 4.0), dphi=np.cos, d2phi=lambda s: -np.sin(s))
         with pytest.raises(NotInvertible):
-            TrigProfile.from_profile(bump, (0.5, 4.0))
+            TrigProfile.from_profile(bump)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            TrigProfile.from_profile(paraboloid(100.0)).m(101.0)
-
-    def test_negative_branch_rejected(self):
-        with pytest.raises((NotInvertible, OutOfDomain)):
-            TrigProfile.from_profile(paraboloid(100.0), (-1.0, 1.0))
+        # the error names the first height outside, as a radius outside the domain is named
+        trig = TrigProfile.from_profile(paraboloid(100.0))
+        for u, first in ((101.0, 101.0), (np.float64(1e9), 1e9),
+                         (np.array([99.0, 1e9, math.nan]), 1e9)):
+            with pytest.raises(OutOfRange, match=re.escape(f"height u={first!r} outside")):
+                trig.m(u)
 
 
 class TestScanWindow:
