@@ -33,14 +33,14 @@ from .surfaces import SurfaceOfRevolution, surface_from_json
 __all__ = ["main", "BUILTIN_VERIFY_SUITE"]
 
 # default sampling windows for the builtin verification suite: each entry is
-# (label, surface description, radial sample range)
+# (surface description, radial sample range); a report names its surface by kind
 BUILTIN_VERIFY_SUITE = [
-    ("paraboloid", {"kind": "paraboloid", "params": {"h": 100.0}}, (0.0, 1.0)),
-    ("cone", {"kind": "cone", "params": {"a": 0.5}}, (0.05, 5.0)),
-    ("ellipsoid", {"kind": "ellipsoid", "params": {"a": 1.0, "c": 1.0}}, None),
-    ("hyperboloid2", {"kind": "hyperboloid2", "params": {"a": 0.5, "b": 1.0}}, (0.0, 5.0)),
-    ("hyperboloid1", {"kind": "hyperboloid1", "params": {"a": 0.5, "b": 1.0}}, (1.01, 5.0)),
-    ("gaussian", {"kind": "gaussian", "params": {}}, (0.0, 5.0)),
+    ({"kind": "paraboloid", "params": {"h": 100.0}}, (0.0, 1.0)),
+    ({"kind": "cone", "params": {"a": 0.5}}, (0.05, 5.0)),
+    ({"kind": "ellipsoid", "params": {"a": 1.0, "c": 1.0}}, None),
+    ({"kind": "hyperboloid2", "params": {"a": 0.5, "b": 1.0}}, (0.0, 5.0)),
+    ({"kind": "hyperboloid1", "params": {"a": 0.5, "b": 1.0}}, (1.01, 5.0)),
+    ({"kind": "gaussian", "params": {}}, (0.0, 5.0)),
 ]
 
 
@@ -110,7 +110,6 @@ FORMAT = Kind(_format, {"choices": FORMATS})
 PAIR = Kind(_pair, {})
 BOX = Kind(_numbers(4), {})
 NAV = Kind(lambda raw: NavigationParams(*_pair(raw)), {})
-SURFACE = Kind(surface_from_json, {})
 SURFACES = Kind(_surfaces, {"action": "append", "metavar": "SURFACE"})
 CONFIG = Kind(None, {})  # the config file's path, which is not itself a config key
 
@@ -128,17 +127,12 @@ class Option(NamedTuple):
     help: str | None = None
 
 
-# every subcommand takes these; a command replaces one by declaring an
-# option with the same flag
+# every subcommand reads these and lists them after its --surface, so that
+# --surface leads its help text and is the first option reported missing
 SHARED = (
-    Option("surface", "--surface", SURFACE, REQUIRED, "surface JSON (inline or file path)"),
     Option("config", "--config", CONFIG, None, "JSON config file; flags override its keys"),
     Option("nav", "--nav", NAV, (1.0, 1.0), "navigation params 'v,w' (default 1,1)"),
     Option("out", "--out", STR, None, "output file (default stdout)"),
-    Option("format", "--format", FORMAT, "json"),
-    Option("seed", "--seed", INT, cx.SamplePlan.seed),
-    Option("band", "--band", FLOAT, cx.SamplePlan.band),
-    Option("strict", "--strict", BOOL, False),
 )
 
 
@@ -259,8 +253,9 @@ def cmd_analyze(opts) -> int:
     ys = np.linspace(bbox[2], bbox[3], resolution)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     S = np.hypot(X, Y)
-    # a positive inner edge (waist) has no derivative, keep it outside
-    inside = ((S >= lo) if lo == 0.0 else (S > lo)) & (S < hi)
+    # a positive inner edge (waist) and a non-smooth apex have no gradient:
+    # only a smooth apex joins the points strictly inside
+    inside = ((S > lo) | (S == 0.0) & surf.apex_smooth) & (S < hi)
     q = np.full_like(S, np.nan)
     if inside.any():
         d = np.asarray(cx.cartesian_condition(profile, S[inside]))
@@ -317,24 +312,19 @@ def cmd_domain(opts) -> int:
 
 
 def cmd_verify(opts) -> int:
-    if opts.band < 0:
-        raise ConfigError("band must be nonnegative")
     if opts.surfaces:
-        jobs = [(None, surf, None) for surf in opts.surfaces]
+        jobs = [(surf, None) for surf in opts.surfaces]
     else:
-        jobs = [(label, surface_from_json(desc), s_range)
-                for label, desc, s_range in BUILTIN_VERIFY_SUITE]
+        jobs = [(surface_from_json(desc), s_range) for desc, s_range in BUILTIN_VERIFY_SUITE]
 
     reports = []
     total_disagreements = 0
-    for label, surf, s_range in jobs:
+    for surf, s_range in jobs:
         plan = cx.SamplePlan(
             n_points=opts.samples, seed=opts.seed, band=opts.band,
             n_directions=opts.directions, s_range=s_range,
         )
         rep = cx.verify_equivalence(surf, plan, opts.nav)
-        if label:
-            rep.surface = label
         total_disagreements += len(rep.disagreements)
         reports.append(rep.to_dict())
     payload = {"reports": reports, "total_disagreements": total_disagreements,
@@ -463,43 +453,56 @@ class Command(NamedTuple):
     options: tuple[Option, ...]
 
 
-STEP = Option("step", "--step", FLOAT, 1e-3)
+SURFACE = Option("surface", "--surface", Kind(surface_from_json, {}), REQUIRED,
+                 "surface JSON (inline or file path)")
+JSON = Option("format", "--format", FORMAT, "json")
 CSV = Option("format", "--format", FORMAT, "csv")
+STRICT = Option("strict", "--strict", BOOL, False)
+STEP = Option("step", "--step", FLOAT, 1e-3)
 
 COMMANDS = {
     "analyze": Command(cmd_analyze, "criterion field, verdict map, radial profile", (
+        SURFACE, *SHARED, JSON,
+        Option("band", "--band", FLOAT, cx.CRITERION_BAND,
+               "half-width of the criterion's indeterminate band around the threshold"),
         Option("resolution", "--resolution", INT, 64, "grid points per axis"),
         Option("bbox", "--bbox", BOX, None, "xmin,xmax,ymin,ymax"),
-        Option("band", "--band", FLOAT, cx.CRITERION_BAND),
     )),
     "domain": Command(cmd_domain, "strong-convexity intervals and boundary roots", (
+        SURFACE, *SHARED, JSON,
         Option("resolution", "--resolution", INT, 2048, "scan panels (>= 64)"),
         Option("smax", "--smax", FLOAT, None, "clip radius for unbounded domains"),
     )),
     "verify": Command(cmd_verify, "cross-check all convexity routes on random samples", (
         Option("surfaces", "--surface", SURFACES, None,
                "surface JSON (inline or file path); repeatable"),
+        *SHARED,
+        Option("seed", "--seed", INT, cx.SamplePlan.seed),
+        Option("band", "--band", FLOAT, cx.SamplePlan.band,
+               "radial exclusion distance around each convexity boundary, "
+               "waist and non-smooth apex"),
         Option("samples", "--samples", INT, cx.SamplePlan.n_points),
         Option("directions", "--directions", INT, cx.SamplePlan.n_directions),
     )),
     "indicatrix": Command(cmd_indicatrix, "sample the unit curve and fit the limacon", (
+        SURFACE, *SHARED, JSON,
         Option("at", "--at", PAIR, REQUIRED, "chart point 'x,y'"),
         Option("n", "--n", INT, 256, "number of samples"),
     )),
     "geodesic": Command(cmd_geodesic, "trace one time-minimizing path", (
+        SURFACE, *SHARED, CSV, STRICT,
         Option("start", "--start", PAIR, REQUIRED, "chart point 'x,y'"),
         Option("dir", "--dir", PAIR, REQUIRED, "initial direction 'dx,dy'"),
         Option("length", "--length", FLOAT, 0.5, "F-arclength (travel time)"),
         STEP,
-        CSV,
     )),
     "front": Command(cmd_front, "propagate a unit-speed front from a seed", (
+        SURFACE, *SHARED, CSV, STRICT,
         Option("seed_point", "--seed-point", PAIR, REQUIRED, "chart point 'x,y'"),
         Option("time", "--time", FLOAT, 0.5, "total propagation time"),
         Option("rays", "--rays", INT, 64),
         STEP,
         Option("fronts", "--fronts", INT, 1, "number of reported fronts"),
-        CSV,
     )),
 }
 
@@ -512,12 +515,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        own = {opt.flag: opt for opt in command.options}
-        options = [own.pop(opt.flag, opt) for opt in SHARED] + list(own.values())
         p = sub.add_parser(name, help=command.help)
-        for opt in options:
+        for opt in command.options:
             p.add_argument(opt.flag, dest=opt.key, help=opt.help, **opt.kind.flag)
-        p.set_defaults(func=command.run, options=options)
+        p.set_defaults(func=command.run, options=command.options)
     return parser
 
 

@@ -325,8 +325,6 @@ def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray
     whose stencil leaves the cone gets NaN entries, which fail the sign
     tests, so its verdict is False.
     """
-    if n_directions < 8:
-        raise InsufficientDirections("need at least 8 directions for a meaningful sweep")
     verdicts = np.empty(fx.size, dtype=bool)
     for i in range(0, fx.size, _PD_BLOCK):
         bx, by = fx[i:i + _PD_BLOCK], fy[i:i + _PD_BLOCK]
@@ -358,7 +356,9 @@ class SamplePlan:
     """How ``verify_equivalence`` draws its random sample of surface points.
 
     ``band`` excludes points within that radial distance of any predicted
-    convexity boundary; a graph surface is sampled on its ``bbox``.
+    convexity boundary; a graph surface is sampled on its ``bbox``.  A
+    negative band, no sample point or fewer than 8 directions is rejected
+    when the plan is built, before any surface is sampled.
     """
 
     n_points: int = 200
@@ -368,8 +368,12 @@ class SamplePlan:
     s_range: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if self.band < 0:
+            raise ValueError("band must be nonnegative")
         if self.n_points < 1:
             raise ValueError(f"need at least 1 sample point, got {self.n_points}")
+        if self.n_directions < 8:
+            raise InsufficientDirections("need at least 8 directions for a meaningful sweep")
 
 
 @dataclass

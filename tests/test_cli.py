@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -188,6 +189,20 @@ class TestAnalyzeCommand:
                 assert code == 0
                 assert ("warning: criterion grazes the threshold" in err) is warns, (command, nav)
 
+    @pytest.mark.parametrize("surface, verdict, grad_norm2", [
+        ('{"kind": "cone", "params": {"a": 0.5}}', "outside", "nan"),
+        (PARAB, "true", 0.0),
+    ])
+    def test_apex_has_a_verdict_only_where_smooth(self, capsys, surface, verdict, grad_norm2):
+        # the odd grid puts its middle point on the axis, where the cone has no gradient
+        code, out, _ = run(capsys, ["analyze", "--surface", surface, "--resolution", "65",
+                                    "--bbox=-1,1,-1,1"])
+        assert code == 0
+        d = json.loads(out)
+        assert d["x"][32] == d["y"][32] == 0.0
+        assert d["verdict"][32][32] == verdict
+        assert d["grad_norm2"][32][32] == grad_norm2
+
     def test_profile_section_present(self, capsys):
         code, out, _ = run(capsys, ["analyze", "--surface", PARAB, "--resolution", "64",
                                     "--bbox=-1,1,-1,1"])
@@ -217,6 +232,7 @@ class TestVerifyCommand:
         (["--directions", "0", "--samples", "5"], "need at least 8 directions"),
         (["--samples", "-3"], "need at least 1 sample point"),
         (["--samples", "0"], "need at least 1 sample point"),
+        (["--band", "-1"], "band must be nonnegative"),
     ])
     def test_malformed_counts_exit_two(self, capsys, flags, message):
         code, out, err = run(capsys, ["verify", "--surface", PARAB_NEAR, *flags])
@@ -516,15 +532,49 @@ class TestUnwritableOutput:
         assert one_error_line(proc.stderr)
 
 
-@pytest.mark.parametrize("command, key, default", [
-    ("analyze", "band", 1e-9), ("verify", "band", 1e-3), ("geodesic", "format", "csv"),
-    ("front", "format", "csv"), ("indicatrix", "format", "json"),
+# README-like arguments that run each subcommand to its end, cut small
+README_LIKE = {
+    "analyze": ["--surface", PARAB, "--resolution", "64", "--bbox=-0.5,0.5,-0.5,0.5"],
+    "domain": ["--surface", PARAB, "--smax", "1"],
+    "verify": ["--surface", PARAB_NEAR, "--samples", "5"],
+    "indicatrix": ["--surface", PARAB, "--at", "0.1,0", "--n", "16"],
+    "geodesic": ["--surface", PARAB, "--start", "0.1,0", "--dir", "0,1", "--length", "0.02"],
+    "front": ["--surface", PARAB, "--seed-point", "0.1,0", "--time", "0.01", "--rays", "8"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_declared_option_is_read(capsys, command):
+    args = cli._build_parser().parse_args([command, *README_LIKE[command]])
+    assert all(opt in args.options for opt in cli.SHARED)
+    opts = cli._options(args)
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if name in vars(opts):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    assert args.func(Recording(**vars(opts))) == 0
+    capsys.readouterr()
+    # the config file's path is read before the command runs
+    assert read == {opt.key for opt in args.options} - {"config"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--format", "csv"], "--format csv"),
+    (["indicatrix", "--surface", PARAB, "--at", "0.1,0", "--seed", "7"], "--seed 7"),
+    (["domain", "--surface", PARAB, "--band", "1"], "--band 1"),
+    (["analyze", "--surface", PARAB, "--strict"], "--strict"),
 ])
-def test_a_command_replaces_a_shared_option_by_its_flag(command, key, default):
-    options = cli._build_parser().parse_args([command]).options
-    assert [opt.default for opt in options if opt.key == key] == [default]
-    # the replacement keeps the shared option's place in the help text
-    assert [opt.flag for opt in options[:len(cli.SHARED)]] == [opt.flag for opt in cli.SHARED]
+def test_a_flag_its_command_does_not_read_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.rstrip().endswith(f"error: unrecognized arguments: {flag}")
 
 
 class TestConfigAndDeterminism:

@@ -463,6 +463,14 @@ class TestVerifyEquivalence:
         with pytest.raises(ValueError, match="at least 1 sample point"):
             SamplePlan(n_points=n_points)
 
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"n_directions": 4}, InsufficientDirections, "at least 8 directions"),
+        ({"band": -1e-3}, ValueError, "band must be nonnegative"),
+    ])
+    def test_bad_plan_is_rejected_when_built(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            SamplePlan(**fields)
+
     def test_report_dict_shape(self, parab_surface):
         rep = verify_equivalence(parab_surface, SamplePlan(n_points=10, seed=1, s_range=(0.0, 1.0)))
         d = rep.to_dict()

@@ -212,7 +212,7 @@ GOLDEN_CLI = {
     ),
     "front --rays abc": (
         ["front", "--rays", "abc"],
-        "02332286fec3602864880d18abefa45dde99dce44c34b49695f9c1964d406a7f",
+        "5eeea820ec1d6a8b14b7fd4e970d86035d06fe0b28f2eca9fadf0afeb09b4c97",
     ),
     "help": (
         ["--help"],
@@ -220,27 +220,27 @@ GOLDEN_CLI = {
     ),
     "analyze --help": (
         ["analyze", "--help"],
-        "32831ba1e968448ee42751a126629a82dd4c7f336ce90fab90e489ae7f8ce9b7",
+        "77c732a5200c44f451894f77982397d4b403fe52c8dffbe9f22b6efd98eb093d",
     ),
     "domain --help": (
         ["domain", "--help"],
-        "95c96fcb555d55e55d1e3e22869539cd21374d66be26e025eb70c9871b677619",
+        "c2663a98d64b8abd487e67346952ca812316deb32fa885a318ac0df4e98ecafb",
     ),
     "verify --help": (
         ["verify", "--help"],
-        "033d0300793ed54a06250a570edaba3bf082f5cbcb6c280a9ed6cb9241574ee6",
+        "dfc26488d09bf1a20d52ee13f4ec8d0b4b60d18afc7ef73e284b253859dd38ff",
     ),
     "indicatrix --help": (
         ["indicatrix", "--help"],
-        "2b0a8218f51f9f58808884647e8d6fb201e08a482ef2111ed5454a02ad18567b",
+        "b2e1a9ae3168dd74bb83406e45e383d79a63f049d0eb3d42247c10ddfc696952",
     ),
     "geodesic --help": (
         ["geodesic", "--help"],
-        "42d43f3279ee70ffba52688b1f774598758c0a1b155871d37e91fda017aa57a4",
+        "08735cddc87eb47fd3c7684b96abac41a0ab7ffa2f7fa195ec246bfecdf43bfc",
     ),
     "front --help": (
         ["front", "--help"],
-        "84252437b6323f13b79d158fd4b2937f36f52a8f06fa205664d687505496c30a",
+        "38b1fb61adae8d6639d3f45c422a49d1993a89174ce1d7bd0622353afaf23e0d",
     ),
 }
 
