@@ -24,12 +24,12 @@ surf = SurfaceOfRevolution(paraboloid(100.0))
 x, y = 0.1, 0.0  # on the east slope of the hill; downhill is +x
 
 a = induced_metric(surf, x, y)
-print(f"induced metric at ({x}, {y}):  a11={a.a11:.4f}  a12={a.a12:.4f}  a22={a.a22:.4f}")
+print(f"induced metric at ({x}, {y}):  a11={a.m11:.4f}  a12={a.m12:.4f}  a22={a.m22:.4f}")
 
 print("\ndirection        alpha      beta        F        1/F (speed)")
 for label, d in [("downhill  +x", (1.0, 0.0)), ("uphill    -x", (-1.0, 0.0)),
                  ("sideways  +y", (0.0, 1.0)), ("diagonal", (1.0, 1.0))]:
-    al = alpha(a, d)
+    al = alpha(surf, x, y, d)
     b = beta(surf, x, y, d)
     F = slope_metric_F(surf, x, y, d)
     print(f"{label:14s}  {al:8.5f}  {b:+8.5f}  {F:8.5f}  {1 / F:8.5f}")

@@ -518,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         for opt in command.options:
             p.add_argument(opt.flag, dest=opt.key, help=opt.help, **opt.kind.flag)
-        p.set_defaults(func=command.run, options=command.options)
+        p.set_defaults(func=command.run, options=command.options, parser=p)
     return parser
 
 
@@ -533,7 +533,10 @@ def _quiet_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        # reported with the subcommand's usage, which lists the flags it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     with warnings.catch_warnings():
         # each reported warning is one "warning:" line, without the source
         # path and code line; numpy's own warnings keep the caller's filters

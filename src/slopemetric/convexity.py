@@ -167,9 +167,6 @@ class ConvexityDomain:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, s: float) -> bool:
-        return any(a < s < b for a, b in self.intervals)
-
     def to_dict(self) -> dict:
         return {
             "variable": self.variable,

@@ -1,5 +1,23 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "SlopeMetricError",
+    "OutOfDomain",
+    "OutOfRange",
+    "NotInvertible",
+    "NonDifferentiable",
+    "ApexSingularity",
+    "ZeroVector",
+    "DirectionOverflow",
+    "DegenerateDenominator",
+    "NoRoot",
+    "StepTooLarge",
+    "ConfigError",
+    "InsufficientDirections",
+    "DoubleRootWarning",
+    "DerivativeBlowupWarning",
+]
+
 
 class SlopeMetricError(Exception):
     """Base class for all errors raised by this package."""

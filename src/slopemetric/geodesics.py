@@ -8,6 +8,8 @@ surface gradient and Hessian (Matsumoto 1989; Chern & Shen,
 *Riemann-Finsler Geometry*, 2005); no derivative of F is taken numerically.
 Paths run at unit F-speed, so arclength equals travel time, and they halt
 at the strong-convexity boundary where extremals stop being minimizers.
+``indicatrix`` samples the unit F-curve at one point and reads it in the
+steepest-descent frame of the induced metric a_ij (``metric.induced_metric``).
 
 Rays of a front are independent; the integrator advances the live ones as
 one batch, which is equivalent to running them in parallel.  Each RK4
@@ -38,7 +40,7 @@ import numpy as np
 
 from .convexity import Verdict, _convex, _unit_directions, convexity_threshold, is_strongly_convex_at
 from .errors import OutOfDomain, StepTooLarge
-from .metric import (NORMALIZED, NavigationParams, RiemannMetric2, _F, _parts, _parts_quotient,
+from .metric import (NORMALIZED, NavigationParams, _F, _parts, _parts_quotient, induced_metric,
                      slope_metric_F)
 from .surfaces import SurfaceSpec
 
@@ -69,10 +71,13 @@ DRIFT_TOL = 1e-6
 class GeodesicPath:
     """One integrated trajectory, sampled at every accepted step.
 
+    t holds the F-length of each node, so ``t[-1]`` is the length reached.
     F_values stay constant along the path to within 10x ``DRIFT_TOL`` per unit length;
     every stored point lies inside the strong-convexity domain, and
-    ``status`` records whether the requested length was reached, the
-    boundary cut the path short, or a step ended in a non-finite state.
+    ``status`` records whether the requested length was reached
+    (``STATUS_COMPLETE``), the boundary cut the path short
+    (``STATUS_LEFT_DOMAIN``), or a step ended in a non-finite state
+    (``STATUS_NON_FINITE``).
     """
 
     t: np.ndarray
@@ -81,14 +86,6 @@ class GeodesicPath:
     F_values: np.ndarray
     step: float
     status: str
-
-    @property
-    def length(self) -> float:
-        return float(self.t[-1])
-
-    @property
-    def left_domain(self) -> bool:
-        return self.status == STATUS_LEFT_DOMAIN
 
 
 def conservation_drift(path: GeodesicPath) -> float:
@@ -423,7 +420,7 @@ def indicatrix(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMALIZED,
     samples = dirs / _F(fx, fy, dirs, nav)[:, None]
     max_res = float(np.max(np.abs(_F(fx, fy, samples, nav) - 1.0)))
     q = fx * fx + fy * fy
-    a = RiemannMetric2(a11=1.0 + fx * fx, a12=fx * fy, a22=1.0 + fy * fy)  # induced_metric, no re-read
+    a = induced_metric(surf, x, y)
     if q > 0.0:
         e1 = -np.array([fx, fy]) / math.sqrt(q * (1.0 + q))
         e2 = np.array([fy, -fx]) / math.sqrt(q)

@@ -5,11 +5,14 @@ the graph embedding, beta = f_x*xdot + f_y*ydot is the climb rate, v is the
 flat-ground speed and w the slope coefficient (half the gravitational pull).
 Normalized mode v = w = 1 gives the classical form alpha^2 / (alpha - beta).
 
-F, the indicatrix function and the geodesic spray see the point only through
-beta = df: ``_parts``, the one kernel that builds beta and alpha^2 = |tv|^2 +
-beta^2, takes gradient values and direction components, so each caller reads
-the surface once, and the same kernel serves batches of arrays and a pair of
-Python floats.
+alpha, beta, F, the indicatrix function and the geodesic spray see the point
+only through beta = df: ``_parts``, the one kernel that builds beta and
+alpha^2 = |tv|^2 + beta^2, takes gradient values and direction components, so
+each caller reads the surface once, and the same kernel serves batches of
+arrays and a pair of Python floats.  alpha^2 is the quadratic form of the
+induced metric a_ij = delta_ij + f_i f_j (``induced_metric``); a_ij and the
+fundamental tensor g_ij (``fundamental_tensor``) share one type,
+``SymmetricForm``.
 
 Directions are array-likes with a trailing axis of length 2 and may be
 batched: every operation broadcasts over leading axes of the direction and
@@ -35,8 +38,7 @@ from .surfaces import SurfaceSpec, _scalar
 __all__ = [
     "NavigationParams",
     "NORMALIZED",
-    "RiemannMetric2",
-    "FundamentalTensor",
+    "SymmetricForm",
     "induced_metric",
     "alpha",
     "beta",
@@ -69,55 +71,40 @@ NORMALIZED = NavigationParams()
 
 
 @dataclass(frozen=True)
-class RiemannMetric2:
-    """Symmetric 2x2 metric a_ij at a point of the surface chart."""
+class SymmetricForm:
+    """Symmetric 2x2 form [[m11, m12], [m12, m22]]: the induced metric a_ij or the tensor g_ij.
 
-    a11: float
-    a12: float
-    a22: float
+    Entries are floats at one chart point and arrays over a batch; each
+    method gives floats or arrays to match.
+    """
+
+    m11: float
+    m12: float
+    m22: float
 
     @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
+    def trace(self):
+        return self.m11 + self.m22
 
-    def quad(self, tv) -> float:
-        """Quadratic form a_ij tv^i tv^j."""
-        return _scalar(_quad(self.a11, self.a12, self.a22, *_split(tv)))
+    @property
+    def det(self):
+        return self.m11 * self.m22 - self.m12 * self.m12
 
-    def inner(self, u, t) -> float:
+    def eigenvalues(self):
+        """(smaller, larger) eigenvalue."""
+        mean = 0.5 * self.trace
+        disc = np.sqrt(np.maximum(mean * mean - self.det, 0.0))
+        return _scalar(mean - disc, mean + disc)
+
+    def inner(self, u, t):
+        """Bilinear form m_ij u^i t^j."""
         ux, uy = _split(u)
         tx, ty = _split(t)
-        return _scalar(self.a11 * ux * tx + self.a12 * (ux * ty + uy * tx) + self.a22 * uy * ty)
+        return _scalar(self.m11 * ux * tx + self.m12 * (ux * ty + uy * tx) + self.m22 * uy * ty)
 
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    """Direction-dependent metric g_ij = (1/2) d^2(F^2)/dy^i dy^j, in closed form."""
-
-    g11: float
-    g12: float
-    g22: float
-
-    @property
-    def trace(self) -> float:
-        return self.g11 + self.g22
-
-    @property
-    def det(self) -> float:
-        return self.g11 * self.g22 - self.g12 * self.g12
-
-    def eigenvalues(self) -> tuple[float, float]:
-        mean = 0.5 * self.trace
-        disc = math.sqrt(max(mean * mean - self.det, 0.0))
-        return (mean - disc, mean + disc)
-
-    def quad(self, tv) -> float:
-        return _scalar(_quad(self.g11, self.g12, self.g22, *_split(tv)))
-
-
-def _quad(m11, m12, m22, vx, vy):
-    """The quadratic form of the symmetric matrix [[m11, m12], [m12, m22]] at (vx, vy)."""
-    return m11 * vx * vx + 2.0 * m12 * vx * vy + m22 * vy * vy
+    def quad(self, tv):
+        """Quadratic form m_ij tv^i tv^j."""
+        return self.inner(tv, tv)
 
 
 def _split(tv):
@@ -169,16 +156,17 @@ def _times_pow2(value, e):
     raise DirectionOverflow("the value at this direction is not a finite double")
 
 
-def induced_metric(surf: SurfaceSpec, x, y) -> RiemannMetric2:
-    """Metric the chart inherits from the embedding: [[1+f_x^2, f_x f_y], [., 1+f_y^2]]."""
+def induced_metric(surf: SurfaceSpec, x, y) -> SymmetricForm:
+    """Metric a_ij the chart inherits from the embedding: [[1+f_x^2, f_x f_y], [., 1+f_y^2]]."""
     fx, fy = surf.gradient(x, y)
-    return RiemannMetric2(a11=1.0 + fx * fx, a12=fx * fy, a22=1.0 + fy * fy)
+    return SymmetricForm(1.0 + fx * fx, fx * fy, 1.0 + fy * fy)
 
 
-def alpha(a: RiemannMetric2, tv):
-    """Riemannian length sqrt(a_ij tv^i tv^j); 1-homogeneous and positive."""
+def alpha(surf: SurfaceSpec, x, y, tv):
+    """Length sqrt(|tv|^2 + beta^2) = sqrt(a_ij tv^i tv^j) of a chart direction; 1-homogeneous."""
+    fx, fy = surf.gradient(x, y)
     vx, vy, e = _direction(tv)
-    return _scalar(_times_pow2(np.sqrt(_quad(a.a11, a.a12, a.a22, vx, vy)), e))
+    return _scalar(_times_pow2(np.sqrt(_parts(fx, fy, vx, vy)[2]), e))
 
 
 def beta(surf: SurfaceSpec, x, y, tv):
@@ -375,7 +363,7 @@ def hessian_field(surf: SurfaceSpec, x, y, dirs, nav: NavigationParams = NORMALI
 
 
 def fundamental_tensor(surf: SurfaceSpec, x, y, tv,
-                       nav: NavigationParams = NORMALIZED) -> FundamentalTensor:
+                       nav: NavigationParams = NORMALIZED) -> SymmetricForm:
     """Half the direction-Hessian of F^2 at (point, direction), in Chern & Shen's closed form.
 
     Symmetric, 0-homogeneous in tv, g_ij tv^i tv^j = F^2 up to rounding, and
@@ -385,7 +373,7 @@ def fundamental_tensor(surf: SurfaceSpec, x, y, tv,
     if tv.shape != (2,):
         raise ValueError("fundamental_tensor expects a single direction of shape (2,)")
     g11, g12, g22 = _tensor(*surf.gradient(x, y), tv, nav)
-    return FundamentalTensor(g11=float(g11), g12=float(g12), g22=float(g22))
+    return SymmetricForm(float(g11), float(g12), float(g22))
 
 
 # --- the oracle's direction-Hessian stencil --------------------------------

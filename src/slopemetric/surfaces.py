@@ -33,6 +33,7 @@ from .errors import (
 )
 
 __all__ = [
+    "DEFAULT_SCAN_SMAX",
     "ProfileCurve",
     "TrigProfile",
     "SurfaceOfRevolution",
@@ -94,9 +95,6 @@ class ProfileCurve:
         lo, hi = self.domain
         if not (0.0 <= lo < hi):
             raise ConfigError(f"invalid profile domain [{lo}, {hi})")
-
-    def __call__(self, s):
-        return eval_profile(self, s)
 
 
 def paraboloid(h: float = 100.0) -> ProfileCurve:

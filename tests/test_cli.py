@@ -574,6 +574,8 @@ def test_a_flag_its_command_does_not_read_is_a_usage_error(capsys, argv, flag):
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == ""
+    # the usage is the subcommand's, which lists the flags it does take
+    assert err.startswith(f"usage: slopemetric {argv[0]} [-h]")
     assert err.rstrip().endswith(f"error: unrecognized arguments: {flag}")
 
 

@@ -17,7 +17,6 @@ from slopemetric import (
     NORMALIZED,
     DegenerateDenominator,
     DirectionOverflow,
-    FundamentalTensor,
     GraphSurface,
     NavigationParams,
     NonDifferentiable,
@@ -25,6 +24,7 @@ from slopemetric import (
     SamplePlan,
     SlopeMetricError,
     SurfaceOfRevolution,
+    SymmetricForm,
     Verdict,
     ZeroVector,
     alpha,
@@ -35,7 +35,6 @@ from slopemetric import (
     geodesic_shoot,
     hessian_field,
     indicatrix,
-    induced_metric,
     is_strongly_convex_at,
     limacon_h,
     okubo_solve,
@@ -44,6 +43,8 @@ from slopemetric import (
     verify_equivalence,
     wavefront,
 )
+import slopemetric
+from slopemetric import convexity, errors, geodesics, metric, surfaces
 from conftest import builtin_profiles
 
 
@@ -87,7 +88,8 @@ def _metric_entries(surf, x, y, d, nav):
     """Each public metric entry at one point and direction, one-point and (1,)-batch forms."""
     X, Y, D = np.array([x]), np.array([y]), np.array([d])
     return {
-        "alpha": lambda: alpha(induced_metric(surf, x, y), d),
+        "alpha": lambda: alpha(surf, x, y, d),
+        "alpha batch": lambda: alpha(surf, X, Y, D),
         "beta": lambda: beta(surf, x, y, d),
         "beta batch": lambda: beta(surf, X, Y, D),
         "slope_metric_F": lambda: slope_metric_F(surf, x, y, d, nav),
@@ -106,8 +108,8 @@ def _outcome(call):
         value = call()
     except SlopeMetricError as exc:
         return type(exc)
-    if isinstance(value, FundamentalTensor):
-        value = (value.g11, value.g12, value.g22)
+    if isinstance(value, SymmetricForm):
+        value = (value.m11, value.m12, value.m22)
     assert np.isfinite(np.asarray(value, dtype=float)).all(), value
     return None
 
@@ -186,3 +188,12 @@ def test_nav_defaults_in_the_signatures():
                   geodesic_shoot, wavefront, indicatrix):
         assert inspect.signature(entry).parameters["nav"].default is NORMALIZED, entry.__name__
     assert inspect.signature(verify_equivalence).parameters["plan"].default == SamplePlan()
+
+
+def test_the_package_exports_exactly_its_modules_all():
+    modules = (errors, surfaces, metric, convexity, geodesics)
+    listed = [name for module in modules for name in module.__all__]
+    public = {name for name, value in vars(slopemetric).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(listed) == len(set(listed))
+    assert public == set(listed)

@@ -30,7 +30,7 @@ from slopemetric import (
 )
 import slopemetric
 from slopemetric import surfaces
-from slopemetric.geodesics import _accel_at, _integrate
+from slopemetric.geodesics import STATUS_LEFT_DOMAIN, _accel_at, _integrate
 
 # slope cosine coefficient at the paraboloid point (0.1, 0):
 # k = sqrt(q/(1+q)) with q = |grad f|^2 = 0.04
@@ -420,7 +420,7 @@ class TestWavefront:
         # at nav (1, 0.75) convexity holds for q < 0.8, i.e. s < 1/sqrt(5)
         wf = wavefront(parab_surface, (0.1, 0.0), total_time=0.3, n_rays=64, step=1e-3,
                        nav=NavigationParams(1.0, 0.75))
-        ends = [math.hypot(*ray.points[-1]) for ray in wf.rays if ray.left_domain]
+        ends = [math.hypot(*ray.points[-1]) for ray in wf.rays if ray.status == STATUS_LEFT_DOMAIN]
         assert ends
         edge = 1.0 / math.sqrt(5.0)
         assert all(edge - 2e-3 <= s < edge for s in ends)

@@ -21,9 +21,9 @@ from slopemetric import (
     NavigationParams,
     NoRoot,
     OutOfDomain,
-    RiemannMetric2,
     SlopeMetricError,
     SurfaceOfRevolution,
+    SymmetricForm,
     ZeroVector,
     alpha,
     beta,
@@ -62,13 +62,13 @@ nonzero_dirs = st.tuples(
 class TestInducedMetric:
     def test_flat_identity(self, flat):
         a = induced_metric(flat, 0.3, -0.7)
-        assert (a.a11, a.a12, a.a22) == (1.0, 0.0, 1.0)
+        assert (a.m11, a.m12, a.m22) == (1.0, 0.0, 1.0)
 
     def test_paraboloid_point(self, parab_surface):
         a = induced_metric(parab_surface, 0.1, 0.0)
-        assert a.a11 == pytest.approx(1.04, rel=1e-13)
-        assert a.a12 == pytest.approx(0.0, abs=1e-15)
-        assert a.a22 == pytest.approx(1.0, rel=1e-15)
+        assert a.m11 == pytest.approx(1.04, rel=1e-13)
+        assert a.m12 == pytest.approx(0.0, abs=1e-15)
+        assert a.m22 == pytest.approx(1.0, rel=1e-15)
         assert a.det == pytest.approx(1.04, rel=1e-13)
 
     def test_determinant_identity_random_points(self):
@@ -86,27 +86,69 @@ class TestInducedMetric:
             x, y = s * np.cos(th), s * np.sin(th)
             a = induced_metric(surf, x, y)
             fx, fy = surf.gradient(x, y)
-            det_direct = a.a11 * a.a22 - a.a12 ** 2
+            det_direct = a.m11 * a.m22 - a.m12 ** 2
             assert det_direct == pytest.approx(1 + fx**2 + fy**2, rel=1e-12)
 
 
-class TestAlphaBeta:
-    def test_euclidean_norm(self):
-        a = RiemannMetric2(1.0, 0.0, 1.0)
-        assert alpha(a, (3.0, 4.0)) == 5.0
+# any finite size, from subnormal to near the largest double
+wide_component = st.floats(min_value=-1e300, max_value=1e300)
+wide_dirs = st.tuples(wide_component, wide_component).filter(lambda d: d != (0.0, 0.0))
 
-    def test_homogeneity(self):
-        a = RiemannMetric2(1.3, 0.2, 2.1)
+
+class TestSymmetricForm:
+    @settings(max_examples=30, deadline=None)
+    @given(d=wide_dirs)
+    def test_alpha_squared_is_the_induced_quadratic_form(self, d):
+        # alpha prescales d by 2**-e exactly, then squares; compare the form at that prescale,
+        # where no square over- or underflows
+        e = math.frexp(max(abs(d[0]), abs(d[1])))[1]
+        u = (math.ldexp(d[0], -e), math.ldexp(d[1], -e))
+        for surf in _consistency_surfaces():
+            for x, y in _consistency_points(surf):
+                a = induced_metric(surf, x, y)
+                al = alpha(surf, x, y, u)
+                assert alpha(surf, x, y, d) == math.ldexp(al, e)
+                assert al * al == pytest.approx(a.quad(u), rel=1e-14)
+                assert a.quad(u) == a.inner(u, u)
+
+    def test_one_type_for_a_and_g(self, parab_surface):
+        g = fundamental_tensor(parab_surface, 0.1, 0.0, (1.0, 0.0))
+        assert type(g) is type(induced_metric(parab_surface, 0.1, 0.0)) is SymmetricForm
+
+    def test_eigenvalues_follow_the_input_shape(self):
+        xs, ys = np.array([0.1, 0.2]), np.array([0.0, 0.1])
+        lo, hi = induced_metric(PARAB, xs, ys).eigenvalues()
+        assert lo.shape == hi.shape == (2,)
+        for i in range(2):
+            a = induced_metric(PARAB, xs[i], ys[i])
+            one = a.eigenvalues()
+            assert all(type(v) is float for v in one)
+            assert one == (lo[i], hi[i])
+            # the math-module spelling, bit for bit
+            mean = 0.5 * a.trace
+            disc = math.sqrt(max(mean * mean - a.det, 0.0))
+            assert one == (mean - disc, mean + disc)
+            # a_ij = I + grad f grad f^T has eigenvalues 1 and 1 + |grad f|^2
+            fx, fy = PARAB.gradient(xs[i], ys[i])
+            assert one == pytest.approx((1.0, 1.0 + fx * fx + fy * fy), rel=1e-14)
+
+
+class TestAlphaBeta:
+    def test_euclidean_norm(self, flat):
+        assert alpha(flat, 1.0, 2.0, (3.0, 4.0)) == 5.0
+
+    def test_homogeneity(self, parab_surface):
+        # a point off the axes, where a_ij has all three entries nonzero; the
+        # direction's power-of-two prescale makes the doubling exact
         tv = np.array([0.4, -1.1])
-        assert alpha(a, 2 * tv) == pytest.approx(2 * alpha(a, tv), rel=1e-14)
+        assert alpha(parab_surface, 0.3, -0.2, 2 * tv) == 2 * alpha(parab_surface, 0.3, -0.2, tv)
 
     def test_paraboloid_alpha(self, parab_surface):
-        a = induced_metric(parab_surface, 0.1, 0.0)
-        assert alpha(a, (1.0, 0.0)) == pytest.approx(math.sqrt(1.04), rel=1e-14)
+        assert alpha(parab_surface, 0.1, 0.0, (1.0, 0.0)) == pytest.approx(math.sqrt(1.04), rel=1e-14)
 
-    def test_zero_vector(self):
+    def test_zero_vector(self, parab_surface):
         with pytest.raises(ZeroVector):
-            alpha(RiemannMetric2(1.0, 0.0, 1.0), (0.0, 0.0))
+            alpha(parab_surface, 0.3, -0.2, (0.0, 0.0))
 
     def test_beta_flat(self, flat):
         assert beta(flat, 1.0, 2.0, (0.3, -0.4)) == 0.0
@@ -169,8 +211,7 @@ class TestSlopeMetric:
         # |beta| < alpha on any graph surface, so normalized F is positive
         surf = SurfaceOfRevolution(one_sheet_hyperboloid(0.5, 1.0))
         x, y = 1.3, -0.4
-        a = induced_metric(surf, x, y)
-        al = alpha(a, d)
+        al = alpha(surf, x, y, d)
         b = beta(surf, x, y, d)
         assert abs(b) < al
         assert slope_metric_F(surf, x, y, d) > 0
@@ -245,7 +286,7 @@ class TestTinyDirections:
         for route in (slope_metric_F, hessian_field):
             assert np.isfinite(route(PARAB, xs, ys, dirs)).all()
         a = induced_metric(PARAB, 0.3, 0.2)
-        assert alpha(a, (1e200, 1.0)) == pytest.approx(1e200 * math.sqrt(a.a11), rel=1e-15)
+        assert alpha(PARAB, 0.3, 0.2, (1e200, 1.0)) == pytest.approx(1e200 * math.sqrt(a.m11), rel=1e-15)
 
     def test_zero_direction_message(self):
         for route in (slope_metric_F, okubo_solve, fundamental_tensor, limacon_h,
@@ -263,7 +304,7 @@ class TestTinyDirections:
             with pytest.raises(DirectionOverflow, match="^direction must be finite$"):
                 route(PARAB, 0.3, 0.2, np.array([[1.0, 0.0], d]))
         with pytest.raises(DirectionOverflow, match="^direction must be finite$"):
-            alpha(induced_metric(PARAB, 0.3, 0.2), d)
+            alpha(PARAB, 0.3, 0.2, d)
 
     @pytest.mark.parametrize("nav", NAVS[:3], ids=lambda n: f"nav{n.v:g},{n.w:g}")
     def test_uphill_F_past_the_largest_double_raises(self, nav):
@@ -567,9 +608,9 @@ class TestFundamentalTensor:
     def test_flat_identity(self, flat):
         # F is the Euclidean norm on level ground, so g_ij = delta_ij
         g = fundamental_tensor(flat, 0.5, -0.2, np.array([0.6, 0.8]))
-        assert g.g11 == pytest.approx(1.0, abs=1e-10)
-        assert g.g22 == pytest.approx(1.0, abs=1e-10)
-        assert g.g12 == pytest.approx(0.0, abs=1e-10)
+        assert g.m11 == pytest.approx(1.0, abs=1e-10)
+        assert g.m22 == pytest.approx(1.0, abs=1e-10)
+        assert g.m12 == pytest.approx(0.0, abs=1e-10)
 
     def test_symmetric_and_pd_inside(self, parab_surface):
         rng = np.random.default_rng(3)
@@ -597,9 +638,9 @@ class TestFundamentalTensor:
         tv = np.array([0.3, 0.7])
         g1 = fundamental_tensor(parab_surface, 0.1, 0.0, tv)
         g3 = fundamental_tensor(parab_surface, 0.1, 0.0, 3.0 * tv)
-        assert g3.g11 == pytest.approx(g1.g11, abs=1e-6)
-        assert g3.g12 == pytest.approx(g1.g12, abs=1e-6)
-        assert g3.g22 == pytest.approx(g1.g22, abs=1e-6)
+        assert g3.m11 == pytest.approx(g1.m11, abs=1e-6)
+        assert g3.m12 == pytest.approx(g1.m12, abs=1e-6)
+        assert g3.m22 == pytest.approx(g1.m22, abs=1e-6)
 
     def test_degenerate_denominator_exactly_where_the_quotient_is_nan(self, parab_surface):
         # w at the critical ratio v*alpha/beta = sqrt(1.04)/0.2 of the uphill
@@ -661,7 +702,7 @@ class TestFundamentalTensor:
         for surf, x, y, d in self._window_samples():
             fx, fy = surf.gradient(x, y)
             q = fx * fx + fy * fy
-            s = beta(surf, x, y, d) / alpha(induced_metric(surf, x, y), d)
+            s = beta(surf, x, y, d) / alpha(surf, x, y, d)
             N = v * v - 3.0 * v * w * s + 2.0 * w * w * q / (1.0 + q)
             want = N / (v - w * s) ** 6 * (1.0 + q)
             worst = max(worst, abs(fundamental_tensor(surf, x, y, d, nav).det - want) / abs(want))
@@ -673,8 +714,8 @@ class TestFundamentalTensor:
         nav = NavigationParams(v, 0.0)
         for surf, x, y, d in self._window_samples():
             g, a = fundamental_tensor(surf, x, y, d, nav), induced_metric(surf, x, y)
-            for gij, aij in ((g.g11, a.a11), (g.g12, a.a12), (g.g22, a.a22)):
-                assert gij == pytest.approx(aij / (v * v), rel=1e-15, abs=1e-15 * a.a11)
+            for gij, aij in ((g.m11, a.m11), (g.m12, a.m12), (g.m22, a.m22)):
+                assert gij == pytest.approx(aij / (v * v), rel=1e-15, abs=1e-15 * a.m11)
 
     @pytest.mark.parametrize("k", range(4, 13))
     def test_positive_definite_at_the_ellipsoid_rim(self, k):
