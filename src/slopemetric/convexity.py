@@ -38,6 +38,7 @@ from .surfaces import (
     _scalar,
     _scan_window,
     profile_derivative,
+    profile_second_derivative,
 )
 
 __all__ = [
@@ -196,7 +197,7 @@ def _bisect_root(fn, a: float, b: float, fa: float) -> float:
 
 
 def _panel_roots(grid: np.ndarray, c: np.ndarray, crit) -> list[float]:
-    """The roots of the criterion values c on the scan grid, in grid order.
+    """The roots of ``crit``, whose values on the sorted grid are c, in grid order.
 
     A panel holds a root at its start where c is exactly 0 there, else a
     bisected one where its ends differ in sign; the last grid point is a
@@ -218,34 +219,30 @@ def _panel_roots(grid: np.ndarray, c: np.ndarray, crit) -> list[float]:
 
 def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | None = None,
                      nav: NavigationParams = NORMALIZED) -> ConvexityDomain:
-    """Scan phi'^2 - threshold of ``nav``, bracket sign changes, bisect each boundary root.
+    """Roots of c = phi'^2 - threshold of ``nav``, on a scan grid refined at the turns of c.
 
-    The scan grid is uniform with ``resolution`` panels (>= 64) on
-    ``_scan_window(p, s_max)``.  Emits DoubleRootWarning when the criterion
-    grazes the threshold without a clean crossing.
+    The grid has ``resolution`` equal panels (>= 64) on ``_scan_window(p, s_max)``.
+    The turns, the strict sign changes of c' = 2 phi' phi'' (a run of exact
+    zeros, as on a cone or an underflowed tail, is none), are bisected and join
+    the grid; each sign change of c on it is bisected to a root.  Emits
+    DoubleRootWarning naming a turn where c is within ``CRITERION_BAND`` of 0.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     grid = np.linspace(*_scan_window(p, s_max), resolution + 1)
     threshold = convexity_threshold(nav)
-    c = cartesian_condition(p, grid) - threshold
     crit = lambda s: cartesian_condition(p, s) - threshold
+    slope = lambda s: 2.0 * profile_derivative(p, s) * profile_second_derivative(p, s)
 
-    roots = sorted(set(_panel_roots(grid, c, crit)))
-
-    # tangential grazing: a strict local extremum hugging the threshold with
-    # no crossing (a constant near-threshold profile is not a double root)
-    interior = np.arange(1, resolution)
-    is_min = (np.abs(c[interior]) < np.abs(c[interior - 1])) & (np.abs(c[interior]) < np.abs(c[interior + 1]))
-    same_sign = ((c[interior - 1] < 0) == (c[interior] < 0)) & ((c[interior + 1] < 0) == (c[interior] < 0))
-    grazing = is_min & same_sign & (np.abs(c[interior]) < 1e-6) & (c[interior] != 0.0)
-    if np.any(grazing):
-        s_graze = grid[interior[grazing]][0]
-        warnings.warn(
-            f"criterion grazes the threshold near s={s_graze:.6g}; double root suspected",
-            DoubleRootWarning,
-            stacklevel=2,
-        )
+    dc = slope(grid)
+    moving = dc != 0.0
+    turns = _panel_roots(grid[moving], dc[moving], slope) if np.any(moving) else []
+    grazing = [s for s in turns if abs(crit(s)) <= CRITERION_BAND]
+    if grazing:
+        warnings.warn(f"criterion grazes the threshold near s={grazing[0]:.6g}; double root suspected",
+                      DoubleRootWarning, stacklevel=2)
+    grid = np.sort(np.append(grid, turns))
+    roots = sorted(set(_panel_roots(grid, crit(grid), crit)))
 
     # assemble intervals where the condition holds (criterion below threshold)
     cuts = [float(grid[0])] + roots + [float(grid[-1])]

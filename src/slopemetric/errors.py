@@ -72,7 +72,7 @@ class InsufficientDirections(ConfigError):
 
 
 class DoubleRootWarning(UserWarning):
-    """The convexity criterion grazes its threshold without a clean sign change."""
+    """phi'^2 turns within ``CRITERION_BAND`` of the threshold at the radius named; a double root may hide."""
 
 
 class DerivativeBlowupWarning(RuntimeWarning):

@@ -97,10 +97,11 @@ class SymmetricForm:
         return _scalar(mean - disc, mean + disc)
 
     def inner(self, u, t):
-        """Bilinear form m_ij u^i t^j."""
-        ux, uy = _split(u)
-        tx, ty = _split(t)
-        return _scalar(self.m11 * ux * tx + self.m12 * (ux * ty + uy * tx) + self.m22 * uy * ty)
+        """Bilinear form m_ij u^i t^j; u and t follow the metric entries' direction rule."""
+        ux, uy, eu = _direction(u)
+        tx, ty, et = _direction(t)
+        value = self.m11 * ux * tx + self.m12 * (ux * ty + uy * tx) + self.m22 * uy * ty
+        return _scalar(_times_pow2(value, eu + et))
 
     def quad(self, tv):
         """Quadratic form m_ij tv^i tv^j."""

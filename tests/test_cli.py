@@ -103,7 +103,7 @@ class TestDomainCommand:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == [
-            "warning: criterion grazes the threshold near s=3.14062; double root suspected"]
+            "warning: criterion grazes the threshold near s=3.14159; double root suspected"]
 
     def test_only_library_warnings_are_reworded(self, capsys, monkeypatch):
         # a numpy RuntimeWarning still meets the caller's filter (here an error)

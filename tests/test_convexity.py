@@ -2,10 +2,13 @@
 route-equivalence verifier."""
 
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from slopemetric import (
     ConfigError,
@@ -39,7 +42,7 @@ from slopemetric import (
 )
 from slopemetric import convexity, metric
 from slopemetric.surfaces import _scan_window
-from conftest import window_profiles
+from conftest import builtin_profiles, window_profiles
 
 BOUNDARY_PARAB = 0.2886751345948129  # 1/sqrt(12)
 GAUSS_MU_MIN = 32.61938194150854     # 12 * e
@@ -278,6 +281,69 @@ class TestConvexityDomain:
         assert condition_asymptote(gaussian_bump())["limit"] == 0.0
         assert condition_asymptote(paraboloid(100.0))["limit"] == math.inf
         assert condition_asymptote(ellipsoid(1.0, 1.0)) is None
+
+
+def closed_form_runs(p, t):
+    """The radii where phi'^2 < t on a builtin profile, from its closed form, as (lo, hi) runs."""
+    k = p.params
+    if p.kind == "paraboloid":
+        return [(0.0, math.sqrt(t) / 2.0)]
+    if p.kind == "ellipsoid":
+        return [(0.0, k["a"] * math.sqrt(t) / math.sqrt(t + (k["c"] / k["a"]) ** 2))]
+    if p.kind == "hyperboloid2":
+        return [(0.0, math.inf if k["a"] ** 2 <= t else k["b"] * math.sqrt(t / (k["a"] ** 2 - t)))]
+    if p.kind == "hyperboloid1":
+        return [] if t <= k["a"] ** 2 else [(k["b"] * math.sqrt(t / (t - k["a"] ** 2)), math.inf)]
+    if p.kind == "cone":
+        return [(0.0, math.inf)] if k["a"] ** 2 < t else []
+    # gaussian: phi'^2 = s^2 exp(-2 s^2) / 6 peaks at 1/(12e), at s = 1/sqrt(2), and
+    # equals t where -2 s^2 = W(-12 t), on Lambert W's two real branches
+    assert p.kind == "gaussian"
+    if t >= 1.0 / (12.0 * math.e):
+        return [(0.0, math.inf)]
+    inner, outer = (math.sqrt(-lambertw(-12.0 * t, branch).real / 2.0) for branch in (0, -1))
+    return [(0.0, inner), (outer, math.inf)]
+
+
+def assert_closed_form_domain(dom, p):
+    """dom's intervals are ``closed_form_runs`` on its scan range, to 1e-11."""
+    hi = dom.scan_range[1]
+    runs = [(a, min(b, hi)) for a, b in closed_form_runs(p, dom.threshold) if a < hi]
+    assert len(dom.intervals) == len(runs), (dom.intervals, runs)
+    for got, want in zip(dom.intervals, runs):
+        assert got == pytest.approx(want, abs=1e-11, rel=0.0)
+    assert dom.is_entire == (runs == [(p.domain[0], hi)])
+
+
+class TestClosedFormDomains:
+    """The paper's applied result: each builtin's convex radii in closed form, at any nav."""
+
+    @pytest.mark.parametrize("s_max", [None, 5.0], ids=["default", "smax5"])
+    @pytest.mark.parametrize("w", [1.0, 0.75, 2.0, 3.0, 2.9019], ids=lambda w: f"nav1,{w:g}")
+    @pytest.mark.parametrize("p", builtin_profiles(), ids=lambda p: p.kind)
+    def test_builtin_domains(self, p, w, s_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DoubleRootWarning)
+            dom = convexity_domain(p, s_max=s_max, nav=NavigationParams(1.0, w))
+        assert_closed_form_domain(dom, p)
+
+    @pytest.mark.parametrize("s_max", [None, 5.0], ids=["default", "smax5"])
+    @pytest.mark.parametrize("rel", [-1e-3, 1e-3, -1e-8, 1e-8])
+    def test_gaussian_near_its_critical_threshold(self, rel, s_max):
+        # the nav whose threshold is (1 + rel)/(12e): the annulus closes as rel rises through 0
+        t = (1.0 + rel) / (12.0 * math.e)
+        nav = NavigationParams(1.0, math.sqrt((1.0 / t + 1.0) / 4.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dom = convexity_domain(gaussian_bump(), s_max=s_max, nav=nav)
+        assert_closed_form_domain(dom, gaussian_bump())
+        assert len(dom.boundary_roots) == (2 if rel < 0 else 0)
+        # only a peak within CRITERION_BAND of the threshold warns, and it names the peak
+        named = [float(re.search(r"near s=(\S+);", str(w.message)).group(1))
+                 for w in caught if issubclass(w.category, DoubleRootWarning)]
+        assert len(named) == (abs(rel) < 1e-6)
+        for s in named:
+            assert abs(s - math.sqrt(0.5)) < 1e-6
 
 
 def per_panel_roots(grid, c, crit):

@@ -35,6 +35,7 @@ from slopemetric import (
     geodesic_shoot,
     hessian_field,
     indicatrix,
+    induced_metric,
     is_strongly_convex_at,
     limacon_h,
     okubo_solve,
@@ -85,7 +86,10 @@ NAVS = [NavigationParams(1.0, 1.0), NavigationParams(2.0, 1.0), NavigationParams
 
 
 def _metric_entries(surf, x, y, d, nav):
-    """Each public metric entry at one point and direction, one-point and (1,)-batch forms."""
+    """Each public metric entry at one point and direction, one-point and (1,)-batch forms.
+
+    a_ij's ``quad`` and ``inner`` keep the same direction rule as the entries.
+    """
     X, Y, D = np.array([x]), np.array([y]), np.array([d])
     return {
         "alpha": lambda: alpha(surf, x, y, d),
@@ -99,6 +103,10 @@ def _metric_entries(surf, x, y, d, nav):
         "okubo_solve": lambda: okubo_solve(surf, x, y, np.array(d), nav),
         "fundamental_tensor": lambda: fundamental_tensor(surf, x, y, d, nav),
         "hessian_field": lambda: hessian_field(surf, x, y, D, nav),
+        "quad": lambda: induced_metric(surf, x, y).quad(d),
+        "quad batch": lambda: induced_metric(surf, X, Y).quad(D),
+        "inner": lambda: induced_metric(surf, x, y).inner(d, (0.6, -0.8)),
+        "inner batch": lambda: induced_metric(surf, X, Y).inner((0.6, -0.8), D),
     }
 
 
