@@ -37,6 +37,7 @@ from .surfaces import (
     TrigProfile,
     _scalar,
     _scan_window,
+    eval_profile,
     profile_derivative,
     profile_second_derivative,
 )
@@ -199,22 +200,16 @@ def _bisect_root(fn, a: float, b: float, fa: float) -> float:
 def _panel_roots(grid: np.ndarray, c: np.ndarray, crit) -> list[float]:
     """The roots of ``crit``, whose values on the sorted grid are c, in grid order.
 
-    A panel holds a root at its start where c is exactly 0 there, else a
-    bisected one where its ends differ in sign; the last grid point is a
-    root where c is 0.  The panels are classified by array comparisons, so
-    only those holding a root are visited.
+    One root per crossing: a grid point where c is exactly 0 is one, and a
+    panel whose two ends are nonzero and differ in sign holds one, bisected;
+    a panel ending on a zero is not bisected.  Points and panels are
+    classified by array comparisons, so only those holding a root are visited.
     """
     neg = c < 0
-    on = c[:-1] == 0.0
-    roots: list[float] = []
-    for i in np.flatnonzero(on | (neg[:-1] != neg[1:])):
-        if on[i]:
-            roots.append(float(grid[i]))
-        else:
-            roots.append(_bisect_root(crit, float(grid[i]), float(grid[i + 1]), c[i]))
-    if c[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+    on = c == 0.0
+    cross = np.append((neg[:-1] != neg[1:]) & ~on[:-1] & ~on[1:], False)
+    return [float(grid[i]) if on[i] else _bisect_root(crit, float(grid[i]), float(grid[i + 1]), c[i])
+            for i in np.flatnonzero(on | cross)]
 
 
 def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | None = None,
@@ -224,7 +219,7 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
     The grid has ``resolution`` equal panels (>= 64) on ``_scan_window(p, s_max)``.
     The turns, the strict sign changes of c' = 2 phi' phi'' (a run of exact
     zeros, as on a cone or an underflowed tail, is none), are bisected and join
-    the grid; each sign change of c on it is bisected to a root.  Emits
+    the grid; each crossing of c on it gives one root (``_panel_roots``).  Emits
     DoubleRootWarning naming a turn where c is within ``CRITERION_BAND`` of 0.
     """
     if resolution < 64:
@@ -236,7 +231,7 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
 
     dc = slope(grid)
     moving = dc != 0.0
-    turns = _panel_roots(grid[moving], dc[moving], slope) if np.any(moving) else []
+    turns = _panel_roots(grid[moving], dc[moving], slope)
     grazing = [s for s in turns if abs(crit(s)) <= CRITERION_BAND]
     if grazing:
         warnings.warn(f"criterion grazes the threshold near s={grazing[0]:.6g}; double root suspected",
@@ -525,7 +520,7 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan = SamplePlan(),
         identified = np.zeros(n, dtype=bool)
         trig_convex = np.zeros(n, dtype=bool)
         if trig is not None:
-            u = np.asarray(surf.profile.phi(s_arr), dtype=float)
+            u = eval_profile(surf.profile, s_arr)
             # at a branch end's height (e.g. an underflowed tail) m(u) is not
             # s, nor at a subnormal one, whose digits are already lost
             identified = ((trig.u_range[0] < u) & (u < trig.u_range[1])

@@ -283,42 +283,52 @@ def _check_finite_point(x, y) -> None:
 
 # np.errstate as a decorator costs half of its ``with`` form
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _read(fn, error, message: str, *at):
+    """fn(*at), the one read of every closed form a surface carries (phi, f and their derivatives).
+
+    ``at`` is the radii, or x and y, as arrays of one shape or one point's numpy
+    scalars.  A constant spreads over that shape, one point gives a Python float,
+    a tuple or list (``grad``, ``hess``) is read entry by entry, and a value not
+    finite raises ``error`` with ``message`` naming the first such point.
+    """
+    values = fn(*at)
+    single = not isinstance(values, (tuple, list))
+    shape = at[0].shape
+    read = []
+    for v in (values,) if single else values:
+        v = np.asarray(v, dtype=float)
+        if v.shape != shape:
+            v = np.full(shape, v)
+        if v.ndim:
+            finite = np.count_nonzero(np.isfinite(v)) == v.size
+        else:
+            v = float(v)
+            finite = math.isfinite(v)
+        if not finite:
+            _require_finite(v, error, message, *at)
+        read.append(v)
+    return read[0] if single else tuple(read)
+
+
 def eval_profile(p: ProfileCurve, s):
-    """Profile height phi(s).  Scalar in, float out; array in, array out."""
+    """Profile height phi(s), read by ``_read``.  Scalar in, float out; array in, array out.
+
+    Raises OutOfDomain outside the domain and where phi is not finite, naming the radius.
+    """
     s_arr = np.asarray(s, dtype=float)
     _check_in_domain(p, s_arr)
-    z = np.asarray(p.phi(s_arr), dtype=float)
-    _require_finite(z, OutOfDomain, "profile evaluated non-finite at s={!r}", s_arr)
-    return _scalar(z)
+    return _read(p.phi, OutOfDomain, "profile evaluated non-finite at s={!r}", s_arr)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _closed_form(p: ProfileCurve, fn, s_arr: np.ndarray):
-    """A closed-form derivative at radii s_arr; non-finite values become typed errors.
-
-    A constant return is spread over the radii.  One radius gives a Python
-    float (``_scalar``'s rule, without its call on every surface read),
-    tested without numpy's per-call cost on a scalar.
-    """
-    d = np.asarray(fn(s_arr), dtype=float)
-    if d.shape != s_arr.shape:
-        d = np.full(s_arr.shape, d)
-    if d.ndim:
-        finite = np.count_nonzero(np.isfinite(d)) == d.size
-    else:
-        d = float(d)
-        finite = math.isfinite(d)
-    if not finite:
-        lo = p.domain[0]
-        if lo > 0.0 and np.any(s_arr == lo):
-            # closed-form slope diverges at a positive inner edge (waist)
-            raise OutOfDomain(f"derivative undefined at the domain edge s={lo}")
-        _require_finite(d, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s_arr)
-    return d
+def _check_waist(p: ProfileCurve, s_arr) -> None:
+    """After a closed form failed at s_arr: OutOfDomain where s_arr holds a positive inner edge (a waist)."""
+    lo = p.domain[0]
+    if lo > 0.0 and np.any(s_arr == lo):
+        raise OutOfDomain(f"derivative undefined at the domain edge s={lo}") from None
 
 
 def profile_derivative(p: ProfileCurve, s):
-    """dphi/ds from the profile's closed form ``dphi``.
+    """dphi/ds from the profile's closed form ``dphi``, read by ``_read``.
 
     Raises OutOfDomain outside the domain and at a waist, NonDifferentiable
     where the closed form is not finite.
@@ -327,14 +337,22 @@ def profile_derivative(p: ProfileCurve, s):
     if not s_arr.ndim:
         s_arr = s_arr[()]  # one radius runs on a numpy scalar, not a 0-d array
     _check_in_domain(p, s_arr)
-    return _closed_form(p, p.dphi, s_arr)
+    try:
+        return _read(p.dphi, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s_arr)
+    except NonDifferentiable:
+        _check_waist(p, s_arr)
+        raise
 
 
 def profile_second_derivative(p: ProfileCurve, s):
     """d^2phi/ds^2 from the profile's closed form ``d2phi``; errors as ``profile_derivative``'s."""
     s_arr = np.asarray(s, dtype=float)
     _check_in_domain(p, s_arr)
-    return _closed_form(p, p.d2phi, s_arr)
+    try:
+        return _read(p.d2phi, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s_arr)
+    except NonDifferentiable:
+        _check_waist(p, s_arr)
+        raise
 
 
 def _scan_window(p: ProfileCurve, s_max: float | None = None) -> tuple[float, float]:
@@ -377,26 +395,24 @@ class TrigProfile:
 
     @classmethod
     def from_profile(cls, p: ProfileCurve) -> "TrigProfile":
+        """The branch of p from phi at 257 radii of ``_scan_window``, read by ``eval_profile``.
+
+        A constant phi is NotInvertible, a non-finite one OutOfDomain naming the radius.
+        """
         grid = np.linspace(*_scan_window(p), 257)  # strict monotonicity scan, 256 panels
-        vals = np.asarray(p.phi(grid), dtype=float)
+        vals = eval_profile(p, grid)
+        diffs = np.diff(vals)
         # trim numerically flat head/tail (e.g. an underflowed far tail)
-        nz = np.nonzero(np.diff(vals))[0]
+        nz = np.flatnonzero(diffs)
         if nz.size == 0:
             raise NotInvertible(f"profile '{p.kind}' is numerically constant on [{grid[0]}, {grid[-1]}]")
-        grid = grid[nz[0]: nz[-1] + 2]
-        vals = vals[nz[0]: nz[-1] + 2]
-        diffs = np.diff(vals)
-        s_lo, s_hi = float(grid[0]), float(grid[-1])
-        if np.all(diffs > 0):
-            increasing = True
-        elif np.all(diffs < 0):
-            increasing = False
-        else:
-            raise NotInvertible(
-                f"profile '{p.kind}' is not strictly monotone on [{s_lo}, {s_hi}]"
-            )
-        u_lo, u_hi = (vals[0], vals[-1]) if increasing else (vals[-1], vals[0])
-        return cls(profile=p, s_range=(s_lo, s_hi), u_range=(float(u_lo), float(u_hi)), increasing=increasing)
+        first, last = nz[0], nz[-1] + 1
+        s_lo, s_hi = float(grid[first]), float(grid[last])
+        increasing = bool(diffs[first] > 0)
+        if not np.all(diffs[first:last] > 0 if increasing else diffs[first:last] < 0):
+            raise NotInvertible(f"profile '{p.kind}' is not strictly monotone on [{s_lo}, {s_hi}]")
+        u_lo, u_hi = sorted((float(vals[first]), float(vals[last])))
+        return cls(profile=p, s_range=(s_lo, s_hi), u_range=(u_lo, u_hi), increasing=increasing)
 
     def m(self, u):
         """Radius m(u) with phi(m(u)) = u, bisected to 1e-12 absolute in s."""
@@ -411,19 +427,19 @@ class TrigProfile:
         u_flat = np.atleast_1d(u_arr).ravel()
         a = np.full_like(u_flat, s_lo)
         b = np.full_like(u_flat, s_hi)
-        phi = lambda q: np.asarray(self.profile.phi(q), dtype=float)
-        # orient so f(s) = sign*(phi(s) - u) is increasing: f(a) <= 0 <= f(b)
-        sign = 1.0 if self.increasing else -1.0
         n_iter = max(1, int(math.ceil(math.log2(max((s_hi - s_lo) / _INVERT_TOL, 1.0)))))
         for _ in range(n_iter):
             mid = 0.5 * (a + b)
-            go_left = sign * (phi(mid) - u_flat) >= 0
+            # every midpoint lies in the branch's checked window: no domain test
+            phi = _read(self.profile.phi, OutOfDomain, "profile evaluated non-finite at s={!r}", mid)
+            # the root is left of mid where phi(mid) is past u along the branch
+            go_left = phi >= u_flat if self.increasing else phi <= u_flat
             b = np.where(go_left, mid, b)
             a = np.where(go_left, a, mid)
         out = 0.5 * (a + b)
         # snap exact endpoint hits
-        out = np.where(u_flat == phi(np.full_like(u_flat, s_lo)), s_lo, out)
-        out = np.where(u_flat == phi(np.full_like(u_flat, s_hi)), s_hi, out)
+        out = np.where(u_flat == eval_profile(self.profile, s_lo), s_lo, out)
+        out = np.where(u_flat == eval_profile(self.profile, s_hi), s_hi, out)
         return _scalar(out.reshape(shape))
 
     def m_prime(self, u):
@@ -509,8 +525,9 @@ class SurfaceOfRevolution:
             s_r, safe, d_r, x_r, y_r = s, s_safe, d, x, y
             if rows is not None:
                 s_r, safe, d_r, x_r, y_r = (a.compress(rows) for a in (s, s_safe, d, x, y))
-            # s_r is a subset of the radii profile_derivative just checked
-            d2 = _closed_form(self.profile, self.profile.d2phi, s_r)
+            # s_r is a subset of the radii profile_derivative just read: no waist
+            d2 = _read(self.profile.d2phi, NonDifferentiable,
+                       "closed-form derivative non-finite at s={!r}", s_r)
             radial = d_r / safe
             if axis:
                 radial = np.where(s_r == 0.0, d2, radial)
@@ -528,24 +545,13 @@ class SurfaceOfRevolution:
         return (-r, r, -r, r)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _graph_closed_form(fn, x, y):
-    """A graph's ``grad`` or ``hess`` at x, y (a constant spread over x's shape), checked finite."""
-    values = fn(x, y)
-    if np.ndim(x):
-        ones = np.ones_like(x)
-        values = tuple(np.asarray(v, dtype=float) * ones for v in values)
-    for v in values:
-        _require_finite(v, NonDifferentiable, "closed-form derivative non-finite at {!r}", x, y)
-    return values
-
-
 @dataclass(frozen=True)
 class GraphSurface:
     """General graph surface z = f(x, y) with closed-form derivatives.
 
     ``grad(x, y)`` returns (f_x, f_y) and ``hess(x, y)`` returns (f_xx, f_xy,
-    f_yy); both are vectorized like f, and either may return constants.
+    f_yy); all three are vectorized and read as a profile's phi is (``_read``):
+    a constant spreads over the points, a non-finite value raises naming one.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -554,14 +560,11 @@ class GraphSurface:
     bbox: tuple[float, float, float, float] = (-10.0, 10.0, -10.0, 10.0)
     kind: str = "graph"
 
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def height(self, x, y):
         """f(x, y); OutOfDomain at a non-finite point or where f is not finite, as ``eval_profile``."""
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x_arr, y_arr = _chart_arrays(x, y)
         _check_finite_point(x_arr, y_arr)
-        z = np.asarray(self.f(x_arr, y_arr), dtype=float)
-        _require_finite(z, OutOfDomain, "surface evaluated non-finite at {!r}", x_arr, y_arr)
-        return _scalar(z)
+        return _read(self.f, OutOfDomain, "surface evaluated non-finite at {!r}", x_arr, y_arr)
 
     def gradient(self, x, y):
         fx, fy, _ = self._jet(*_chart_arrays(x, y))
@@ -580,11 +583,11 @@ class GraphSurface:
         a non-finite derivative NonDifferentiable.
         """
         _check_finite_point(x, y)
-        fx, fy = _graph_closed_form(self.grad, x, y)
+        fx, fy = _read(self.grad, NonDifferentiable, "closed-form derivative non-finite at {!r}", x, y)
 
         def hessian_at(rows=None):
             x_r, y_r = (x, y) if rows is None else (x.compress(rows), y.compress(rows))
-            return _graph_closed_form(self.hess, x_r, y_r)
+            return _read(self.hess, NonDifferentiable, "closed-form derivative non-finite at {!r}", x_r, y_r)
 
         return fx, fy, hessian_at
 

@@ -347,16 +347,18 @@ class TestClosedFormDomains:
 
 
 def per_panel_roots(grid, c, crit):
-    """The scan's root search as one Python step per panel, the form the array scan replaced."""
+    """The scan's root search as one Python step per grid point, the form the array scan replaced.
+
+    A grid point where c is 0 is a root; a panel is bisected only where both
+    its ends are nonzero and differ in sign.
+    """
     roots = []
-    for i in range(len(grid) - 1):
-        ci, cj = c[i], c[i + 1]
+    for i in range(len(grid)):
+        ci = c[i]
         if ci == 0.0:
             roots.append(float(grid[i]))
-        elif (ci < 0) != (cj < 0):
+        elif i + 1 < len(grid) and c[i + 1] != 0.0 and (ci < 0) != (c[i + 1] < 0):
             roots.append(convexity._bisect_root(crit, float(grid[i]), float(grid[i + 1]), ci))
-    if c[-1] == 0.0:
-        roots.append(float(grid[-1]))
     return roots
 
 
@@ -392,8 +394,9 @@ class TestPanelScan:
         c = self.criterion(p)
         assert c[32] == 0.0 and np.all(c[:32] < 0.0) and np.all(c[33:] > 0.0)
         dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
-        assert 0.5 in [r for r, _ in dom.boundary_roots]
-        assert dom.intervals[0][0] == 0.0 and dom.intervals[-1][1] <= 0.5
+        # the grid point is the one root: the panel ending on it is not bisected
+        assert dom.boundary_roots == ((0.5, 0.0),)
+        assert dom.intervals == ((0.0, 0.5),)
 
     def test_zero_at_the_last_grid_point(self, monkeypatch):
         p = profile_from_callable(lambda s: 0.5 * self.SLOPE * s * s, (0.0, math.inf),
@@ -402,9 +405,8 @@ class TestPanelScan:
         c = self.criterion(p)
         assert c[-1] == 0.0 and np.all(c[:-1] < 0.0)
         dom = scan_both_ways(monkeypatch, p, resolution=64, s_max=1.0)
-        # the last panel's sign change bisects to just below the exact root
-        (below, _), last = dom.boundary_roots
-        assert below < 1.0 and last == (1.0, 0.0)
+        # the last grid point is the one root: the panel ending on it is not bisected
+        assert dom.boundary_roots == ((1.0, 0.0),)
         assert dom.intervals == ((0.0, 1.0),)
 
     def test_sign_changes_in_adjacent_panels(self, monkeypatch):
@@ -498,6 +500,12 @@ class TestVerifyEquivalence:
         assert rep.ok
         assert rep.agreements == 200
         assert not rep.disagreements
+
+    def test_level_profile_skips_the_polar_route(self):
+        # a level profile has no height parametrization, so no point is judged by m'(u)
+        level = profile_from_callable(lambda s: 1.0, (0.0, math.inf), lambda s: 0.0, lambda s: 0.0)
+        rep = verify_equivalence(SurfaceOfRevolution(level))
+        assert rep.ok and rep.agreements == 200 and rep.trig_skipped == 200
 
     def test_ellipsoid_full_agreement(self):
         surf = SurfaceOfRevolution(ellipsoid(1.0, 1.0))

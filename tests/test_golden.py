@@ -1,4 +1,6 @@
-"""Golden outputs: SHA-256 of a CLI run's (stdout, stderr, exit code) in a fresh interpreter.
+"""Golden outputs: SHA-256 of what a CLI run or a demo prints, in a fresh interpreter.
+
+A CLI run's digest covers its (stdout, stderr, exit code), a demo's its stdout.
 
 Each digest pins the exact bytes a user sees, so a faster or refactored
 route-equivalence check or integrator must reproduce them.  The digests depend on numpy's
@@ -260,6 +262,18 @@ GOLDEN_CONFIG = {
 }
 
 
+# SHA-256 of each demo's stdout, run as a script with numpy's RuntimeWarning an error
+GOLDEN_DEMOS = {
+    "01_surfaces_and_profiles.py": "51ef97956b32e25165d296887560bfa8e0454b4ab3fb04f767d10bc9e7ad7f2a",
+    "02_slope_metric.py": "d718131e9bc667454da0bbb9a636f63b7f6dd8e99c5bade6a862407b3ce6d352",
+    "03_convexity_domains.py": "ad60a7b9dcc2f198dc7e4a3fd0a62016535bb7bb40859907b2e9e927d8470ce7",
+    "04_hessian_oracle.py": "29d603942f8ed1c0227709451c512daf385d13ffaa368ca0fbbc9c0bd68a5892",
+    "05_geodesics.py": "2cf0d7a63331fe86addd26224a423c2e21e5131f46a9beff11d49c085d02939c",
+    "06_propagating_fronts.py": "973080b67d583c6074c387ad8bd3ccbb0a03eac47492f00e1b8bf83f8396e8bd",
+}
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
 def run_digest(argv, cwd) -> str:
     """SHA-256 of the JSON list [stdout, stderr, exit code] of one CLI run.
 
@@ -274,11 +288,15 @@ def run_digest(argv, cwd) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
-def check_golden(table, case, cwd):
+def check_numpy_version():
     assert np.__version__ == NUMPY_VERSION, (
         f"golden digests were recorded under numpy {NUMPY_VERSION}, "
         f"this run has numpy {np.__version__}"
     )
+
+
+def check_golden(table, case, cwd):
+    check_numpy_version()
     argv, digest = table[case]
     assert run_digest(argv, cwd) == digest
 
@@ -311,3 +329,13 @@ def test_config_error_is_golden(case, tmp_path):
     argv, config, digest = GOLDEN_CONFIG[case]
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     check_golden({case: (argv, digest)}, case, tmp_path)
+
+
+@pytest.mark.parametrize("demo", list(GOLDEN_DEMOS))
+def test_demo_output_is_golden(demo, tmp_path):
+    check_numpy_version()
+    src = str(Path(slopemetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_DEMOS[demo]

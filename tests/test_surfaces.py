@@ -111,6 +111,19 @@ class TestProfileDerivative:
             d = evaluate(p, s)
             assert isinstance(d, np.ndarray) and d.tolist() == [value] * 3
             assert evaluate(p, 1.0) == value
+        # a level profile and a level plane: heights spread too, on both surface
+        # kinds; the plane's gradient comes as a list, read entry by entry
+        level = profile_from_callable(lambda s: 2.0, (0.0, 5.0), lambda s: 0.0, lambda s: 0.0)
+        plane = GraphSurface(f=lambda x, y: 2.0, grad=lambda x, y: [0.0, 0.0],
+                             hess=lambda x, y: (0.0, 0.0, 0.0))
+        x, y = np.array([0.0, 1.0, 4.5]), np.array([0.5, -1.0, 0.0])
+        assert [g.tolist() for g in plane.gradient(x, y)] == [[0.0] * 3] * 2
+        for height, at in ((lambda q: eval_profile(level, q), (s,)),
+                           (SurfaceOfRevolution(level).height, (x, y)), (plane.height, (x, y))):
+            z = height(*at)
+            assert isinstance(z, np.ndarray) and z.tolist() == [2.0] * 3
+            z = height(*(a[1] for a in at))
+            assert type(z) is float and z == 2.0
 
     def test_non_finite_closed_form_names_the_radius(self):
         # phi' = -2s overflows past s ~ 9e307; numpy's overflow warning stays
@@ -245,6 +258,19 @@ class TestInversion:
         bump = profile_from_callable(np.sin, (0.5, 4.0), dphi=np.cos, d2phi=lambda s: -np.sin(s))
         with pytest.raises(NotInvertible):
             TrigProfile.from_profile(bump)
+
+    def test_level_profile_is_not_invertible(self):
+        # phi returns a bare constant, which spreads over the scan grid
+        level = profile_from_callable(lambda s: 1.0, (0.0, math.inf), lambda s: 0.0, lambda s: 0.0)
+        with pytest.raises(NotInvertible, match="numerically constant"):
+            TrigProfile.from_profile(level)
+
+    def test_non_finite_profile_names_the_radius(self):
+        # phi = -s is NaN past s = 50; the scan grid's step on [0, 100] is 0.390625
+        p = profile_from_callable(lambda s: np.where(s <= 50.0, -s, math.nan), (0.0, math.inf),
+                                  lambda s: -1.0, lambda s: 0.0)
+        with pytest.raises(OutOfDomain, match=re.escape("non-finite at s=50.390625")):
+            TrigProfile.from_profile(p)
 
     def test_out_of_range(self):
         # the error names the first height outside, as a radius outside the domain is named
