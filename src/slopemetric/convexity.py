@@ -117,7 +117,8 @@ def is_strongly_convex_at(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMA
 
 def cartesian_condition(p: ProfileCurve, s):
     """phi'(s)^2; the metric is strongly convex at radius s iff this < the threshold."""
-    return _scalar(np.square(profile_derivative(p, s)))
+    d = profile_derivative(p, s)  # a float at one radius
+    return d * d
 
 
 def trig_condition(t: TrigProfile, u):
@@ -298,8 +299,10 @@ def _oracle_directions(fx, fy, n_directions: int) -> np.ndarray:
     return np.concatenate([fan, uphill[:, None, :]], axis=1)
 
 
-# Points per direction-Hessian stencil in ``_pd_verdicts``.  A (48, 65) float64
-# temporary is 25 KB, well under glibc's 128 KiB trim threshold, so the
+# Most points per direction-Hessian stencil in ``_pd_verdicts``, which cuts n
+# points into ceil(n / _PD_BLOCK) blocks of near-equal size (200 into five of
+# 40), so no short tail block pays a whole stencil's fixed cost.  A (48, 65)
+# float64 temporary is 25 KB, well under glibc's 128 KiB trim threshold, so the
 # stencil's many short-lived temporaries reuse heap memory instead of being
 # handed back to the OS and faulted in again for every node.
 _PD_BLOCK = 48
@@ -308,19 +311,21 @@ _PD_BLOCK = 48
 def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray:
     """``pd_oracle``'s verdict at each of the (n,) gradient values fx, fy.
 
-    Direction-Hessian stencils over blocks of ``_PD_BLOCK`` points cover all
-    n * (n_directions + 1) (point, direction) pairs; each point's verdict
-    depends on its own pairs only, so the blocks change no verdict.  A point
-    whose stencil leaves the cone gets NaN entries, which fail the sign
-    tests, so its verdict is False.
+    Direction-Hessian stencils over near-equal blocks of at most ``_PD_BLOCK``
+    points cover all n * (n_directions + 1) (point, direction) pairs; each
+    point's verdict depends on its own pairs only, so the blocks change no
+    verdict.  A point whose stencil leaves the cone gets NaN entries, which
+    fail the sign tests, so its verdict is False.
     """
-    verdicts = np.empty(fx.size, dtype=bool)
-    for i in range(0, fx.size, _PD_BLOCK):
-        bx, by = fx[i:i + _PD_BLOCK], fy[i:i + _PD_BLOCK]
+    n = fx.size
+    blocks = -(-n // _PD_BLOCK)
+    verdicts = np.empty(n, dtype=bool)
+    for k in range(blocks):
+        i, j = k * n // blocks, (k + 1) * n // blocks
+        bx, by = fx[i:j], fy[i:j]
         dirs = _oracle_directions(bx, by, n_directions)
         g11, g12, g22 = _direction_hessian(bx[:, None], by[:, None], dirs, nav)
-        verdicts[i:i + _PD_BLOCK] = (np.all(g11 + g22 > 0.0, axis=1)
-                                     & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1))
+        verdicts[i:j] = np.all(g11 + g22 > 0.0, axis=1) & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1)
     return verdicts
 
 

@@ -187,7 +187,8 @@ def _parts(fx, fy, vx, vy):
 def _limacon(fx, fy, vx, vy, nav: NavigationParams):
     """alpha^2 - v*alpha + w*beta, the indicatrix function at gradient values."""
     _, b, a2 = _parts(fx, fy, vx, vy)
-    return a2 - nav.v * np.sqrt(a2) + nav.w * b
+    # one value takes math.sqrt: correctly rounded as np.sqrt is, and a2 >= 0
+    return a2 - nav.v * (math.sqrt(a2) if isinstance(a2, float) else np.sqrt(a2)) + nav.w * b
 
 
 def _denominator(n2, b, a2, nav: NavigationParams):
@@ -197,12 +198,13 @@ def _denominator(n2, b, a2, nav: NavigationParams):
     which stays fully accurate when w*b approaches v*alpha.
     """
     v, w = nav.v, nav.w
-    al = np.sqrt(a2)
+    one = isinstance(a2, float)
+    al = math.sqrt(a2) if one else np.sqrt(a2)
     uphill = b > 0
     num = v * v * n2 + (v * v - w * w) * b * b
     va, wb = v * al, w * b
-    if not isinstance(uphill, np.ndarray):
-        # one value: evaluate only the branch it takes
+    if one:
+        # one value: math.sqrt as in _limacon, and only the branch it takes
         return (num / (va + wb) if uphill else va - wb), al
     safe = np.where(uphill, va + wb, 1.0)
     return np.where(uphill, num / safe, va - wb), al
@@ -236,10 +238,15 @@ def _F(fx, fy, tv, nav: NavigationParams):
     """``slope_metric_F`` at gradient values, with its errors."""
     vx, vy, e = _direction(tv)
     F = _quotient(fx, fy, vx, vy, nav)
-    nan = np.isnan(F)  # one F is a numpy scalar, tested without a reduction
-    if nan if nan.ndim == 0 else np.count_nonzero(nan):
-        raise DegenerateDenominator("v*alpha - w*beta <= 0: slope term overwhelms the base speed")
-    return _times_pow2(F, e)
+    try:
+        return _times_pow2(F, e)
+    except DirectionOverflow:
+        # only a failed scale-back looks for the NaN of a degenerate
+        # denominator; one F is a float, and only NaN differs from itself
+        if F != F if isinstance(F, float) else np.count_nonzero(np.isnan(F)):
+            raise DegenerateDenominator(
+                "v*alpha - w*beta <= 0: slope term overwhelms the base speed") from None
+        raise
 
 
 def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams = NORMALIZED):
@@ -259,7 +266,7 @@ def limacon_h(surf: SurfaceSpec, x, y, tv, nav: NavigationParams = NORMALIZED):
 
 
 def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORMALIZED) -> float:
-    """The unique F > 0 with h(direction/F) = 0, found by root-solving.
+    """The unique F > 0 with h(direction/F) = 0, found by root-solving, at one point and direction.
 
     At most 60 Newton iterations on lam = 1/F, with the analytic dh/dlam,
     then a bisection fallback on [1e-12, 1e6]; converged when
@@ -279,6 +286,8 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORM
     if d.shape != (2,):
         raise ValueError("okubo_solve expects a single direction of shape (2,)")
     fx, fy = surf.gradient(x, y)
+    if not isinstance(fx, float):
+        raise ValueError("okubo_solve expects one chart point")
     dx, dy, e = _direction(d)
     # solve for the unit-Euclid direction; the root scales by 1-homogeneity.  The BLAS
     # dot is np.linalg.norm's sum of squares, not always dx*dx + dy*dy to the last bit
@@ -289,7 +298,7 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORM
     if _denominator(n2, b, a2, nav)[0] <= 0.0:
         raise NoRoot("degenerate denominator: no positive root of the indicatrix equation")
 
-    f = lambda lam: float(_limacon(fx, fy, lam * ux, lam * uy, nav))
+    f = lambda lam: _limacon(fx, fy, lam * ux, lam * uy, nav)
     # h(lam) = lam^2*alpha^2 - v*lam*alpha + w*lam*beta along the unit direction
     al = math.sqrt(a2)
     dh = lambda lam: 2.0 * lam * a2 - nav.v * al + nav.w * b

@@ -73,10 +73,14 @@ class ProfileCurve:
     kind : str
         Builtin tag ("paraboloid", "cone", ...) or "custom".
     phi : callable
-        Vectorized map s -> z.
+        Vectorized map s -> z, called (by ``_read``) on a float array, or on
+        a numpy scalar at one radius.
     dphi, d2phi : callable
         Vectorized closed-form first and second derivatives of phi, the only
         source of ``profile_derivative`` and ``profile_second_derivative``.
+        The builtins write powers as ``np.power``: Python's ``**`` on a numpy
+        scalar is libm's pow, which can differ from numpy's array power in
+        the last bit, so one radius would not match a batch.
     domain : (float, float)
         Half-open interval [s_min, s_max), s_min >= 0; s_max may be inf.
         Restrict it with ``dataclasses.replace(p, domain=(lo, hi))``, as JSON "domain" does.
@@ -104,7 +108,7 @@ def paraboloid(h: float = 100.0) -> ProfileCurve:
     return ProfileCurve(
         kind="paraboloid",
         phi=lambda s: h - np.square(s),
-        dphi=lambda s: -2.0 * np.asarray(s, dtype=float),
+        dphi=lambda s: -2.0 * s,
         d2phi=lambda s: np.full_like(np.asarray(s, dtype=float), -2.0),
         domain=(0.0, math.inf),
         params={"h": float(h)},
@@ -117,7 +121,7 @@ def cone(a: float) -> ProfileCurve:
         raise ConfigError("cone needs a > 0")
     return ProfileCurve(
         kind="cone",
-        phi=lambda s: a * np.asarray(s, dtype=float),
+        phi=lambda s: a * s,
         dphi=lambda s: np.full_like(np.asarray(s, dtype=float), a),
         d2phi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         domain=(0.0, math.inf),
@@ -132,8 +136,8 @@ def ellipsoid(a: float, c: float) -> ProfileCurve:
     return ProfileCurve(
         kind="ellipsoid",
         phi=lambda s: (c / a) * np.sqrt(a * a - np.square(s)),
-        dphi=lambda s: -(c / a) * np.asarray(s, dtype=float) / np.sqrt(a * a - np.square(s)),
-        d2phi=lambda s: -(c * a) / (a * a - np.square(s)) ** 1.5,
+        dphi=lambda s: -(c / a) * s / np.sqrt(a * a - np.square(s)),
+        d2phi=lambda s: -(c * a) / np.power(a * a - np.square(s), 1.5),
         domain=(0.0, a),
         params={"a": float(a), "c": float(c)},
     )
@@ -146,8 +150,8 @@ def two_sheet_hyperboloid(a: float, b: float) -> ProfileCurve:
     return ProfileCurve(
         kind="hyperboloid2",
         phi=lambda s: a * np.sqrt(np.square(s) + b * b),
-        dphi=lambda s: a * np.asarray(s, dtype=float) / np.sqrt(np.square(s) + b * b),
-        d2phi=lambda s: a * b * b / (np.square(s) + b * b) ** 1.5,
+        dphi=lambda s: a * s / np.sqrt(np.square(s) + b * b),
+        d2phi=lambda s: a * b * b / np.power(np.square(s) + b * b, 1.5),
         domain=(0.0, math.inf),
         params={"a": float(a), "b": float(b)},
     )
@@ -165,8 +169,8 @@ def one_sheet_hyperboloid(a: float, b: float) -> ProfileCurve:
     return ProfileCurve(
         kind="hyperboloid1",
         phi=lambda s: a * np.sqrt(np.square(s) - b * b),
-        dphi=lambda s: a * np.asarray(s, dtype=float) / np.sqrt(np.square(s) - b * b),
-        d2phi=lambda s: -a * b * b / (np.square(s) - b * b) ** 1.5,
+        dphi=lambda s: a * s / np.sqrt(np.square(s) - b * b),
+        d2phi=lambda s: -a * b * b / np.power(np.square(s) - b * b, 1.5),
         domain=(b, math.inf),
         params={"a": float(a), "b": float(b)},
     )
@@ -178,7 +182,7 @@ def gaussian_bump() -> ProfileCurve:
     return ProfileCurve(
         kind="gaussian",
         phi=lambda s: amp * np.exp(-np.square(s)),
-        dphi=lambda s: -2.0 * amp * np.asarray(s, dtype=float) * np.exp(-np.square(s)),
+        dphi=lambda s: -2.0 * amp * s * np.exp(-np.square(s)),
         d2phi=lambda s: amp * (4.0 * np.square(s) - 2.0) * np.exp(-np.square(s)),
         domain=(0.0, math.inf),
         params={},
@@ -229,22 +233,27 @@ def profile_from_callable(
 
 
 def _scalar(*values):
-    """Python floats for 0-d values, else the arrays themselves.
+    """Python floats for one point's values (floats, numpy scalars or 0-d arrays), else the arrays.
 
     The scalar-in, float-out rule of every public function: one value comes
-    back bare, several (of one shape) as a tuple.
+    back bare, several (of one shape) as a tuple.  An ``isinstance`` test
+    tells the two apart, without a numpy call.
     """
-    if np.ndim(values[0]) == 0:
-        values = tuple(map(float, values))
-    return values[0] if len(values) == 1 else values
+    if isinstance(values[0], np.ndarray) and values[0].ndim:
+        return values[0] if len(values) == 1 else values
+    return float(values[0]) if len(values) == 1 else tuple(map(float, values))
 
 
 def _chart_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x and y as float arrays of one shape, broadcast only when their shapes differ.
 
-    One point comes back as two numpy scalars: the same arithmetic and
-    warnings as 0-d arrays, without numpy's per-call cost on them.
+    One point comes back as two numpy scalars, without numpy's per-call cost
+    on 0-d arrays; a closed form written in numpy functions gives them the
+    bits and warnings it gives a batch (Python's ``**`` aside, see
+    ``ProfileCurve``).  Two floats (Python or numpy) become them directly.
     """
+    if isinstance(x, float) and isinstance(y, float):
+        return np.float64(x), np.float64(y)
     x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x_arr.shape != y_arr.shape:
         x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
@@ -253,15 +262,26 @@ def _chart_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x_arr, y_arr
 
 
-def _check_in_domain(p: ProfileCurve, s: np.ndarray) -> None:
+def _check_in_domain(p: ProfileCurve, s):
+    """Radii s as a float array, one radius as a numpy scalar, all inside p's domain.
+
+    OutOfDomain names the first radius outside it.  One radius is compared
+    as a float, with no array between.
+    """
     lo, hi = p.domain
-    # lo is finite, so NaN and -inf fail the first comparison and +inf the second
-    inside = (s >= lo) & (s < hi)
-    # np.count_nonzero costs a fraction of ndarray.all's reduction; one
-    # radius (a numpy bool) needs neither
-    if not (inside if inside.ndim == 0 else np.count_nonzero(inside) == inside.size):
-        worst = np.asarray(s)[~inside].flat[0]
-        raise OutOfDomain(f"s={float(worst)!r} outside profile domain [{lo}, {hi})")
+    if not isinstance(s, float):
+        s = np.asarray(s, dtype=float)
+        if s.ndim:
+            # lo is finite, so NaN and -inf fail the first comparison and +inf the second
+            inside = (s >= lo) & (s < hi)
+            # np.count_nonzero costs a fraction of ndarray.all's reduction
+            if np.count_nonzero(inside) == inside.size:
+                return s
+            raise OutOfDomain(f"s={float(s[~inside].flat[0])!r} outside profile domain [{lo}, {hi})")
+        s = s[()]
+    if lo <= s < hi:
+        return np.float64(s)
+    raise OutOfDomain(f"s={float(s)!r} outside profile domain [{lo}, {hi})")
 
 
 def _require_finite(values, error, message: str, *coords) -> None:
@@ -278,6 +298,8 @@ def _require_finite(values, error, message: str, *coords) -> None:
 
 def _check_finite_point(x, y) -> None:
     """Raise OutOfDomain where a chart point has a NaN or infinite coordinate, as radii do."""
+    if not x.ndim and math.isfinite(x) and math.isfinite(y):
+        return
     _require_finite(np.maximum(np.abs(x), np.abs(y)), OutOfDomain, "point {!r} is not finite", x, y)
 
 
@@ -287,24 +309,26 @@ def _read(fn, error, message: str, *at):
     """fn(*at), the one read of every closed form a surface carries (phi, f and their derivatives).
 
     ``at`` is the radii, or x and y, as arrays of one shape or one point's numpy
-    scalars.  A constant spreads over that shape, one point gives a Python float,
-    a tuple or list (``grad``, ``hess``) is read entry by entry, and a value not
-    finite raises ``error`` with ``message`` naming the first such point.
+    scalars.  A constant spreads over that shape, a tuple or list (``grad``,
+    ``hess``) is read entry by entry, and a value not finite raises ``error``
+    with ``message`` naming the first such point.  One point gives Python
+    floats, each ``float()`` of fn's value and checked by ``math.isfinite``,
+    with no array between.
     """
     values = fn(*at)
     single = not isinstance(values, (tuple, list))
+    if not at[0].ndim:
+        read = float(values) if single else tuple(map(float, values))
+        if math.isfinite(read) if single else all(map(math.isfinite, read)):
+            return read
+        _require_finite(read, error, message, *at)
     shape = at[0].shape
     read = []
     for v in (values,) if single else values:
         v = np.asarray(v, dtype=float)
         if v.shape != shape:
             v = np.full(shape, v)
-        if v.ndim:
-            finite = np.count_nonzero(np.isfinite(v)) == v.size
-        else:
-            v = float(v)
-            finite = math.isfinite(v)
-        if not finite:
+        if np.count_nonzero(np.isfinite(v)) < v.size:
             _require_finite(v, error, message, *at)
         read.append(v)
     return read[0] if single else tuple(read)
@@ -315,8 +339,7 @@ def eval_profile(p: ProfileCurve, s):
 
     Raises OutOfDomain outside the domain and where phi is not finite, naming the radius.
     """
-    s_arr = np.asarray(s, dtype=float)
-    _check_in_domain(p, s_arr)
+    s_arr = _check_in_domain(p, s)
     return _read(p.phi, OutOfDomain, "profile evaluated non-finite at s={!r}", s_arr)
 
 
@@ -333,10 +356,7 @@ def profile_derivative(p: ProfileCurve, s):
     Raises OutOfDomain outside the domain and at a waist, NonDifferentiable
     where the closed form is not finite.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if not s_arr.ndim:
-        s_arr = s_arr[()]  # one radius runs on a numpy scalar, not a 0-d array
-    _check_in_domain(p, s_arr)
+    s_arr = _check_in_domain(p, s)  # one radius runs on a numpy scalar, not a 0-d array
     try:
         return _read(p.dphi, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s_arr)
     except NonDifferentiable:
@@ -346,8 +366,7 @@ def profile_derivative(p: ProfileCurve, s):
 
 def profile_second_derivative(p: ProfileCurve, s):
     """d^2phi/ds^2 from the profile's closed form ``d2phi``; errors as ``profile_derivative``'s."""
-    s_arr = np.asarray(s, dtype=float)
-    _check_in_domain(p, s_arr)
+    s_arr = _check_in_domain(p, s)
     try:
         return _read(p.d2phi, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s_arr)
     except NonDifferentiable:

@@ -19,16 +19,20 @@ from slopemetric import (
     DirectionOverflow,
     GraphSurface,
     NavigationParams,
+    NonDifferentiable,
     NoRoot,
     OutOfDomain,
     SlopeMetricError,
     SurfaceOfRevolution,
     SymmetricForm,
+    TrigProfile,
     ZeroVector,
     alpha,
     beta,
+    cartesian_condition,
     cone,
     ellipsoid,
+    eval_profile,
     flat_surface,
     fundamental_tensor,
     hessian_field,
@@ -37,8 +41,10 @@ from slopemetric import (
     okubo_solve,
     one_sheet_hyperboloid,
     paraboloid,
+    profile_derivative,
     profile_from_callable,
     profile_from_table,
+    profile_second_derivative,
     slope_metric_F,
     surface_from_json,
 )
@@ -521,12 +527,18 @@ class TestOkuboOnBenchmarkPairs:
 
 
 def _consistency_surfaces():
-    """The builtins, a 256-row table, a callable profile, a graph and flat ground."""
+    """The builtins, a 256-row table, a callable profile, a graph and flat ground.
+
+    The callable is written in numpy ufuncs, as the builtins are: one radius
+    reaches it as a numpy scalar, and Python's ``**`` on a numpy scalar is
+    libm's pow, which can differ from numpy's array power in the last bit.
+    """
     s = np.linspace(0.0, 4.0, 256)
     surfs = [SurfaceOfRevolution(p) for p in builtin_profiles()]
     surfs.append(SurfaceOfRevolution(profile_from_table(s, np.sin(s) / math.sqrt(3.0))))
     surfs.append(SurfaceOfRevolution(profile_from_callable(
-        lambda r: 1.0 - 0.1 * r ** 3, (0.0, 3.0), dphi=lambda r: -0.3 * r ** 2, d2phi=lambda r: -0.6 * r)))
+        lambda r: 1.0 - 0.1 * np.power(r, 3), (0.0, 3.0),
+        dphi=lambda r: -0.3 * np.square(r), d2phi=lambda r: -0.6 * r)))
     surfs.append(GraphSurface(
         f=lambda x, y: 0.3 * np.sin(x) * np.cos(2.0 * y),
         grad=lambda x, y: (0.3 * np.cos(x) * np.cos(2.0 * y), -0.6 * np.sin(x) * np.sin(2.0 * y)),
@@ -576,6 +588,66 @@ class TestOnePointMatchesBatch:
                         one = fn(surf, x, y, d, nav)
                         assert type(one) is float
                         assert _bits(one) == _bits(fn(surf, X, Y, D, nav))
+
+    FORMS = (float, np.float64, np.asarray)
+
+    @pytest.mark.parametrize("surf", [s for s in _consistency_surfaces() if isinstance(s, SurfaceOfRevolution)],
+                             ids=lambda s: s.kind)
+    def test_profile_reads(self, surf):
+        # 64 radii: a closed form using Python's ** on one radius's numpy
+        # scalar (libm's pow) misses numpy's array power in the last bit at a
+        # few radii in a hundred on some hosts, too rarely for three points
+        p = surf.profile
+        reads = (eval_profile, profile_derivative, profile_second_derivative, cartesian_condition)
+        for s in interior_radii(p, n=64):
+            S = np.array([s])
+            for fn in reads:
+                got = [fn(p, form(s)) for form in self.FORMS]
+                assert [type(v) for v in got] == [float] * 3
+                assert {_bits(v) for v in got} == {_bits(fn(p, S))}
+        if p.params.get("rows"):
+            return  # the sine table turns at s = pi/2: no height parametrization
+        trig = TrigProfile.from_profile(p)
+        for u in np.linspace(*trig.u_range, 9)[1:-1]:
+            got = [trig.m(form(u)) for form in self.FORMS]
+            assert [type(v) for v in got] == [float] * 3
+            assert {_bits(v) for v in got} == {_bits(trig.m(np.array([u])))}
+
+    @pytest.mark.parametrize("surf", SURFACES, ids=lambda s: s.kind)
+    def test_scalar_forms(self, surf):
+        # a Python float, a numpy scalar and a 0-d array are one point alike;
+        # okubo_solve has no batch form, so this is its one-point check
+        d = np.array([0.6, -0.8])
+        for x, y in _consistency_points(surf):
+            calls = [surf.gradient, surf.hessian, surf.height,
+                     lambda X, Y: slope_metric_F(surf, X, Y, d),
+                     lambda X, Y: okubo_solve(surf, X, Y, d),
+                     lambda X, Y: limacon_h(surf, X, Y, d)]
+            for call in calls:
+                got = [call(form(x), form(y)) for form in self.FORMS]
+                assert {type(v) for v in np.ravel(np.array(got, dtype=object))} == {float}
+                assert len({_bits(v) for v in got}) == 1
+
+    def test_non_finite_closed_form(self):
+        # phi' is NaN past s = 1: one radius raises what the (1,) batch raises
+        p = profile_from_callable(lambda s: 1.0 - 0.5 * np.square(s), (0.0, 2.0),
+                                  lambda s: np.where(s > 1.0, np.nan, -s), lambda s: np.full_like(s, -1.0))
+        surf = SurfaceOfRevolution(p)
+        d = np.array([0.6, 0.8])
+        want = (NonDifferentiable, "closed-form derivative non-finite at s=1.5")
+        cases = [
+            (lambda S: profile_derivative(p, S), 1.5, [1.5]),
+            (lambda S: cartesian_condition(p, S), 1.5, [1.5]),
+            (lambda P: surf.gradient(*P), (1.5, 0.0), ([1.5], [0.0])),
+            (lambda P: surf.hessian(*P), (1.5, 0.0), ([1.5], [0.0])),
+            (lambda P: slope_metric_F(surf, *P, d), (1.5, 0.0), ([1.5], [0.0])),
+        ]
+        for call, one, batch in cases:
+            assert _raised(lambda: call(one)) == want
+            assert _raised(lambda: call(np.asarray(batch))) == want
+        assert _raised(lambda: okubo_solve(surf, 1.5, 0.0, d)) == want
+        with pytest.raises(ValueError, match="^okubo_solve expects one chart point$"):
+            okubo_solve(surf, np.array([0.3]), np.array([0.2]), d)
 
     def test_errors(self):
         apex = SurfaceOfRevolution(cone(0.5))
