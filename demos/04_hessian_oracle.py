@@ -3,10 +3,12 @@
 The direction-dependent metric tensor g_ij (half the direction Hessian of
 F^2) must be positive definite exactly where the pointwise criterion
 |grad f|^2 < 1/3 says so.  fundamental_tensor gives g_ij in Chern & Shen's
-closed form.  The oracle forms it independently, by a finite-difference
-stencil of F^2, over a fan of directions plus the steepest-uphill angle and
-checks eigenvalue signs; verify_equivalence then tallies agreement across
-every route on random samples.
+closed form.  The oracle decides it independently, from F values alone:
+g_ij is positive definite exactly where the indicatrix has positive
+curvature, f + f'' > 0 for f(theta) = F(cos(theta) e1 + sin(theta) e2) in
+an orthonormal frame of a_ij, so it takes second differences of F around a
+fan of 64 angles, the first steepest uphill; verify_equivalence then
+tallies agreement across every route on random samples.
 """
 
 import math

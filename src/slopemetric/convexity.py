@@ -8,7 +8,10 @@ at v = w.  The pointwise criterion q < threshold (gradient route), the
 profile criteria phi'(s)^2 < threshold and m'(u)^2 > 1/threshold (profile
 routes), and a brute-force positive-definiteness sweep of the direction
 Hessian (oracle route) must all agree; ``verify_equivalence`` samples
-surfaces at random and reports any disagreement instead of raising.
+surfaces at random and reports any disagreement instead of raising.  The
+oracle reads F values only: g_ij is positive definite exactly where the
+indicatrix has positive curvature, which it tests by second differences of
+F around a fan of angles in an orthonormal frame of a_ij (``pd_oracle``).
 
 Scans and sweeps are embarrassingly parallel over points; every callee is
 pure, and reports are assembled by a single aggregator afterwards.
@@ -29,7 +32,7 @@ from .errors import (
     InsufficientDirections,
     SlopeMetricError,
 )
-from .metric import NORMALIZED, NavigationParams, _direction_hessian
+from .metric import NORMALIZED, NavigationParams, _quotient
 from .surfaces import (
     ProfileCurve,
     SurfaceOfRevolution,
@@ -285,60 +288,70 @@ def _unit_directions(n: int) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
-def _oracle_directions(fx, fy, n_directions: int) -> np.ndarray:
-    """The (n, n_directions + 1, 2) fan ``pd_oracle`` sweeps at the (n,) gradient values.
+# The oracle's angular step: each fan angle is read at theta - h, theta and theta + h.
+_DTHETA = 1e-3
 
-    ``n_directions`` equally spaced unit directions, then the steepest-uphill
-    one (the first angle again where the gradient vanishes).
-    """
-    q = fx * fx + fy * fy
-    fan = np.broadcast_to(_unit_directions(n_directions), (q.size, n_directions, 2))
-    flat = q == 0.0
-    uphill = np.where(flat[:, None], fan[:, 0],
-                      np.stack([fx, fy], axis=-1) / np.sqrt(np.where(flat, 1.0, q))[:, None])
-    return np.concatenate([fan, uphill[:, None, :]], axis=1)
-
-
-# Most points per direction-Hessian stencil in ``_pd_verdicts``, which cuts n
-# points into ceil(n / _PD_BLOCK) blocks of near-equal size (200 into five of
-# 40), so no short tail block pays a whole stencil's fixed cost.  A (48, 65)
-# float64 temporary is 25 KB, well under glibc's 128 KiB trim threshold, so the
-# stencil's many short-lived temporaries reuse heap memory instead of being
-# handed back to the OS and faulted in again for every node.
+# Most points per block of ``_pd_verdicts``, which cuts n points into
+# ceil(n / _PD_BLOCK) blocks of near-equal size (200 into five of 40), so no
+# short tail block pays a whole block's fixed cost.  A (3, 48, 64) float64
+# temporary is 72 KiB, under glibc's 128 KiB trim threshold, so the kernel's
+# many short-lived temporaries reuse heap memory instead of being handed back
+# to the OS and faulted in again for every one of them.
 _PD_BLOCK = 48
 
 
 def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray:
     """``pd_oracle``'s verdict at each of the (n,) gradient values fx, fy.
 
-    Direction-Hessian stencils over near-equal blocks of at most ``_PD_BLOCK``
-    points cover all n * (n_directions + 1) (point, direction) pairs; each
-    point's verdict depends on its own pairs only, so the blocks change no
-    verdict.  A point whose stencil leaves the cone gets NaN entries, which
-    fail the sign tests, so its verdict is False.
+    In the a-orthonormal frame e1 = grad f / (|grad f| sqrt(1 + q)),
+    e2 = grad f^perp / |grad f| (the chart axes where grad f = 0),
+    f(theta) = F(cos(theta) e1 + sin(theta) e2) is read on the chart
+    directions at theta_k - h, theta_k and theta_k + h, theta_k = 2 pi k /
+    n_directions, h = ``_DTHETA``; a point is convex iff
+    f(theta - h) - 2 f(theta) + f(theta + h) + h^2 f(theta) > 0 at every
+    theta_k.  Blocks of at most ``_PD_BLOCK`` points change no verdict, since
+    each point's verdict reads its own directions only.  A point whose fan
+    leaves v*alpha - w*beta > 0 gets NaN values, which fail the test, so its
+    verdict is False.
     """
+    h = _DTHETA
+    fan = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
+    theta = np.stack([fan - h, fan, fan + h])[:, None, :]
+    c, s = np.cos(theta), np.sin(theta)
+    # (ux, uy) = grad f / |grad f|, the x axis where grad f = 0; |e1| = 1/sqrt(1 + q)
+    grad = np.hypot(fx, fy)
+    flat = grad == 0.0
+    safe = np.where(flat, 1.0, grad)
+    ux, uy = np.where(flat, 1.0, fx / safe), fy / safe
+    sqrt1q = np.hypot(1.0, grad)
+    e1x, e1y = ux / sqrt1q, uy / sqrt1q
     n = fx.size
     blocks = -(-n // _PD_BLOCK)
     verdicts = np.empty(n, dtype=bool)
     for k in range(blocks):
         i, j = k * n // blocks, (k + 1) * n // blocks
-        bx, by = fx[i:j], fy[i:j]
-        dirs = _oracle_directions(bx, by, n_directions)
-        g11, g12, g22 = _direction_hessian(bx[:, None], by[:, None], dirs, nav)
-        verdicts[i:j] = np.all(g11 + g22 > 0.0, axis=1) & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1)
+        dx = c * e1x[i:j, None] - s * uy[i:j, None]
+        dy = c * e1y[i:j, None] + s * ux[i:j, None]
+        f = _quotient(fx[i:j, None], fy[i:j, None], dx, dy, nav)
+        verdicts[i:j] = np.all(f[0] - 2.0 * f[1] + f[2] + h * h * f[1] > 0.0, axis=1)
     return verdicts
 
 
 def pd_oracle(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMALIZED) -> bool:
-    """Brute-force positive definiteness of g_ij over a fan of directions.
+    """Brute-force positive definiteness of g_ij, read off the indicatrix's curvature.
 
-    Sweeps verify's default fan of ``SamplePlan.n_directions`` (64) equally spaced
-    angles and requires trace > 0 and det > 0 for every one.  Convexity is lost
-    first along the steepest-uphill direction, and just past the breakdown the
-    indefinite cone around it is narrower than any fixed angular spacing, so the
-    uphill angle joins the fan; the verdict still rests purely on Hessian
-    eigenvalue signs.  A stencil that leaves v*alpha - w*beta > 0 means F is not
-    a norm at the point, so the verdict is False.
+    For a Minkowski norm det g = f^3 (f + f'') in an a-orthonormal frame, with
+    f(theta) = F(cos(theta) e1 + sin(theta) e2), and g(d, d) = F^2 > 0 (Bao,
+    Chern & Shen, *An Introduction to Riemann-Finsler Geometry*, 2000, ch. 1):
+    g_ij is positive definite in every direction exactly where the indicatrix
+    has positive curvature, f + f'' > 0 at every angle.  The oracle checks that
+    by second differences of F over verify's default fan of
+    ``SamplePlan.n_directions`` (64) equally spaced angles, in the frame whose
+    e1 is steepest uphill, where convexity is lost first, so theta = 0 is in
+    the fan.  It reads F values only (the gradient only places the frame),
+    never the closed-form tensor or the criterion.  A fan direction with
+    v*alpha - w*beta <= 0 means F is not a norm at the point, so the verdict
+    is False.
     """
     fx, fy = surf.gradient(x, y)
     return bool(_pd_verdicts(np.atleast_1d(fx), np.atleast_1d(fy), nav,

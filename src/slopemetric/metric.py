@@ -125,12 +125,7 @@ def _direction(tv):
     """
     dx, dy = _split(tv)
     if isinstance(dx, float):
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            raise DirectionOverflow("direction must be finite")
-        if dx == 0.0 and dy == 0.0:
-            raise ZeroVector("direction must be nonzero")
-        e = math.frexp(max(abs(dx), abs(dy)))[1]
-        return math.ldexp(dx, -e), math.ldexp(dy, -e), e
+        return _one_direction(dx, dy)
     big = np.maximum(np.abs(dx), np.abs(dy))  # NaN where either component is NaN
     if np.count_nonzero(np.isfinite(big)) < big.size:
         raise DirectionOverflow("direction must be finite")
@@ -138,6 +133,16 @@ def _direction(tv):
         raise ZeroVector("direction must be nonzero")
     e = np.frexp(big)[1]
     return np.ldexp(dx, -e), np.ldexp(dy, -e), e
+
+
+def _one_direction(dx: float, dy: float):
+    """``_direction`` of one direction, from its two components as Python floats."""
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        raise DirectionOverflow("direction must be finite")
+    if dx == 0.0 and dy == 0.0:
+        raise ZeroVector("direction must be nonzero")
+    e = math.frexp(max(abs(dx), abs(dy)))[1]
+    return math.ldexp(dx, -e), math.ldexp(dy, -e), e
 
 
 def _times_pow2(value, e):
@@ -288,7 +293,8 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORM
     fx, fy = surf.gradient(x, y)
     if not isinstance(fx, float):
         raise ValueError("okubo_solve expects one chart point")
-    dx, dy, e = _direction(d)
+    # d is already a float array: its two floats skip ``_direction``'s second asarray
+    dx, dy, e = _one_direction(*d.tolist())
     # solve for the unit-Euclid direction; the root scales by 1-homogeneity.  The BLAS
     # dot is np.linalg.norm's sum of squares, not always dx*dx + dy*dy to the last bit
     d = np.array((dx, dy))
@@ -384,49 +390,3 @@ def fundamental_tensor(surf: SurfaceSpec, x, y, tv,
         raise ValueError("fundamental_tensor expects a single direction of shape (2,)")
     g11, g12, g22 = _tensor(*surf.gradient(x, y), tv, nav)
     return SymmetricForm(float(g11), float(g12), float(g22))
-
-
-# --- the oracle's direction-Hessian stencil --------------------------------
-
-# center, +-e1, +-e2, and the four corners for the mixed term; steps of _STEP * |dir|
-_OFFS2 = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-_STEP = 1e-4
-
-
-def _axis_terms(f, d, h):
-    """f*x and x*x at the three abscissae x = d + o*h of one axis, keyed by o in -1, 0, 1."""
-    prod, sq = {}, {}
-    for o in (-1, 0, 1):
-        x = d + h * float(o)
-        prod[o] = f * x
-        sq[o] = x * x
-    return prod, sq
-
-
-def _direction_hessian(fx, fy, dirs, nav: NavigationParams):
-    """g_ij = half the direction-Hessian of F^2 at gradient values, by a 2nd-order stencil.
-
-    The Hessian oracle's route, kept apart from ``_tensor``'s closed form.
-    fx, fy broadcast against the leading axes of the nonzero directions
-    ``dirs`` (..., 2); the step is ``_STEP * |dir|``.  Each stencil offset
-    component is -1, 0 or +1, so the nine nodes share three abscissae per
-    axis: the 12 component products fx*x, fy*y, x*x and y*y are formed once,
-    and each node's climb rate and |tv|^2 are sums of two of them, in the
-    order ``_parts`` adds them.  The batch holds those 12 products and the
-    nine F^2 values, never a node's (..., 2) coordinates.  A direction whose
-    stencil leaves v*alpha - w*beta > 0 gets NaN entries.
-    """
-    dx, dy = _split(dirs)
-    h = _STEP * np.linalg.norm(dirs, axis=-1)
-    bx, sx = _axis_terms(fx, dx, h)
-    by, sy = _axis_terms(fy, dy, h)
-    E = []
-    for o1, o2 in _OFFS2:
-        b = bx[o1] + by[o2]
-        n2 = sx[o1] + sy[o2]
-        E.append(0.5 * np.square(_parts_quotient(n2, b, n2 + b * b, nav)[0]))
-    h2 = h * h
-    g11 = (E[1] - 2.0 * E[0] + E[2]) / h2
-    g22 = (E[3] - 2.0 * E[0] + E[4]) / h2
-    g12 = (E[5] - E[6] - E[7] + E[8]) / (4.0 * h2)
-    return g11, g12, g22

@@ -40,9 +40,10 @@ from slopemetric import (
     two_sheet_hyperboloid,
     verify_equivalence,
 )
-from slopemetric import convexity, metric
+from slopemetric import convexity, metric, surface_from_json
+from slopemetric.cli import BUILTIN_VERIFY_SUITE
 from slopemetric.surfaces import _scan_window
-from conftest import builtin_profiles, window_profiles
+from conftest import builtin_profiles, interior_radii, window_profiles
 
 BOUNDARY_PARAB = 0.2886751345948129  # 1/sqrt(12)
 GAUSS_MU_MIN = 32.61938194150854     # 12 * e
@@ -465,12 +466,122 @@ class TestPdOracle:
         assert issubclass(InsufficientDirections, ValueError)
 
 
+DTHETA = 1e-3  # the oracle's angular step, in radians
+
+
+def frame_directions(fx, fy, n_directions=64, h=DTHETA):
+    """The (n, 3, n_directions, 2) chart directions cos(t) e1 + sin(t) e2 the oracle reads.
+
+    t runs over theta_k - h, theta_k and theta_k + h, theta_k = 2 pi k / n_directions, in the
+    a-orthonormal frame e1 = grad f / (|grad f| sqrt(1 + q)), e2 = grad f^perp / |grad f| of each
+    of the (n,) gradient values; the chart axes where the gradient vanishes.
+    """
+    fan = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
+    t = np.stack([fan - h, fan, fan + h])[None, :, :, None]
+    g = np.hypot(fx, fy)
+    flat = g == 0.0
+    u = np.stack([fx, fy], axis=-1) / np.where(flat, 1.0, g)[:, None]
+    u[flat] = (1.0, 0.0)
+    e1 = u / np.hypot(1.0, g)[:, None]
+    e2 = np.stack([-u[:, 1], u[:, 0]], axis=-1)
+    return np.cos(t) * e1[:, None, None, :] + np.sin(t) * e2[:, None, None, :]
+
+
+def frame_curvature(fx, fy, nav, n_directions=64, h=DTHETA):
+    """(n, n_directions) values f(t - h) - 2 f(t) + f(t + h) + h^2 f(t), one batch for all points."""
+    d = frame_directions(fx, fy, n_directions, h)
+    f = metric._quotient(fx[:, None, None], fy[:, None, None], d[..., 0], d[..., 1], nav)
+    return f[:, 0] - 2.0 * f[:, 1] + f[:, 2] + h * h * f[:, 1]
+
+
 def one_shot_verdicts(fx, fy, nav, n_directions=64):
-    """``_pd_verdicts`` as one stencil over the whole batch: the form the blocks replaced."""
-    dirs = convexity._oracle_directions(fx, fy, n_directions)
-    g11, g12, g22 = metric._direction_hessian(fx[:, None], fy[:, None], dirs, nav)
-    verdicts = np.all(g11 + g22 > 0.0, axis=1) & np.all(g11 * g22 - g12 * g12 > 0.0, axis=1)
-    return verdicts, np.count_nonzero(np.isnan(g11).any(axis=1))
+    """``_pd_verdicts`` as one batch over every point, and its count of points with a NaN."""
+    curv = frame_curvature(fx, fy, nav, n_directions)
+    return np.all(curv > 0.0, axis=1), np.count_nonzero(np.isnan(curv).any(axis=1))
+
+
+def spy_quotient(monkeypatch):
+    """The (fx, fy, F) of every F batch the oracle evaluates from now on."""
+    calls = []
+    quotient = convexity._quotient
+
+    def spy(fx, fy, vx, vy, nav):
+        F = quotient(fx, fy, vx, vy, nav)
+        calls.append((fx, fy, F))
+        return F
+
+    monkeypatch.setattr(convexity, "_quotient", spy)
+    return calls
+
+
+def builtin_gradients(profile):
+    """The gradient at 21 points of a builtin surface: 7 interior radii at 3 polar angles."""
+    s, th = np.meshgrid(interior_radii(profile), [0.3, 2.0, 4.1])
+    return SurfaceOfRevolution(profile).gradient((s * np.cos(th)).ravel(), (s * np.sin(th)).ravel())
+
+
+NAV_IDS = lambda n: f"nav{n.v:g},{n.w:g}"
+
+
+class TestFrameOracle:
+    """The oracle's F values in the a-frame, its cost and its verdicts where the slope is steep."""
+
+    @pytest.mark.parametrize("nav", [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.5),
+                                     NavigationParams(1.0, 0.75), NavigationParams(2.0, 1.0)],
+                             ids=NAV_IDS)
+    def test_frame_F_is_the_limacon_reciprocal(self, nav, monkeypatch):
+        # in the a-frame alpha = 1 and beta = b cos(theta), b = sqrt(q / (1 + q))
+        calls = spy_quotient(monkeypatch)
+        fan = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        cos = np.cos(np.stack([fan - DTHETA, fan, fan + DTHETA]))[:, None, :]
+        worst = 0.0
+        for profile in builtin_profiles():
+            convexity._pd_verdicts(*builtin_gradients(profile), nav, 64)
+            for fx, fy, F in calls:
+                q = fx * fx + fy * fy
+                want = 1.0 / (nav.v - nav.w * np.sqrt(q / (1.0 + q)) * cos)
+                worst = max(worst, float(np.max(np.abs(F - want) / want)))
+            calls.clear()
+        assert worst <= 1e-13
+
+    def test_three_F_values_per_fan_direction(self, parab_surface, monkeypatch):
+        # the chart-frame stencil it replaced took 9 F values at each of 65 directions
+        calls = spy_quotient(monkeypatch)
+        fx, fy = 0.5 * np.random.default_rng(0).normal(size=(2, 200))
+        convexity._pd_verdicts(fx, fy, NavigationParams(), 64)
+        assert sum(F.size for _, _, F in calls) == 200 * 3 * 64
+        calls.clear()
+        pd_oracle(parab_surface, 0.2, 0.1)
+        assert sum(F.size for _, _, F in calls) == 3 * 64
+
+    @pytest.mark.parametrize("nav", [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.5),
+                                     NavigationParams(1.0, 0.75), NavigationParams(1.0, 2.0),
+                                     NavigationParams(1.0, 0.25), NavigationParams(2.0, 1.0),
+                                     NavigationParams(1.0, 3.0)], ids=NAV_IDS)
+    def test_builtin_suite_agrees_at_ten_seeds(self, nav):
+        # verify's builtin suite with its sample ranges, as the CLI runs it
+        suite = [(surface_from_json(desc), s_range) for desc, s_range in BUILTIN_VERIFY_SUITE]
+        for seed in range(10):
+            for surf, s_range in suite:
+                rep = verify_equivalence(surf, SamplePlan(seed=seed, s_range=s_range), nav)
+                assert rep.ok, (seed, rep.surface, rep.disagreements)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.7])
+    @pytest.mark.parametrize("nav", [NavigationParams(1.0, 0.5), NavigationParams(2.0, 1.0),
+                                     NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.75)],
+                             ids=NAV_IDS)
+    def test_matches_the_criterion_at_the_ellipsoid_rim(self, nav, angle):
+        # q ~ 10^k / 2 at s = 1 - 10^-k; at 2w = v the true margin min (f + f'') / f ~ 1/q
+        surf = SurfaceOfRevolution(ellipsoid(1.0, 1.0))
+        wrong = []
+        for k in range(1, 13):
+            s = 1.0 - 10.0 ** -k
+            x, y = s * math.cos(angle), s * math.sin(angle)
+            want = is_strongly_convex_at(surf, x, y, nav)
+            assert want is not Verdict.INDETERMINATE
+            if pd_oracle(surf, x, y, nav) is not (want is Verdict.CONVEX):
+                wrong.append(k)
+        assert wrong == []
 
 
 class TestBlockedOracle:
@@ -570,7 +681,7 @@ class TestVerifyEquivalence:
         assert calls == [50]
 
     def test_stencil_out_of_cone_is_a_per_point_false(self, parab_surface, monkeypatch):
-        # at nav (1, 6) the uphill stencil leaves v*alpha - w*beta > 0 beyond s ~ 0.085
+        # at nav (1, 6) the uphill fan direction leaves v*alpha - w*beta > 0 beyond s ~ 0.085
         nav = NavigationParams(1.0, 6.0)
         seen = {}
         batch, gradient = convexity._pd_verdicts, SurfaceOfRevolution.gradient
@@ -591,14 +702,11 @@ class TestVerifyEquivalence:
         assert rep.ok
 
         def reference(x, y):
-            # per point, one stencil over the point's fan: a NaN row (out of the cone) is None
-            fx, fy = parab_surface.gradient(x, y)
-            dirs = np.concatenate([convexity._unit_directions(64),
-                                   [[fx / math.hypot(fx, fy), fy / math.hypot(fx, fy)]]])
-            g11, g12, g22 = metric._direction_hessian(fx, fy, dirs, nav)
-            if np.isnan(g11).any() or np.isnan(g12).any() or np.isnan(g22).any():
+            # per point, the frame kernel over the point's fan: a NaN (out of the cone) is None
+            curv = frame_curvature(*np.atleast_1d(*parab_surface.gradient(x, y)), nav)
+            if np.isnan(curv).any():
                 return None
-            return bool(np.all(g11 + g22 > 0.0) and np.all(g11 * g22 - g12 * g12 > 0.0))
+            return bool(np.all(curv > 0.0))
 
         expected = [reference(x, y) for x, y in zip(*seen["points"])]
         assert expected.count(None) > 0 and expected.count(True) > 0

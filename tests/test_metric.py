@@ -423,6 +423,16 @@ class TestOkubo:
                         worst = max(worst, abs(Fo - Fc) / Fc)
             assert worst <= 1e-9
 
+    def test_direction_forms_give_one_float(self):
+        # a list, a tuple and an array direction are converted once, to the same bits;
+        # a direction scaled by 2**40 or 2**-40 solves the same unit-direction problem
+        for x, y, d in ((0.1, 0.05, [0.3, -0.8]), (0.3, -0.2, [-1.0, 0.25]), (0.05, 0.2, [0.7, 0.6])):
+            got = {_bits(okubo_solve(PARAB, x, y, form(d))) for form in (list, tuple, np.array)}
+            assert len(got) == 1
+            F = okubo_solve(PARAB, x, y, d)
+            for e in (40, -40):
+                assert okubo_solve(PARAB, x, y, np.ldexp(d, e)) == math.ldexp(F, e)
+
     def test_reads_the_gradient_once(self):
         calls = []
 
@@ -738,8 +748,8 @@ class TestFundamentalTensor:
     def test_agrees_with_the_oracle_stencil(self, nav):
         # the stencil's truncation and rounding leave ~1e-6 of the pair's largest |g|
         for profile in builtin_profiles():
-            surf, x, y, fx, fy, dirs = oracle_batch(profile)
-            want = np.stack(metric._direction_hessian(fx[:, None], fy[:, None], dirs, nav))
+            surf, x, y, fx, fy, dirs = stencil_batch(profile)
+            want = np.stack(nine_node_hessian(fx[:, None], fy[:, None], dirs, nav))
             got = np.stack(hessian_field(surf, np.repeat(x, dirs.shape[1]),
                                          np.repeat(y, dirs.shape[1]), dirs.reshape(-1, 2), nav))
             got = got.reshape(want.shape)
@@ -803,8 +813,25 @@ class TestFundamentalTensor:
         assert np.all(g11 + g22 > 0.0) and np.all(g11 * g22 - g12 * g12 > 0.0)
 
 
-# the stencil's nodes as (..., 2) coordinates d + h*offset, one per offset,
-# each through ``_quotient``: the form the shared-term stencil replaced
+    def test_hessian_field_raises_where_a_fan_direction_leaves_the_cone(self):
+        nav = NavigationParams(1.0, 3.0)
+        outcomes = set()
+        for profile in builtin_profiles():
+            surf, x, y, fx, fy, dirs = stencil_batch(profile)
+            F = metric._quotient(fx[:, None], fy[:, None], dirs[..., 0], dirs[..., 1], nav)
+            for i in range(x.size):
+                left = bool(np.isnan(F[i]).any())
+                outcomes.add(left)
+                if left:
+                    with pytest.raises(DegenerateDenominator):
+                        hessian_field(surf, x[i], y[i], dirs[i], nav)
+                else:
+                    assert np.isfinite(hessian_field(surf, x[i], y[i], dirs[i], nav)).all()
+        assert outcomes == {True, False}
+
+
+# the 2nd-order stencil of half F^2 in the chart frame, one node per offset:
+# an oracle for ``_tensor``'s closed form, with steps of step * |dir|
 NINE_OFFSETS = np.array([
     (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
     (1, 1), (1, -1), (-1, 1), (-1, -1),
@@ -822,49 +849,22 @@ def nine_node_hessian(fx, fy, dirs, nav, step=1e-4):
     return g11, g12, g22
 
 
-def oracle_batch(profile):
-    """21 points of a builtin surface and the (21, 65, 2) fan ``pd_oracle`` sweeps there."""
+def stencil_batch(profile):
+    """21 points of a builtin surface and a (21, 65, 2) fan there.
+
+    The fan is 64 equally spaced unit directions, then the steepest-uphill one
+    (the first again where the gradient vanishes).
+    """
     surf = SurfaceOfRevolution(profile)
     s, th = np.meshgrid(interior_radii(profile), [0.3, 2.0, 4.1])
     x, y = (s * np.cos(th)).ravel(), (s * np.sin(th)).ravel()
     fx, fy = surf.gradient(x, y)
-    return surf, x, y, fx, fy, convexity._oracle_directions(fx, fy, 64)
-
-
-class TestDirectionHessianStencil:
-    """The shared-term stencil against the nine-node form, bit for bit."""
-
-    NAVS = [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.5), NavigationParams(1.0, 3.0)]
-
-    @pytest.mark.parametrize("nav", NAVS, ids=lambda n: f"nav{n.v:g},{n.w:g}")
-    def test_bit_identical_on_oracle_batches(self, nav):
-        nan_rows = 0
-        for profile in builtin_profiles():
-            _, _, _, fx, fy, dirs = oracle_batch(profile)
-            got = metric._direction_hessian(fx[:, None], fy[:, None], dirs, nav)
-            want = nine_node_hessian(fx[:, None], fy[:, None], dirs, nav)
-            for g, r in zip(got, want):
-                assert g.shape == r.shape == dirs.shape[:2]
-                assert g.tobytes() == r.tobytes(), profile.kind
-            nan_rows += np.count_nonzero(np.isnan(want[0]).any(axis=1))
-        # steep points leave the cone along their uphill stencil only when w > v
-        assert (nan_rows > 0) == (nav.w > nav.v)
-
-    def test_hessian_field_raises_where_a_fan_direction_leaves_the_cone(self):
-        nav = NavigationParams(1.0, 3.0)
-        outcomes = set()
-        for profile in builtin_profiles():
-            surf, x, y, fx, fy, dirs = oracle_batch(profile)
-            F = metric._quotient(fx[:, None], fy[:, None], dirs[..., 0], dirs[..., 1], nav)
-            for i in range(x.size):
-                left = bool(np.isnan(F[i]).any())
-                outcomes.add(left)
-                if left:
-                    with pytest.raises(DegenerateDenominator):
-                        hessian_field(surf, x[i], y[i], dirs[i], nav)
-                else:
-                    assert np.isfinite(hessian_field(surf, x[i], y[i], dirs[i], nav)).all()
-        assert outcomes == {True, False}
+    q = fx * fx + fy * fy
+    fan = np.broadcast_to(convexity._unit_directions(64), (q.size, 64, 2))
+    flat = q == 0.0
+    uphill = np.where(flat[:, None], fan[:, 0],
+                      np.stack([fx, fy], axis=-1) / np.sqrt(np.where(flat, 1.0, q))[:, None])
+    return surf, x, y, fx, fy, np.concatenate([fan, uphill[:, None, :]], axis=1)
 
 
 class TestConcurrency:
