@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -355,36 +356,186 @@ def cmd_indicatrix(opts) -> int:
     return 0
 
 
-def _distinct_text(columns) -> np.ndarray:
-    """``_fmt`` text of the concatenated columns, formatting each distinct value once.
+# 10^k for k = 0..20, each an exact double
+_POW10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])
+_ASCII0 = np.uint64(0x3030303030303030)  # "0" in every byte
+
+
+# _text17's tables are built on first use, so a run that writes no CSV holds
+# none of their 160 kB
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The 4 ASCII digits of g = 0..9999 as a little-endian u64 (first digit
+    in the lowest byte); entry 10000 + g holds them with trailing zeros as 0 bytes."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + np.uint8(48)
+    trailing = np.logical_and.accumulate(digits[::-1] == 48, axis=0)[::-1]
+    both = np.concatenate([digits, np.where(trailing, np.uint8(0), digits)], axis=1)
+    return np.ascontiguousarray(both.T).view("<u4").ravel().astype(np.uint64)
+
+
+@functools.cache
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per exponent X = -4..16, three (3, 21) u64 tables over a 24-byte field
+    whose byte 7 + j holds digit j: the bytes of the integer digits 0..X, the
+    point just after them, and "0." with the -X - 1 zeros a value below 1 opens with."""
+    X = np.arange(-4, 17)[:, None]
+    byte = np.arange(24)
+    integer = (7 <= byte) & (byte <= 7 + X)
+    point = (byte == 7 + X) & (X >= 0)
+    opening = (1 <= byte) & (byte < 2 - X) & (X < 0)
+    fills = ((integer, 0xFF), (point, ord(".")), (opening, np.where(byte == 2, ord("."), ord("0"))))
+    return tuple(np.where(mask, fill, 0).astype(np.uint8).view("<u8").T.copy() for mask, fill in fills)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo = a * b exactly, hi the rounded product (Dekker 1971, Veltkamp's split)."""
+    hi = a * b
+    c, d = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    ah, bh = c - (c - a), d - (d - b)
+    al, bl = a - ah, b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _text17(values) -> np.ndarray:
+    """``_fmt`` text of each value as one (n, 24) uint8 row, padded with 0 bytes.
+
+    Finite values with 1e-4 <= |v| < 1e17 are formatted here, vectorised:
+    ``_fmt`` writes them positionally, with the 17 significant digits
+    N = round(|v| * 10^(16 - X)) in [10^16, 10^17) and decimal exponent X in
+    [-4, 16].  10^(16 - X) is an exact double, so Dekker's two-product gives
+    the product exactly as hi + lo; hi >= 10^16 > 2^53 is an even integer,
+    so rounding lo half to even rounds the product half to even, as
+    CPython's correctly rounded dtoa does.  np.log10 only estimates X, which
+    the product's range then corrects, so no SIMD variant of it changes a
+    byte.  Every other value (+-0, |v| < 1e-4, |v| >= 1e17, NaN, +-inf)
+    goes through ``_fmt``.  The 0 bytes sit anywhere in a row: a reader of
+    the text deletes them.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    a = np.abs(v)
+    inside = (a >= 1e-4) & (a < 1e17)
+    a[~inside] = 1.0
+    X = np.minimum(np.maximum(np.floor(np.log10(a)), -4), 16).astype(np.intp)
+    hi, lo = _two_product(a, _POW10[16 - X])
+    # np.log10 only estimates X: move it by one where hi + lo leaves [10^16, 10^17)
+    step = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.intp)
+    step -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    moved = np.flatnonzero(step)
+    X[moved] += step[moved]
+    hi[moved], lo[moved] = _two_product(a[moved], _POW10[16 - X[moved]])
+    # N < 10^17: rounding up to 10^(X + 1) would need |v| within half a unit
+    # of the 17th digit below it, and the doubles below the powers of ten in
+    # the range all lie 16 or more of those half units away
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # N's digits: a lead digit, then four groups of 4; a group is read with
+    # its trailing zeros as 0 bytes where every later group is 0
+    top = N // 10 ** 8
+    bot = N - top * 10 ** 8
+    lead = top // 10 ** 8
+    top -= lead * 10 ** 8
+    g1, g3 = top // 10 ** 4, bot // 10 ** 4
+    g2, g4 = top - g1 * 10 ** 4, bot - g3 * 10 ** 4
+    g1 += 10000 * ((g2 == 0) & (bot == 0))
+    g2 += 10000 * (bot == 0)
+    g3 += 10000 * (g4 == 0)
+    g4 += 10000
+    # the field as three little-endian words: digit j in byte 7 + j
+    digits = _digit_table()
+    words = ((lead + ord("0")).astype(np.uint64) << 56,
+             digits[g1] | digits[g2] << 32,
+             digits[g3] | digits[g4] << 32)
+    # a value >= 1 moves its integer digits (each a "0" again where it was
+    # a trailing zero) down one byte, and the point takes the byte of digit
+    # X if a nonzero digit follows it
+    integer, point, opening = _layout_tables()
+    k = X + 4
+    masks = [m[k] for m in integer]
+    low = [(w | _ASCII0) & m for w, m in zip(words, masks)]
+    high = [w & ~m for w, m in zip(words, masks)]
+    # row 0 of the point table (X = -4) is all 0 bytes
+    kp = k * ((high[1] | high[2]) != 0)
+    out = np.empty((v.size, 3), np.uint64)
+    out[:, 0] = (low[0] >> 8 | low[1] << 56 | high[0] | point[0][kp] | opening[0][k]
+                 | (v < 0) * np.uint64(ord("-")))
+    out[:, 1] = low[1] >> 8 | low[2] << 56 | high[1] | point[1][kp]
+    out[:, 2] = low[2] >> 8 | high[2] | point[2][kp]
+    text = out.view(np.uint8)
+    rest = np.flatnonzero(~inside)
+    text[rest] = np.array([_fmt(x) for x in v[rest].tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
+    return text
+
+
+# rows per chunk of a CSV of rays
+_CSV_BLOCK = 2048
+_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+
+
+def _row_blocks(rays, size: int) -> Iterator[list[tuple[int, object, int, int]]]:
+    """Runs of at most ``size`` consecutive rows, as (ray id, ray, start, stop) pieces."""
+    block, count = [], 0
+    for rid, ray in enumerate(rays):
+        start, n = 0, len(ray.t)
+        while start < n:
+            stop = min(n, start + size - count)
+            block.append((rid, ray, start, stop))
+            count += stop - start
+            start = stop
+            if count == size:
+                yield block
+                block, count = [], 0
+    if block:
+        yield block
+
+
+def _distinct_text(columns) -> tuple[np.ndarray, np.ndarray]:
+    """``_text17`` of each distinct value of the concatenated columns, and
+    each value's row in it.
 
     Values are told apart by bit pattern, which keeps 0.0 and -0.0 apart.
     """
     bits, where = np.unique(np.concatenate(columns).view(np.uint64), return_inverse=True)
-    return np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[where]
+    return _text17(bits.view(np.float64)), where
 
 
 def _rays_csv(rays) -> Iterator[str]:
     """CSV rows ``ray_id,t,x,y,F``, each value as ``_fmt`` formats it, in chunks.
 
-    The chunks are the header, then one ray's rows each, so a writer never
-    holds the whole text.  The rays of a front share one time grid and F is
-    conserved along each ray, so the t and F columns hold few distinct
-    values and are formatted once per value, up front; x and y take one "%"
-    call per ray.
+    Each chunk holds up to ``_CSV_BLOCK`` rows, and the first one the header
+    too, so a writer never holds the whole text and a failure before the
+    first chunk writes nothing.  The rays of a front share one time grid
+    and F is conserved along each ray, so the t and F columns hold few
+    distinct values and are formatted once per value, up front; a chunk's
+    x and y go through ``_text17`` at once.  That kernel writes finite
+    values with 1e-4 <= |v| < 1e17 with numpy; +-0, smaller and larger
+    magnitudes, NaN and +-inf fall back to ``_fmt`` one value at a time.
+    A chunk's rows are laid out with 0-byte padding in one uint8 table,
+    which one ``translate`` strips.
     """
-    t_text = _distinct_text([np.asarray(ray.t, dtype=float) for ray in rays])
-    f_text = _distinct_text([np.asarray(ray.F_values, dtype=float) for ray in rays])
-    yield "ray_id,t,x,y,F\n"
-    start = 0
-    for rid, ray in enumerate(rays):
-        n = len(ray.t)
-        cells = np.empty((n, 4), dtype=object)
-        cells[:, 0] = t_text[start:start + n]
-        cells[:, 1:3] = ray.points
-        cells[:, 3] = f_text[start:start + n]
-        yield (f"{rid},%s,%.17g,%.17g,%s\n" * n) % tuple(cells.ravel().tolist())
-        start += n
+    t_text, t_row = _distinct_text([np.asarray(ray.t, dtype=float) for ray in rays])
+    f_text, f_row = _distinct_text([np.asarray(ray.F_values, dtype=float) for ray in rays])
+    header = "ray_id,t,x,y,F\n"
+    id_width = len(str(max(len(rays) - 1, 0))) + 1
+    first = 0
+    for block in _row_blocks(rays, _CSV_BLOCK):
+        n = sum(stop - start for _, _, start, stop in block)
+        points = np.empty((n, 2))
+        rows = np.empty((n, id_width + 4 * 25), np.uint8)
+        row = 0
+        for rid, ray, start, stop in block:
+            end = row + stop - start
+            points[row:end] = ray.points[start:stop]
+            rows[row:end, :id_width] = np.frombuffer(f"{rid},".encode().rjust(id_width, b"\0"), np.uint8)
+            row = end
+        cells = rows[:, id_width:].reshape(n, 4, 25)
+        cells[:, 0, :24] = t_text[t_row[first:first + n]]
+        cells[:, 1:3, :24] = _text17(points).reshape(n, 2, 24)
+        cells[:, 3, :24] = f_text[f_row[first:first + n]]
+        cells[:, :, 24] = _SEPARATORS
+        first += n
+        yield header + rows.tobytes().translate(None, b"\0").decode("ascii")
+        header = ""
+    if header:
+        yield header
 
 
 # the stderr line of each early stop, by the status it gives a ray

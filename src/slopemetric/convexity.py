@@ -291,8 +291,10 @@ def _unit_directions(n: int) -> np.ndarray:
 # The oracle's angular step: each fan angle is read at theta - h, theta and theta + h.
 _DTHETA = 1e-3
 
-# Most points per block of ``_pd_verdicts``, which cuts n points into
-# ceil(n / _PD_BLOCK) blocks of near-equal size (200 into five of 40), so no
+# Most points per block of ``_pd_verdicts`` at the default 64 fan directions;
+# a fan of n directions takes max(1, _PD_BLOCK * 64 // n) points a block, so
+# each block holds at most 3072 directions whatever the fan.  n points are cut
+# into ceil(n / that) blocks of near-equal size (200 into five of 40), so no
 # short tail block pays a whole block's fixed cost.  A (3, 48, 64) float64
 # temporary is 72 KiB, under glibc's 128 KiB trim threshold, so the kernel's
 # many short-lived temporaries reuse heap memory instead of being handed back
@@ -309,7 +311,7 @@ def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray
     directions at theta_k - h, theta_k and theta_k + h, theta_k = 2 pi k /
     n_directions, h = ``_DTHETA``; a point is convex iff
     f(theta - h) - 2 f(theta) + f(theta + h) + h^2 f(theta) > 0 at every
-    theta_k.  Blocks of at most ``_PD_BLOCK`` points change no verdict, since
+    theta_k.  Blocks of points (see ``_PD_BLOCK``) change no verdict, since
     each point's verdict reads its own directions only.  A point whose fan
     leaves v*alpha - w*beta > 0 gets NaN values, which fail the test, so its
     verdict is False.
@@ -326,7 +328,7 @@ def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray
     sqrt1q = np.hypot(1.0, grad)
     e1x, e1y = ux / sqrt1q, uy / sqrt1q
     n = fx.size
-    blocks = -(-n // _PD_BLOCK)
+    blocks = -(-n // max(1, _PD_BLOCK * 64 // n_directions))
     verdicts = np.empty(n, dtype=bool)
     for k in range(blocks):
         i, j = k * n // blocks, (k + 1) * n // blocks

@@ -8,10 +8,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slopemetric
 from slopemetric import DerivativeBlowupWarning, SlopeMetricError, convexity
@@ -475,15 +478,99 @@ class TestStreamedOutput:
                                   "--nav", "1,6", "--out", str(target)])
         assert code == 3
         # a failure while the first chunk is being made: --out is not opened yet
-        def fail(columns):
+        def fail(values):
             raise SlopeMetricError("no text")
-        monkeypatch.setattr(cli, "_distinct_text", fail)
+        monkeypatch.setattr(cli, "_text17", fail)
         for command in (["front", "--seed-point", "0.1,0", "--rays", "8", "--time", "0.01"],
                         ["geodesic", "--start", "0.1,0", "--dir", "1,0", "--length", "0.01"]):
             code, _, err = run(capsys, command + ["--surface", PARAB, "--step", "0.005",
                                                   "--out", str(target)])
             assert (code, err) == (3, "error: no text\n")
         assert target.read_text() == "earlier output\n"
+
+
+def text17(values) -> list[str]:
+    """``cli._text17``'s rows as strings, without their 0 bytes."""
+    rows = cli._text17(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def below(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def above(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+# the kernel's range is 1e-4 <= |v| < 1e17; powers of ten 1e-5 .. 1e18
+POWERS = [float(f"1e{k}") for k in range(-5, 19)]
+# the largest double below each true power of ten 10^-3 .. 10^17 (float("1e-3")
+# lies above 10^-3): where 17 digits come closest to rounding up to the power
+NEAR_POWERS = [0.0009999999999999998, 0.009999999999999998, 0.09999999999999999] + [
+    below(float(f"1e{k}")) for k in range(0, 18)]
+def ties() -> list[float]:
+    """Doubles v = m / 2^(k + 1), m odd, with v * 10^k = m * 5^k / 2 in [1e16, 1e17):
+    exact halves of the 17th digit, rounded half to even; two of each k end in
+    an odd and two in an even digit."""
+    values = []
+    for k in range(1, 21):
+        lo = -(-2 * 10 ** 16 // 5 ** k) | 1
+        mid = (lo + min(2 * 10 ** 17 // 5 ** k, 2 ** 53)) // 2 | 1
+        values += [math.ldexp(m, -1 - k) for m in (lo, lo + 2, mid, mid + 2)]
+    return values
+
+
+TIES = ties()
+EDGE_VALUES = (
+    [1e-4, below(1e-4), above(1e-4), 1e17, below(1e17), above(1e17)]
+    + POWERS + [below(p) for p in POWERS] + [above(p) for p in POWERS] + NEAR_POWERS + TIES
+    + [0.5, 1.5, 0.12345678901234567, 1.0 / 3.0, 2.0 / 3.0, 2 ** -13, 2 ** 56]
+    + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+       math.nan, math.inf, -math.inf, 1e-5, 123.0, 1e16 + 2, 99999999999999984.0]
+)
+
+
+class TestText17:
+    """``_text17`` writes each value's ``format(v, ".17g")`` bytes."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_format_at_the_edges(self, sign):
+        values = [sign * v for v in EDGE_VALUES]
+        assert text17(values) == [format(v, ".17g") for v in values]
+
+    def test_no_value_in_range_rounds_up_to_a_power_of_ten(self):
+        # the kernel has no carry from 99..9 to 10^17: 17 digits of the double
+        # closest below each power stay below it
+        for k, v in zip(range(-3, 18), NEAR_POWERS):
+            assert v < Fraction(10) ** k
+            assert Fraction(format(v, ".17g")) < Fraction(10) ** k
+
+    def test_ties_are_exact_halves(self):
+        for k, v in zip(np.repeat(range(1, 21), 4), TIES):
+            scaled = Fraction(v) * 10 ** int(k)
+            assert 10 ** 16 <= scaled < 10 ** 17 and scaled.denominator == 2
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_an_exponent_estimate_one_off_gives_the_same_text(self, shift, monkeypatch):
+        # np.log10 only estimates the exponent; at -0.5 every exact power of ten
+        # starts one low, with the product hi + lo exactly 10^17
+        values = [sign * v for v in EDGE_VALUES for sign in (1.0, -1.0)]
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        assert text17(values) == [format(v, ".17g") for v in values]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(1e-4, 1e17, exclude_max=True), min_size=1, max_size=64))
+    def test_matches_format_on_any_float(self, values):
+        assert text17(values) == [format(v, ".17g") for v in values]
+
+    def test_rows_are_24_bytes_padded_with_zeros(self):
+        values = np.array([[1.0, -0.25], [1e300, 7.5e-5]])
+        rows = cli._text17(values)
+        assert rows.shape == (4, 24) and rows.dtype == np.uint8
+        assert rows[0][rows[0] != 0].tobytes() == b"1"
+        assert text17(values.ravel()) == [format(v, ".17g") for v in values.ravel()]
 
 
 class TestClosedStdout:

@@ -603,6 +603,20 @@ class TestBlockedOracle:
             assert 0 < np.count_nonzero(want) < n
             assert (nan_rows > 0) == (w > 1.0)
 
+    @pytest.mark.parametrize("n_directions", [8, 1024])
+    def test_blocks_hold_at_most_48_x_64_fan_directions(self, n_directions, monkeypatch):
+        # at 1 024 directions a block holds 3 points, so each (3, 3, 1024) temporary
+        # stays 72 KiB, as (3, 48, 64) does at the default fan
+        nav = NavigationParams(1.0, 3.0)
+        fx, fy = 0.5 * np.random.default_rng(7).normal(size=(2, 200))
+        want, _ = one_shot_verdicts(fx, fy, nav, n_directions)
+        calls = spy_quotient(monkeypatch)
+        got = convexity._pd_verdicts(fx, fy, nav, n_directions)
+        assert got.tobytes() == want.tobytes()
+        assert 0 < np.count_nonzero(want) < 200
+        assert max(F.size for _, _, F in calls) <= 3 * self.BLOCK * 64
+        assert sum(F.size for _, _, F in calls) == 200 * 3 * n_directions
+
 
 class TestVerifyEquivalence:
     def test_paraboloid_full_agreement(self, parab_surface):
