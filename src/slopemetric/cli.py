@@ -3,7 +3,9 @@
 Six subcommands (analyze, domain, verify, indicatrix, geodesic, front) wrap
 the library; every run is configured by flags and/or a JSON config file
 (flags win), and identical configurations produce byte-identical output.
-CSV uses 17 significant digits so golden files stay stable.
+Every CSV goes through one writer, ``_csv``: each float as ``_fmt``'s 17
+significant digits, so golden files stay stable, and the rows in chunks, so
+``--out`` is opened only once the first chunk is ready.
 
 Exit codes: 0 success, 1 verification disagreement, 2 malformed
 configuration, 3 surface-domain or geometry error, 4 output not writable
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -29,7 +32,7 @@ from . import convexity as cx
 from . import geodesics as gd
 from .errors import ConfigError, DerivativeBlowupWarning, DoubleRootWarning, SlopeMetricError
 from .metric import NavigationParams
-from .surfaces import SurfaceOfRevolution, surface_from_json
+from .surfaces import SurfaceOfRevolution, _scan_window, surface_from_json
 
 __all__ = ["main", "BUILTIN_VERIFY_SUITE"]
 
@@ -243,11 +246,10 @@ def cmd_analyze(opts) -> int:
     bbox = opts.bbox or surf.bounding_box()
 
     profile = surf.profile
-    # radial profile of the criterion with the threshold line
-    dom = cx.convexity_domain(profile, resolution=max(256, resolution), nav=opts.nav)
-    s_grid = np.linspace(dom.scan_range[0], dom.scan_range[1], max(256, resolution))
+    # radial profile of the criterion on the domain scan's window, with the threshold line
+    s_grid = np.linspace(*_scan_window(profile), max(256, resolution))
     cond = np.asarray(cx.cartesian_condition(profile, s_grid))
-    threshold = dom.threshold
+    threshold = cx.convexity_threshold(opts.nav)
 
     lo, hi = profile.domain
     xs = np.linspace(bbox[0], bbox[1], resolution)
@@ -277,16 +279,11 @@ def cmd_analyze(opts) -> int:
         }
         _emit(_dump_json(payload), opts.out)
     else:
-        lines = ["x,y,grad_norm2,verdict"]
-        for i in range(resolution):
-            for j in range(resolution):
-                qv = "nan" if not np.isfinite(q[i, j]) else _fmt(q[i, j])
-                lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{qv},{verdict[i, j]}")
-        lines.append("")
-        lines.append("s,condition,threshold")
-        for k in range(len(s_grid)):
-            lines.append(f"{_fmt(s_grid[k])},{_fmt(cond[k])},{_fmt(threshold)}")
-        _emit("\n".join(lines) + "\n", opts.out)
+        # a blank line parts the grid from the radial profile
+        grid = np.stack([X, Y, q], axis=-1).reshape(-1, 3)
+        radial = np.stack([s_grid, cond, np.full_like(s_grid, threshold)], axis=1)
+        _emit(itertools.chain(_csv("x,y,grad_norm2,verdict", [grid, _distinct(verdict)]), ["\n"],
+                              _csv("s,condition,threshold", [radial])), opts.out)
     return 0
 
 
@@ -303,12 +300,9 @@ def cmd_domain(opts) -> int:
         }
         _emit(_dump_json(payload), opts.out)
     else:
-        lines = ["type,a,b"]
-        for a, b in dom.intervals:
-            lines.append(f"interval,{_fmt(a)},{_fmt(b)}")
-        for r, res in dom.boundary_roots:
-            lines.append(f"root,{_fmt(r)},{_fmt(res)}")
-        _emit("\n".join(lines) + "\n", opts.out)
+        labels = np.repeat(["interval", "root"], [len(dom.intervals), len(dom.boundary_roots)])
+        values = np.reshape(dom.intervals + dom.boundary_roots, (-1, 2))
+        _emit(_csv("type,a,b", [_distinct(labels), values]), opts.out)
     return 0
 
 
@@ -349,10 +343,7 @@ def cmd_indicatrix(opts) -> int:
         }
         _emit(_dump_json(payload), opts.out)
     else:
-        lines = ["index,dx,dy"]
-        for i, (dx, dy) in enumerate(ind.samples):
-            lines.append(f"{i},{_fmt(dx)},{_fmt(dy)}")
-        _emit("\n".join(lines) + "\n", opts.out)
+        _emit(_csv("index,dx,dy", [_distinct(np.arange(len(ind.samples))), ind.samples]), opts.out)
     return 0
 
 
@@ -465,77 +456,75 @@ def _text17(values) -> np.ndarray:
     return text
 
 
-# rows per chunk of a CSV of rays
+# rows per chunk of a CSV
 _CSV_BLOCK = 2048
-_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
 
 
-def _row_blocks(rays, size: int) -> Iterator[list[tuple[int, object, int, int]]]:
-    """Runs of at most ``size`` consecutive rows, as (ray id, ray, start, stop) pieces."""
-    block, count = [], 0
-    for rid, ray in enumerate(rays):
-        start, n = 0, len(ray.t)
-        while start < n:
-            stop = min(n, start + size - count)
-            block.append((rid, ray, start, stop))
-            count += stop - start
-            start = stop
-            if count == size:
-                yield block
-                block, count = [], 0
-    if block:
-        yield block
+def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each distinct value as a row of 0-padded bytes, and each
+    value's row in it: a column for ``_csv`` whose values repeat.
 
-
-def _distinct_text(columns) -> tuple[np.ndarray, np.ndarray]:
-    """``_text17`` of each distinct value of the concatenated columns, and
-    each value's row in it.
-
-    Values are told apart by bit pattern, which keeps 0.0 and -0.0 apart.
+    Floats are told apart by bit pattern, which keeps 0.0 and -0.0 apart,
+    and written by ``_text17``; any other value (a label, an id) by ``str``.
+    The row index is of the narrowest type that holds it, since a column
+    of few distinct values costs its index, not its text.
     """
-    bits, where = np.unique(np.concatenate(columns).view(np.uint64), return_inverse=True)
-    return _text17(bits.view(np.float64)), where
+    values = np.asarray(values).ravel()
+    floats = values.dtype.kind == "f"
+    keys, where = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
+    if floats:
+        text = _text17(keys.view(np.float64))
+    else:
+        text = np.array([str(k) for k in keys.tolist()], dtype=bytes)
+        text = text.view(np.uint8).reshape(keys.size, text.itemsize)
+    return text, where.astype(np.min_scalar_type(keys.size))
+
+
+def _csv(header: str, columns) -> Iterator[str]:
+    """The CSV text of ``header`` and the rows of ``columns``, in chunks.
+
+    A column is an (n,) or (n, k) array of floats, k cells a row, each
+    written as ``_fmt`` writes it, or a pair (text rows, row index) from
+    ``_distinct``.  Each chunk holds up to ``_CSV_BLOCK`` rows, and the first
+    one the header too, so a writer never holds the whole text and a failure
+    before the first chunk writes nothing.  A chunk's floats go through
+    ``_text17`` at once; its cells, each with its separator byte, are laid
+    out in one uint8 table with 0-byte padding, which one ``translate`` strips.
+    """
+    n = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    text = header + "\n"
+    for start in range(0, n, _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        cells = [col[0][col[1][rows], None] if isinstance(col, tuple)
+                 else _text17(col[rows]).reshape(len(col[rows]), -1, 24) for col in columns]
+        # a column's k cells of w bytes take k * (w + 1) bytes of a row, each
+        # cell followed by its separator
+        table = np.full((len(cells[0]), sum(c.shape[1] * (c.shape[2] + 1) for c in cells)),
+                        ord(","), np.uint8)
+        at = 0
+        for c in cells:
+            m, k, w = c.shape
+            table[:, at:at + k * (w + 1)].reshape(m, k, w + 1, copy=False)[..., :w] = c
+            at += k * (w + 1)
+        table[:, -1] = ord("\n")
+        yield text + table.tobytes().translate(None, b"\0").decode("ascii")
+        text = ""
+    if text:
+        yield text
 
 
 def _rays_csv(rays) -> Iterator[str]:
-    """CSV rows ``ray_id,t,x,y,F``, each value as ``_fmt`` formats it, in chunks.
+    """CSV rows ``ray_id,t,x,y,F``, one for each node of each ray.
 
-    Each chunk holds up to ``_CSV_BLOCK`` rows, and the first one the header
-    too, so a writer never holds the whole text and a failure before the
-    first chunk writes nothing.  The rays of a front share one time grid
-    and F is conserved along each ray, so the t and F columns hold few
-    distinct values and are formatted once per value, up front; a chunk's
-    x and y go through ``_text17`` at once.  That kernel writes finite
-    values with 1e-4 <= |v| < 1e17 with numpy; +-0, smaller and larger
-    magnitudes, NaN and +-inf fall back to ``_fmt`` one value at a time.
-    A chunk's rows are laid out with 0-byte padding in one uint8 table,
-    which one ``translate`` strips.
+    The rays of a front share one time grid and F is conserved along each
+    ray, so t and F hold few distinct values.
     """
-    t_text, t_row = _distinct_text([np.asarray(ray.t, dtype=float) for ray in rays])
-    f_text, f_row = _distinct_text([np.asarray(ray.F_values, dtype=float) for ray in rays])
-    header = "ray_id,t,x,y,F\n"
-    id_width = len(str(max(len(rays) - 1, 0))) + 1
-    first = 0
-    for block in _row_blocks(rays, _CSV_BLOCK):
-        n = sum(stop - start for _, _, start, stop in block)
-        points = np.empty((n, 2))
-        rows = np.empty((n, id_width + 4 * 25), np.uint8)
-        row = 0
-        for rid, ray, start, stop in block:
-            end = row + stop - start
-            points[row:end] = ray.points[start:stop]
-            rows[row:end, :id_width] = np.frombuffer(f"{rid},".encode().rjust(id_width, b"\0"), np.uint8)
-            row = end
-        cells = rows[:, id_width:].reshape(n, 4, 25)
-        cells[:, 0, :24] = t_text[t_row[first:first + n]]
-        cells[:, 1:3, :24] = _text17(points).reshape(n, 2, 24)
-        cells[:, 3, :24] = f_text[f_row[first:first + n]]
-        cells[:, :, 24] = _SEPARATORS
-        first += n
-        yield header + rows.tobytes().translate(None, b"\0").decode("ascii")
-        header = ""
-    if header:
-        yield header
+    # t and F first: np.unique's temporaries are gone before the points are copied
+    t = _distinct(np.concatenate([ray.t for ray in rays]))
+    F = _distinct(np.concatenate([ray.F_values for ray in rays]))
+    ids, order = _distinct(np.arange(len(rays)))
+    return _csv("ray_id,t,x,y,F", [(ids, np.repeat(order, [len(ray.t) for ray in rays])), t,
+                                   np.concatenate([ray.points for ray in rays]), F])
 
 
 # the stderr line of each early stop, by the status it gives a ray

@@ -185,12 +185,14 @@ class TestAnalyzeCommand:
                     assert verdict[i, j] == criterion_verdict(fx * fx + fy * fy, threshold, 1e-3)
 
     def test_grazing_warning_follows_nav(self, capsys):
-        # at nav (1, 0.5) the threshold is inf, so nothing grazes it
-        for command in ("analyze", "domain"):
-            for nav, warns in (("1,1", True), ("1,0.5", False)):
-                code, _, err = run(capsys, [command, "--surface", GRAZER, "--nav", nav])
-                assert code == 0
-                assert ("warning: criterion grazes the threshold" in err) is warns, (command, nav)
+        # at nav (1, 0.5) the threshold is inf, so nothing grazes it; analyze
+        # bisects no roots, so it suspects no double root
+        for nav, warns in (("1,1", True), ("1,0.5", False)):
+            code, _, err = run(capsys, ["domain", "--surface", GRAZER, "--nav", nav])
+            assert code == 0
+            assert ("warning: criterion grazes the threshold" in err) is warns, nav
+            code, _, err = run(capsys, ["analyze", "--surface", GRAZER, "--nav", nav])
+            assert (code, err) == (0, ""), nav
 
     @pytest.mark.parametrize("surface, verdict, grad_norm2", [
         ('{"kind": "cone", "params": {"a": 0.5}}', "outside", "nan"),
@@ -431,14 +433,17 @@ class TestMidStepNaN:
 
 
 class TestStreamedOutput:
-    """``front`` and ``geodesic`` stream their CSV: the same bytes, in bounded memory."""
+    """Every command streams its CSV: the same bytes, in bounded memory."""
 
     @pytest.mark.parametrize("args", [
         ["front", "--surface", PARAB, "--seed-point", "0.1,0.05", "--time", "0.1",
          "--rays", "16", "--step", "0.002", "--fronts", "2"],
         ["geodesic", "--surface", PARAB, "--start", "0.1,0", "--dir", "1,0.3",
          "--length", "0.4", "--step", "0.001"],
-    ], ids=["front", "geodesic"])
+        ["analyze", "--surface", PARAB, "--resolution", "64", "--bbox=-0.5,0.5,-0.5,0.5"],
+        ["domain", "--surface", PARAB, "--smax", "1"],
+        ["indicatrix", "--surface", PARAB, "--at", "0.1,0", "--n", "256"],
+    ], ids=["front", "geodesic", "analyze", "domain", "indicatrix"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_and_out_file_match(self, capsys, tmp_path, args, fmt):
         args = args + ["--format", fmt]
@@ -481,11 +486,15 @@ class TestStreamedOutput:
         def fail(values):
             raise SlopeMetricError("no text")
         monkeypatch.setattr(cli, "_text17", fail)
-        for command in (["front", "--seed-point", "0.1,0", "--rays", "8", "--time", "0.01"],
-                        ["geodesic", "--start", "0.1,0", "--dir", "1,0", "--length", "0.01"]):
-            code, _, err = run(capsys, command + ["--surface", PARAB, "--step", "0.005",
-                                                  "--out", str(target)])
-            assert (code, err) == (3, "error: no text\n")
+        for command in (["front", "--seed-point", "0.1,0", "--rays", "8", "--time", "0.01",
+                         "--step", "0.005"],
+                        ["geodesic", "--start", "0.1,0", "--dir", "1,0", "--length", "0.01",
+                         "--step", "0.005"],
+                        ["analyze", "--resolution", "64", "--format", "csv"],
+                        ["domain", "--smax", "1", "--format", "csv"],
+                        ["indicatrix", "--at", "0.1,0", "--n", "16", "--format", "csv"]):
+            code, _, err = run(capsys, command + ["--surface", PARAB, "--out", str(target)])
+            assert (code, err) == (3, "error: no text\n"), command
         assert target.read_text() == "earlier output\n"
 
 
@@ -571,6 +580,28 @@ class TestText17:
         assert rows.shape == (4, 24) and rows.dtype == np.uint8
         assert rows[0][rows[0] != 0].tobytes() == b"1"
         assert text17(values.ravel()) == [format(v, ".17g") for v in values.ravel()]
+
+
+class TestCsvWriter:
+    """``_csv`` writes each value as ``format(v, ".17g")`` writes it, in chunks."""
+
+    @pytest.mark.parametrize("n", [0, 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
+    def test_matches_per_value_format(self, n):
+        values = EDGE_VALUES + [-v for v in EDGE_VALUES]
+        labels = np.resize(np.array(["interval", "root", "indeterminate"]), n)
+        block = np.resize(np.array(values), (n, 2))
+        # a column of few distinct values, +-0 and 5e-324 apart
+        repeated = np.resize(np.array([0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf,
+                                       1e-4, below(1e-4), 1e17, below(1e17)]), n)
+        columns = [cli._distinct(np.arange(n)), cli._distinct(labels), block,
+                   cli._distinct(repeated)]
+        chunks = list(cli._csv("id,type,a,b,c", columns))
+        # zero rows are the header alone, as domain writes where it finds no interval
+        assert len(chunks) == max(1, -(-n // cli._CSV_BLOCK))
+        reference = ["id,type,a,b,c"] + [
+            ",".join([str(i), str(label)] + [format(float(v), ".17g") for v in (*pair, d)])
+            for i, (label, pair, d) in enumerate(zip(labels, block, repeated))]
+        assert "".join(chunks) == "".join(line + "\n" for line in reference)
 
 
 class TestClosedStdout:

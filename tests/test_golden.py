@@ -186,7 +186,8 @@ README_ANALYZE = ["analyze", "--surface", PARAB, "--resolution", "64", "--bbox=-
 README_INDICATRIX = ["indicatrix", "--surface", PARAB, "--at", "0.1,0", "--n", "256"]
 
 # the README's domain, analyze and indicatrix arguments on the paraboloid(h=100),
-# a flag argparse rejects (its usage message), and the help text of every parser
+# in JSON and in CSV, the gaussian's domain CSV with root rows, a flag argparse
+# rejects (its usage message), and the help text of every parser
 GOLDEN_CLI = {
     "domain README, nav 1,1": (
         README_DOMAIN,
@@ -211,6 +212,35 @@ GOLDEN_CLI = {
     "indicatrix README, nav 1,0.5": (
         README_INDICATRIX + ["--nav", "1,0.5"],
         "476f0bfbf73218f0708684f47fd44d05545091c136feab0717ab6e1d8018ca75",
+    ),
+    "analyze README, csv, nav 1,1": (
+        README_ANALYZE + ["--format", "csv"],
+        "3f0b3414d0a5ac3d3cf8834f6318373644ce3320f412f1ec6356c2c518fbca3e",
+    ),
+    "analyze README, csv, nav 1,0.5": (
+        README_ANALYZE + ["--format", "csv", "--nav", "1,0.5"],
+        "2eab0cf1f90b18f627f8fd1c54752c9ee7d438913552509de83a50d3cd2a99c3",
+    ),
+    "domain README, csv, nav 1,1": (
+        README_DOMAIN + ["--format", "csv"],
+        "cf168c0ba0bfe21efc014b64c24ee56f4671cf2d601896b4c3ab83f6e72b3008",
+    ),
+    "domain README, csv, nav 1,0.5": (
+        README_DOMAIN + ["--format", "csv", "--nav", "1,0.5"],
+        "8bb271e1ed33e0981e685a1ccfba3b999bdce4846dc13e18afd20250d3b73402",
+    ),
+    # two intervals and their two boundary roots
+    "domain, gaussian, csv, nav 1,2.9019": (
+        ["domain", "--surface", GAUSS, "--format", "csv", "--nav", "1,2.9019"],
+        "a8d3cb49ae9ab3717fd106b98017935c1815a716368da1cd434758c19a9d890b",
+    ),
+    "indicatrix README, csv, nav 1,1": (
+        README_INDICATRIX + ["--format", "csv"],
+        "dc5ae4fd59da3f98f0dbea96f0fe09335d915ba658dd4b2952e0aa61db92094a",
+    ),
+    "indicatrix README, csv, nav 1,0.5": (
+        README_INDICATRIX + ["--format", "csv", "--nav", "1,0.5"],
+        "8dbcef603729014bbc56fc20cbe6f2ab63cc395b74ac32688042e82585b034f9",
     ),
     "front --rays abc": (
         ["front", "--rays", "abc"],
