@@ -2,6 +2,7 @@
 root-solving, and the fundamental tensor."""
 
 import cProfile
+import hashlib
 import importlib.util
 import math
 import pstats
@@ -504,6 +505,43 @@ class TestOkuboOnBenchmarkPairs:
             else:
                 okubo_solve(surf, x, y, d, nav)
         assert (n_degenerate, len(self.PAIRS)) == (995, 3006)
+
+    # sha256 of (slope_metric_F values, okubo_solve values) over PAIRS, as float64 bytes
+    DIGESTS = {
+        (1.0, 1.0): ("951030f2a9b0d65e9b79acce05cc55b4d443320bae71b9fdf4f01a466d9db950",
+                     "6baf8816391a8235762717fa3b0be8063ccd3bef3d93d4257b5574d44cf7e6fc"),
+        (1.0, 0.5): ("51ad85b23ddbf13e33d7bf039b63ba04c255807d9ab40972aed633c4f4282741",
+                     "03a38f830c1d77be4538957eab7b3ca5205e798fabb462044c619b7fa0d6192d"),
+        (1.0, 0.75): ("17c3e776105eda104084fabda5ad68c6b422d539a46221efa090a54b3e7830db",
+                      "89449d6a81eb055f9098e69ece56b5a6b16b39b3f97eb71d0f70a1377b2dc940"),
+    }
+
+    @pytest.mark.parametrize("nav", list(DIGESTS))
+    def test_values_bit_for_bit(self, nav):
+        # both routes' values, pinned to the last bit: a regrouped sum in the
+        # Newton loop or a different radius at one point moves a digest
+        params = NavigationParams(*nav)
+        digests = tuple(
+            hashlib.sha256(np.array([fn(surf, x, y, d, params) for surf, x, y, d in self.PAIRS]).tobytes()).hexdigest()
+            for fn in (slope_metric_F, okubo_solve))
+        assert digests == self.DIGESTS[nav]
+
+    @pytest.mark.parametrize("case", [
+        (cone(0.5), (0.0, 0.0), ApexSingularity, "gradient undefined on the axis of a 'cone' surface"),
+        (paraboloid(100.0), (math.nan, 0.2), OutOfDomain, "s=nan outside profile domain [0.0, inf)"),
+        (paraboloid(100.0), (0.3, math.inf), OutOfDomain, "s=inf outside profile domain [0.0, inf)"),
+        (ellipsoid(1.0, 1.0), (1.0, 0.0), OutOfDomain, "s=1.0 outside profile domain [0.0, 1.0)"),
+        (ellipsoid(1.0, 1.0), (0.9, 0.6), OutOfDomain, "s=1.0816653826391969 outside profile domain [0.0, 1.0)"),
+    ], ids=["apex", "nan", "inf", "rim", "past-rim"])
+    def test_one_point_errors(self, case):
+        # every one-point read raises the type and message of the surface's checks
+        profile, (x, y), kind, message = case
+        surf = SurfaceOfRevolution(profile)
+        d = np.array([0.6, 0.8])
+        for call in (surf.gradient, surf.hessian,
+                     lambda X, Y: slope_metric_F(surf, X, Y, d),
+                     lambda X, Y: okubo_solve(surf, X, Y, d)):
+            assert _raised(lambda: call(x, y)) == (kind, message)
 
     @pytest.mark.parametrize("scalar", [float, np.float64, np.asarray])
     def test_scalar_point_gives_python_floats(self, scalar):
