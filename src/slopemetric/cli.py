@@ -263,7 +263,9 @@ def cmd_analyze(opts) -> int:
     if inside.any():
         d = np.asarray(cx.cartesian_condition(profile, S[inside]))
         q[inside] = d
-    verdict = np.where(inside, cx.criterion_verdict(q, threshold, band), "outside")
+    # criterion_verdict's codes, and one more for the points outside
+    labels = np.append(cx._VERDICT_VALUES, "outside")
+    verdict = np.where(inside, cx._verdict_codes(q, threshold, band), np.uint8(len(labels) - 1))
 
     if opts.format == "json":
         payload = {
@@ -274,7 +276,7 @@ def cmd_analyze(opts) -> int:
             "threshold": threshold,
             "x": xs, "y": ys,
             "grad_norm2": q,
-            "verdict": verdict,
+            "verdict": labels[verdict],
             "profile": {"s": s_grid, "condition": cond},
         }
         _emit(_dump_json(payload), opts.out)
@@ -282,7 +284,8 @@ def cmd_analyze(opts) -> int:
         # a blank line parts the grid from the radial profile
         grid = np.stack([X, Y, q], axis=-1).reshape(-1, 3)
         radial = np.stack([s_grid, cond, np.full_like(s_grid, threshold)], axis=1)
-        _emit(itertools.chain(_csv("x,y,grad_norm2,verdict", [grid, _distinct(verdict)]), ["\n"],
+        labeled = (_text_rows(labels), verdict.ravel())
+        _emit(itertools.chain(_csv("x,y,grad_norm2,verdict", [grid, labeled]), ["\n"],
                               _csv("s,condition,threshold", [radial])), opts.out)
     return 0
 
@@ -472,12 +475,14 @@ def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values).ravel()
     floats = values.dtype.kind == "f"
     keys, where = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
-    if floats:
-        text = _text17(keys.view(np.float64))
-    else:
-        text = np.array([str(k) for k in keys.tolist()], dtype=bytes)
-        text = text.view(np.uint8).reshape(keys.size, text.itemsize)
+    text = _text17(keys.view(np.float64)) if floats else _text_rows(keys.tolist())
     return text, where.astype(np.min_scalar_type(keys.size))
+
+
+def _text_rows(values) -> np.ndarray:
+    """The ``str`` of each value as a row of 0-padded ASCII bytes: ``_csv``'s text rows."""
+    text = np.array([str(v) for v in values], dtype=bytes)
+    return text.view(np.uint8).reshape(len(values), text.itemsize)
 
 
 def _csv(header: str, columns) -> Iterator[str]:
@@ -485,7 +490,8 @@ def _csv(header: str, columns) -> Iterator[str]:
 
     A column is an (n,) or (n, k) array of floats, k cells a row, each
     written as ``_fmt`` writes it, or a pair (text rows, row index) from
-    ``_distinct``.  Each chunk holds up to ``_CSV_BLOCK`` rows, and the first
+    ``_distinct`` or, for labels known in advance, ``_text_rows`` and the
+    labels' codes.  Each chunk holds up to ``_CSV_BLOCK`` rows, and the first
     one the header too, so a writer never holds the whole text and a failure
     before the first chunk writes nothing.  A chunk's floats go through
     ``_text17`` at once; its cells, each with its separator byte, are laid
@@ -647,6 +653,9 @@ COMMANDS = {
 }
 
 
+# built by the first ``main`` call and reused: argparse keeps no state between
+# parses, and a run that only imports the module pays nothing for it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slopemetric",

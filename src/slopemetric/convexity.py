@@ -99,11 +99,17 @@ def criterion_verdict(q, threshold: float, band: float = CRITERION_BAND):
 
     "true" below threshold - band, "false" above threshold + band, and
     "indeterminate" in between or for NaN; a str for scalar q, else an array
-    of the same shape.  Every strong-convexity test on q goes through here.
+    of the same shape.  Every strong-convexity test on q goes through here,
+    or through its codes (``_verdict_codes``).
     """
+    return _VERDICT_VALUES[_verdict_codes(q, threshold, band)]
+
+
+def _verdict_codes(q, threshold: float, band: float = CRITERION_BAND):
+    """``criterion_verdict`` as uint8 indices into ``_VERDICT_VALUES``."""
     q = np.asarray(q, dtype=float)
-    idx = np.where(_convex(q, threshold, band), 0, np.where(q > threshold + band, 1, 2))
-    return _VERDICT_VALUES[idx]
+    above = np.where(q > threshold + band, np.uint8(1), np.uint8(2))
+    return np.where(_convex(q, threshold, band), np.uint8(0), above)
 
 
 def _convex(q, threshold: float, band: float = CRITERION_BAND):

@@ -281,11 +281,14 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORM
     the quotient's denominator test raises DegenerateDenominator, and
     ZeroVector and DirectionOverflow where it raises them.
 
-    Both loops run on Python floats.  h(lam) stays the limacon evaluated at
-    lam * direction through alpha, beta and alpha^2, and is deliberately not
-    collapsed to the quadratic lam^2*alpha^2 - lam*(v*alpha - w*beta): that
-    quadratic's root is the closed-form quotient itself, and the check would
-    stop being independent.
+    Both loops run on Python floats, from the one-point surface read's
+    floats, and call ``_limacon`` (the one implementation of h) directly.
+    h(lam) stays the limacon evaluated at lam * direction through alpha,
+    beta and alpha^2, and is deliberately not collapsed to the quadratic
+    lam^2*alpha^2 - lam*(v*alpha - w*beta): that quadratic's root is the
+    closed-form quotient itself, and the check would stop being independent.
+    dh/dlam is summed as (2*lam*alpha^2 - v*alpha) + w*beta, with v*alpha and
+    w*beta formed once; another grouping moves the root's last bits.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (2,):
@@ -304,10 +307,9 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORM
     if _denominator(n2, b, a2, nav)[0] <= 0.0:
         raise NoRoot("degenerate denominator: no positive root of the indicatrix equation")
 
-    f = lambda lam: _limacon(fx, fy, lam * ux, lam * uy, nav)
     # h(lam) = lam^2*alpha^2 - v*lam*alpha + w*lam*beta along the unit direction
     al = math.sqrt(a2)
-    dh = lambda lam: 2.0 * lam * a2 - nav.v * al + nav.w * b
+    v_al, w_b = nav.v * al, nav.w * b
     # |h| threshold alone under-resolves lam where F/alpha is large (steep
     # uphill, nearly degenerate denominator), so Newton also runs until the
     # update stalls; the relative-agreement contract is 1e-9.
@@ -315,8 +317,8 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORM
 
     lam = 1.0 / al
     for _ in range(60):
-        fl = f(lam)
-        fp = dh(lam)
+        fl = _limacon(fx, fy, lam * ux, lam * uy, nav)
+        fp = 2.0 * lam * a2 - v_al + w_b
         if not math.isfinite(fp) or fp == 0.0:
             break
         step_nwt = fl / fp
@@ -328,11 +330,11 @@ def okubo_solve(surf: SurfaceSpec, x, y, direction, nav: NavigationParams = NORM
             return _times_pow2(scale / lam, e)
 
     lo, hi = 1e-12, 1e6
-    if not (f(lo) < 0.0 < f(hi)):
+    if not (_limacon(fx, fy, lo * ux, lo * uy, nav) < 0.0 < _limacon(fx, fy, hi * ux, hi * uy, nav)):
         raise NoRoot("indicatrix equation has no bracketed positive root")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = _limacon(fx, fy, mid * ux, mid * uy, nav)
         if (hi - lo) <= 1e-14 * mid and abs(fm) <= tol:
             return _times_pow2(scale / mid, e)
         if fm < 0.0:

@@ -504,8 +504,18 @@ class SurfaceOfRevolution:
         At s = 0 the gradient is (0, 0) when the axis is smooth and raises
         ApexSingularity otherwise.
         """
-        fx, fy, _ = self._jet(*_chart_arrays(x, y))
-        return _scalar(fx, fy)
+        if not (isinstance(x, float) and isinstance(y, float)):
+            x, y = _chart_arrays(x, y)
+            if x.ndim:
+                return self._jet(x, y)[:2]
+        # one point: the closed form reads np.hypot's numpy scalar, as it reads
+        # a batch's element, and the rest is float arithmetic in the batch's order
+        s = np.hypot(x, y)
+        if s == 0.0:  # NaN is nonzero, and profile_derivative raises on it
+            d, r = self._axis_slope(), 1.0
+        else:
+            d, r = profile_derivative(self.profile, s), float(s)
+        return d * float(x) / r, d * float(y) / r
 
     def hessian(self, x, y):
         """(f_xx, f_xy, f_yy) of phi''(s) u u^T + (phi'(s)/s) (I - u u^T), u = (x, y)/s.
@@ -513,7 +523,27 @@ class SurfaceOfRevolution:
         On a smooth axis the Hessian is phi''(0) I; at a non-smooth axis point
         it raises ApexSingularity, as ``gradient`` does.
         """
-        return _scalar(*self._jet(*_chart_arrays(x, y))[2]())
+        if not (isinstance(x, float) and isinstance(y, float)):
+            x, y = _chart_arrays(x, y)
+            if x.ndim:
+                return self._jet(x, y)[2]()
+        s = np.hypot(x, y)  # one point, as in ``gradient``
+        if s == 0.0:
+            d, r = self._axis_slope(), 1.0
+        else:
+            d, r = profile_derivative(self.profile, s), float(s)
+        d2 = _read(self.profile.d2phi, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s)
+        # hessian_at's arithmetic on floats
+        radial = d / r if s else d2
+        ux, uy = float(x) / r, float(y) / r
+        bend = d2 - radial
+        return radial + bend * ux * ux, bend * ux * uy, radial + bend * uy * uy
+
+    def _axis_slope(self) -> float:
+        """phi' on the axis, 0.0 where the axis is smooth; ApexSingularity elsewhere."""
+        if not self.apex_smooth:
+            raise ApexSingularity(f"gradient undefined on the axis of a '{self.kind}' surface")
+        return 0.0
 
     def _jet(self, x: np.ndarray, y: np.ndarray):
         """Gradient now, Hessian on demand, from one hypot and one phi' evaluation.
@@ -525,12 +555,10 @@ class SurfaceOfRevolution:
         differentiates twice there.
         """
         s = np.hypot(x, y)
-        # one reduction finds any axis point, and one point needs none; NaN
-        # counts as nonzero
-        axis = s == 0.0 if s.ndim == 0 else np.count_nonzero(s) < s.size
+        # one reduction finds any axis point; NaN counts as nonzero
+        axis = np.count_nonzero(s) < s.size
         if axis:
-            if not self.apex_smooth:
-                raise ApexSingularity(f"gradient undefined on the axis of a '{self.kind}' surface")
+            self._axis_slope()  # ApexSingularity unless the axis is smooth
             on_axis = s == 0.0
             s_safe = np.where(on_axis, 1.0, s)
             d = np.where(on_axis, 0.0, profile_derivative(self.profile, s))

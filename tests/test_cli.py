@@ -697,6 +697,28 @@ def test_a_flag_its_command_does_not_read_is_a_usage_error(capsys, argv, flag):
     assert err.rstrip().endswith(f"error: unrecognized arguments: {flag}")
 
 
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once per process: a run, a usage error and another
+    # command in one process each print what a fresh interpreter prints
+    src = str(Path(slopemetric.__file__).resolve().parent.parent)
+    runs = (["verify", *README_LIKE["verify"]], ["verify", "--bogus", "1"], ["domain", *README_LIKE["domain"]])
+    cli._build_parser.cache_clear()
+    got = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, *capsys.readouterr()))
+        fresh = subprocess.run([sys.executable, "-m", "slopemetric.cli", *argv], capture_output=True,
+                               text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert got[-1] == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [code for code, *_ in got] == [0, 2, 0]
+    assert got[1][2].startswith("usage: slopemetric verify [-h]")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(runs) - 1)
+
+
 class TestConfigAndDeterminism:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = {"surface": json.loads(PARAB), "smax": 1.0, "resolution": 256}

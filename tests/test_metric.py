@@ -555,12 +555,15 @@ class TestOkuboOnBenchmarkPairs:
     def test_package_calls_per_pair(self):
         # Python-level calls into slopemetric for one scalar slope_metric_F
         # and okubo_solve pair, counted by cProfile as
-        # test_package_calls_per_step counts an RK4 step: two surface reads
-        # (5 calls each), F (8), and the root-solve's prologue and four Newton
-        # iterations (21).  Each route's direction check and exact scale-back
-        # (``_direction``, ``_split``, ``_times_pow2``) is three calls.  A
-        # one-value branch that became a function call of its own would show
-        # here and, on the array path, per RK4 step.
+        # test_package_calls_per_step counts an RK4 step: two one-point
+        # surface reads (5 calls each: gradient, profile_derivative, its
+        # domain check, _read and the closed form phi'), F (11: slope_metric_F
+        # and _F, the direction check _direction, _split and _one_direction,
+        # the quotient's four kernels, _times_pow2 and _scalar), and the
+        # root-solve's prologue (5: okubo_solve, _one_direction, _parts,
+        # _denominator, _times_pow2) and four Newton iterations (_limacon and
+        # _parts each, 8).  A one-point branch that became a function call of
+        # its own, a wrapper round trip or a per-iteration closure shows here.
         package = str(Path(slopemetric.__file__).parent)
         d = np.array([0.6, 0.8])
 
@@ -571,7 +574,7 @@ class TestOkuboOnBenchmarkPairs:
         profile.runcall(pair)
         stats = pstats.Stats(profile).stats
         assert sum(calls for (path, _, _), (_, calls, *_) in stats.items()
-                   if path.startswith(package)) == 48
+                   if path.startswith(package)) == 34
 
 
 def _consistency_surfaces():
