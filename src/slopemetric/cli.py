@@ -263,9 +263,7 @@ def cmd_analyze(opts) -> int:
     if inside.any():
         d = np.asarray(cx.cartesian_condition(profile, S[inside]))
         q[inside] = d
-    # criterion_verdict's codes, and one more for the points outside
-    labels = np.append(cx._VERDICT_VALUES, "outside")
-    verdict = np.where(inside, cx._verdict_codes(q, threshold, band), np.uint8(len(labels) - 1))
+    labels, verdict = cx.verdict_codes(q, threshold, band, inside)
 
     if opts.format == "json":
         payload = {

@@ -52,6 +52,7 @@ __all__ = [
     "EquivalenceReport",
     "convexity_threshold",
     "criterion_verdict",
+    "verdict_codes",
     "is_strongly_convex_at",
     "cartesian_condition",
     "trig_condition",
@@ -74,9 +75,11 @@ class Verdict(enum.Enum):
         raise TypeError("compare Verdict members explicitly; indeterminate is not False")
 
 
-# indexed by criterion_verdict: 0 below the band, 1 above it, 2 inside it
-_VERDICT_VALUES = np.array([v.value for v in (Verdict.CONVEX, Verdict.NOT_CONVEX,
-                                              Verdict.INDETERMINATE)])
+# the verdict labels in code order: 0 below the band, 1 above it, 2 inside it
+# or NaN, and 3 for a point off the surface's domain (``verdict_codes``)
+_VERDICT_LABELS = np.array([v.value for v in (Verdict.CONVEX, Verdict.NOT_CONVEX,
+                                              Verdict.INDETERMINATE)] + ["outside"])
+_OUTSIDE = np.uint8(3)
 
 
 def convexity_threshold(nav: NavigationParams) -> float:
@@ -100,16 +103,24 @@ def criterion_verdict(q, threshold: float, band: float = CRITERION_BAND):
     "true" below threshold - band, "false" above threshold + band, and
     "indeterminate" in between or for NaN; a str for scalar q, else an array
     of the same shape.  Every strong-convexity test on q goes through here,
-    or through its codes (``_verdict_codes``).
+    or through its codes (``verdict_codes``).
     """
-    return _VERDICT_VALUES[_verdict_codes(q, threshold, band)]
+    labels, codes = verdict_codes(q, threshold, band)
+    return labels[codes]
 
 
-def _verdict_codes(q, threshold: float, band: float = CRITERION_BAND):
-    """``criterion_verdict`` as uint8 indices into ``_VERDICT_VALUES``."""
+def verdict_codes(q, threshold: float, band: float = CRITERION_BAND, inside=None):
+    """``criterion_verdict`` as (labels, codes): uint8 codes into a label array.
+
+    Where the boolean mask ``inside`` is False the label is "outside", for a
+    point off the surface's domain, whatever q is there.
+    """
     q = np.asarray(q, dtype=float)
     above = np.where(q > threshold + band, np.uint8(1), np.uint8(2))
-    return np.where(_convex(q, threshold, band), np.uint8(0), above)
+    codes = np.where(_convex(q, threshold, band), np.uint8(0), above)
+    if inside is not None:
+        codes = np.where(inside, codes, _OUTSIDE)
+    return _VERDICT_LABELS, codes
 
 
 def _convex(q, threshold: float, band: float = CRITERION_BAND):

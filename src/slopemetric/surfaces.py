@@ -523,21 +523,7 @@ class SurfaceOfRevolution:
         On a smooth axis the Hessian is phi''(0) I; at a non-smooth axis point
         it raises ApexSingularity, as ``gradient`` does.
         """
-        if not (isinstance(x, float) and isinstance(y, float)):
-            x, y = _chart_arrays(x, y)
-            if x.ndim:
-                return self._jet(x, y)[2]()
-        s = np.hypot(x, y)  # one point, as in ``gradient``
-        if s == 0.0:
-            d, r = self._axis_slope(), 1.0
-        else:
-            d, r = profile_derivative(self.profile, s), float(s)
-        d2 = _read(self.profile.d2phi, NonDifferentiable, "closed-form derivative non-finite at s={!r}", s)
-        # hessian_at's arithmetic on floats
-        radial = d / r if s else d2
-        ux, uy = float(x) / r, float(y) / r
-        bend = d2 - radial
-        return radial + bend * ux * ux, bend * ux * uy, radial + bend * uy * uy
+        return _scalar(*self._jet(*_chart_arrays(x, y))[2]())
 
     def _axis_slope(self) -> float:
         """phi' on the axis, 0.0 where the axis is smooth; ApexSingularity elsewhere."""
@@ -548,15 +534,17 @@ class SurfaceOfRevolution:
     def _jet(self, x: np.ndarray, y: np.ndarray):
         """Gradient now, Hessian on demand, from one hypot and one phi' evaluation.
 
-        x and y are float arrays of one shape.  Returns (f_x, f_y, hessian_at).
+        x and y are float arrays of one shape, or two numpy scalars for
+        ``hessian``'s one point.  Returns (f_x, f_y, hessian_at).
         ``hessian_at(rows)`` gives (f_xx, f_xy, f_yy) at the points a boolean
         mask selects (all by default) with one phi'' evaluation, reusing s and
         phi', so a caller that drops points after seeing the gradient never
         differentiates twice there.
         """
         s = np.hypot(x, y)
-        # one reduction finds any axis point; NaN counts as nonzero
-        axis = np.count_nonzero(s) < s.size
+        # one reduction finds any axis point, and one point needs none; NaN
+        # counts as nonzero
+        axis = s == 0.0 if s.ndim == 0 else np.count_nonzero(s) < s.size
         if axis:
             self._axis_slope()  # ApexSingularity unless the axis is smooth
             on_axis = s == 0.0

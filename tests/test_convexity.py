@@ -38,6 +38,7 @@ from slopemetric import (
     profile_from_callable,
     trig_condition,
     two_sheet_hyperboloid,
+    verdict_codes,
     verify_equivalence,
 )
 from slopemetric import convexity, metric, surface_from_json
@@ -91,6 +92,14 @@ class TestPointwiseCriterion:
                                                             ["false", "indeterminate"]]
         assert criterion_verdict(0.5, 0.8) == "true"
         assert criterion_verdict(0.35, 1.0 / 3.0, band=0.1) == "indeterminate"
+
+    def test_verdict_codes_mark_points_outside(self):
+        q = np.array([[0.1, 1.0 / 3.0], [0.5, np.nan]])
+        inside = np.array([[True, False], [True, True]])
+        labels, codes = verdict_codes(q, 1.0 / 3.0, inside=inside)
+        assert codes.dtype == np.uint8
+        assert labels[codes].tolist() == [["true", "outside"], ["false", "indeterminate"]]
+        assert labels[verdict_codes(q, 1.0 / 3.0)[1]].tolist() == criterion_verdict(q, 1.0 / 3.0).tolist()
 
 
 class TestConvexityThreshold:
