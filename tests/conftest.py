@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slopemetric
 from slopemetric import (
     SurfaceOfRevolution,
     cone,
@@ -13,6 +17,21 @@ from slopemetric import (
     surface_from_json,
     two_sheet_hyperboloid,
 )
+
+
+# numpy picks its SIMD kernels at import, by the host's CPU, and its AVX-512
+# and AVX2 kernels of np.exp and np.power differ in the last bit.  A digest
+# is computed in a child process with the AVX-512 kernels disabled, so every
+# x86-64 host with AVX2 computes the same bits; numpy ignores a disabled
+# feature the host lacks.
+AVX2_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def pinned_env(**extra) -> dict:
+    """The environment of a child process whose output a digest pins: this
+    checkout's package on PYTHONPATH, numpy in the AVX2 dispatch class, and ``extra``."""
+    src = str(Path(slopemetric.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=AVX2_DISPATCH, **extra)
 
 
 @pytest.fixture

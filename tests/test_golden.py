@@ -6,14 +6,16 @@ Each digest pins the exact bytes a user sees, so a faster or refactored
 route-equivalence check or integrator must reproduce them.  The digests depend on numpy's
 floating-point kernels, so they are tied to the numpy version recorded
 here; under another version the test fails and names both versions instead
-of comparing.  A digest changes only with a change that alters the output
-on purpose, and that change says which digest moved and why.
+of comparing.  Within one version they depend on the SIMD kernels numpy
+picks for the host's CPU, so every run takes ``conftest.pinned_env``, which
+disables the AVX-512 kernels: the digests hold on any x86-64 host with AVX2.
+A digest changes only with a change that alters the output on purpose, and
+that change says which digest moved and why.
 """
 
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import slopemetric
+from conftest import pinned_env
 
 NUMPY_VERSION = "2.4.6"
 
@@ -129,13 +131,13 @@ GOLDEN_SURFACES = {
     "front, gaussian": (
         ["front", "--surface", GAUSS, "--seed-point", "0.2,0", "--time", "0.3", "--rays", "64"],
         None,
-        "2257840018a154ef504a043c607ee84831f03f44e001db2bc3f55ea0b3a39a2d",
+        "8311ae1809a08f9e0ad2475ad0ae69126bb73480e020188fc3b08fe54d9276eb",
     ),
     "front, gaussian, nav 1,3": (
         ["front", "--surface", GAUSS, "--seed-point", "0.3,0", "--time", "0.3", "--rays", "64",
          "--nav", "1,3"],
         None,
-        "ba66c223f3be487437516f9f3752a66c7ae80a13728c0303d05c728f90da1949",
+        "87ed22cc3ef10e5d1e84bf2a9560ac83e6fa39f30f1fe989805403e530711690",
     ),
     "geodesic, gaussian": (
         ["geodesic", "--surface", GAUSS, "--start", "0.3,0", "--dir", "0,1", "--length", "0.3"],
@@ -146,7 +148,7 @@ GOLDEN_SURFACES = {
         ["front", "--surface", ELLIPSOID, "--seed-point", "0.3,0.1", "--time", "0.3",
          "--rays", "64", "--nav", "1,1"],
         None,
-        "ebcfdb403b6d05e7368bd5142cd00d7be172e529c1b5b8816b787dded6464013",
+        "0cc26282eb8ccb25aea28bb50f39f9707659fe05f7083cc8747e7a5eff3ad714",
     ),
     "geodesic, ellipsoid, nav 1,1": (
         ["geodesic", "--surface", ELLIPSOID, "--start", "0.3,0.1", "--dir", "1,0",
@@ -310,10 +312,8 @@ def run_digest(argv, cwd) -> str:
     COLUMNS is fixed so that argparse wraps usage and help text the same way
     on every terminal.
     """
-    src = str(Path(slopemetric.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "slopemetric.cli", *argv],
-                          capture_output=True, env=env, cwd=cwd)
+                          capture_output=True, env=pinned_env(COLUMNS="80"), cwd=cwd)
     payload = [proc.stdout.decode(), proc.stderr.decode(), proc.returncode]
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
@@ -364,8 +364,7 @@ def test_config_error_is_golden(case, tmp_path):
 @pytest.mark.parametrize("demo", list(GOLDEN_DEMOS))
 def test_demo_output_is_golden(demo, tmp_path):
     check_numpy_version()
-    src = str(Path(slopemetric.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
+    env = pinned_env(PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_DEMOS[demo]

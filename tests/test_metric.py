@@ -2,10 +2,14 @@
 root-solving, and the fundamental tensor."""
 
 import cProfile
+import functools
 import hashlib
 import importlib.util
+import json
 import math
 import pstats
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +54,7 @@ from slopemetric import (
     surface_from_json,
 )
 from slopemetric import convexity, metric
-from conftest import builtin_profiles, builtin_windows, interior_radii
+from conftest import builtin_profiles, builtin_windows, interior_radii, pinned_env
 
 # hand values at the paraboloid point (0.1, 0): alpha^2 = 1.04, beta = -0.2,
 # so F(+x) = 1.04/(sqrt(1.04)+0.2) and F(-x) = 1.04/(sqrt(1.04)-0.2)
@@ -480,6 +484,27 @@ def _benchmark_okubo_pairs():
             for i in range(3) for k, x, y, dx, dy in inputs.crosscheck_inputs(1, i)[1]]
 
 
+def okubo_digests(nav) -> tuple[str, str]:
+    """sha256 of the slope_metric_F and of the okubo_solve values at ``nav`` over the pairs."""
+    params = NavigationParams(*nav)
+    return tuple(
+        hashlib.sha256(np.array([fn(surf, x, y, d, params) for surf, x, y, d in
+                                 TestOkuboOnBenchmarkPairs.PAIRS]).tobytes()).hexdigest()
+        for fn in (slope_metric_F, okubo_solve))
+
+
+@functools.cache
+def _pinned_okubo_digests() -> dict:
+    """``okubo_digests`` at each of ``DIGESTS``' navs, from one child process run as
+    the golden digests are: np.power and np.exp in the closed forms dispatch by the CPU."""
+    navs = list(TestOkuboOnBenchmarkPairs.DIGESTS)
+    code = f"import json, test_metric as t; print(json.dumps([t.okubo_digests(nav) for nav in {navs!r}]))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=pinned_env(), cwd=Path(__file__).parent)
+    assert proc.returncode == 0, proc.stderr
+    return {nav: tuple(d) for nav, d in zip(navs, json.loads(proc.stdout))}
+
+
 class TestOkuboOnBenchmarkPairs:
     PAIRS = _benchmark_okubo_pairs()
 
@@ -506,25 +531,22 @@ class TestOkuboOnBenchmarkPairs:
                 okubo_solve(surf, x, y, d, nav)
         assert (n_degenerate, len(self.PAIRS)) == (995, 3006)
 
-    # sha256 of (slope_metric_F values, okubo_solve values) over PAIRS, as float64 bytes
+    # sha256 of (slope_metric_F values, okubo_solve values) over PAIRS, as
+    # float64 bytes, from a child process in the golden digests' dispatch class
     DIGESTS = {
         (1.0, 1.0): ("951030f2a9b0d65e9b79acce05cc55b4d443320bae71b9fdf4f01a466d9db950",
-                     "6baf8816391a8235762717fa3b0be8063ccd3bef3d93d4257b5574d44cf7e6fc"),
+                     "83f178d93ec3eaa13070522b7f28098259929090f260c3aac1b0b24d8cb80598"),
         (1.0, 0.5): ("51ad85b23ddbf13e33d7bf039b63ba04c255807d9ab40972aed633c4f4282741",
                      "03a38f830c1d77be4538957eab7b3ca5205e798fabb462044c619b7fa0d6192d"),
         (1.0, 0.75): ("17c3e776105eda104084fabda5ad68c6b422d539a46221efa090a54b3e7830db",
-                      "89449d6a81eb055f9098e69ece56b5a6b16b39b3f97eb71d0f70a1377b2dc940"),
+                      "9092048acd98fdc970e25d753f6a65ac83b7ae66cd8fc66bc6f025dd6b54be03"),
     }
 
     @pytest.mark.parametrize("nav", list(DIGESTS))
     def test_values_bit_for_bit(self, nav):
         # both routes' values, pinned to the last bit: a regrouped sum in the
         # Newton loop or a different radius at one point moves a digest
-        params = NavigationParams(*nav)
-        digests = tuple(
-            hashlib.sha256(np.array([fn(surf, x, y, d, params) for surf, x, y, d in self.PAIRS]).tobytes()).hexdigest()
-            for fn in (slope_metric_F, okubo_solve))
-        assert digests == self.DIGESTS[nav]
+        assert _pinned_okubo_digests()[nav] == self.DIGESTS[nav]
 
     @pytest.mark.parametrize("case", [
         (cone(0.5), (0.0, 0.0), ApexSingularity, "gradient undefined on the axis of a 'cone' surface"),
