@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ import numpy as np
 from . import convexity as cx
 from . import geodesics as gd
 from .errors import ConfigError, DerivativeBlowupWarning, DoubleRootWarning, SlopeMetricError
-from .metric import NavigationParams
+from .metric import NORMALIZED, NavigationParams
 from .surfaces import SurfaceOfRevolution, _scan_window, surface_from_json
 
 __all__ = ["main", "BUILTIN_VERIFY_SUITE"]
@@ -120,6 +121,11 @@ CONFIG = Kind(None, {})  # the config file's path, which is not itself a config 
 REQUIRED = object()  # the default of an option that has none
 
 
+def _default(entry: Callable, name: str):
+    """The default of ``entry``'s parameter ``name``, which an option that feeds it reads."""
+    return inspect.signature(entry).parameters[name].default
+
+
 class Option(NamedTuple):
     """``key`` names the config key and the attribute the command reads; the
     default is REQUIRED, None (unset) or a value the kind converts."""
@@ -135,7 +141,8 @@ class Option(NamedTuple):
 # --surface leads its help text and is the first option reported missing
 SHARED = (
     Option("config", "--config", CONFIG, None, "JSON config file; flags override its keys"),
-    Option("nav", "--nav", NAV, (1.0, 1.0), "navigation params 'v,w' (default 1,1)"),
+    Option("nav", "--nav", NAV, (NORMALIZED.v, NORMALIZED.w),
+           f"navigation params 'v,w' (default {NORMALIZED.v:g},{NORMALIZED.w:g})"),
     Option("out", "--out", STR, None, "output file (default stdout)"),
 )
 
@@ -336,7 +343,7 @@ def cmd_indicatrix(opts) -> int:
             "surface": _surface_echo(opts.surface),
             "center": list(ind.center),
             "n": opts.n,
-            "frame": None if ind.frame is None else ind.frame,
+            "frame": ind.frame,
             "fit": {"c0": ind.fit.c0, "c1": ind.fit.c1, "max_residual": ind.fit.max_residual},
             "convex": ind.convex,
             "max_F_residual": ind.max_F_residual,
@@ -602,7 +609,6 @@ SURFACE = Option("surface", "--surface", Kind(surface_from_json, {}), REQUIRED,
 JSON = Option("format", "--format", FORMAT, "json")
 CSV = Option("format", "--format", FORMAT, "csv")
 STRICT = Option("strict", "--strict", BOOL, False)
-STEP = Option("step", "--step", FLOAT, 1e-3)
 
 COMMANDS = {
     "analyze": Command(cmd_analyze, "criterion field, verdict map, radial profile", (
@@ -631,22 +637,23 @@ COMMANDS = {
     "indicatrix": Command(cmd_indicatrix, "sample the unit curve and fit the limacon", (
         SURFACE, *SHARED, JSON,
         Option("at", "--at", PAIR, REQUIRED, "chart point 'x,y'"),
-        Option("n", "--n", INT, 256, "number of samples"),
+        Option("n", "--n", INT, _default(gd.indicatrix, "n"), "number of samples"),
     )),
     "geodesic": Command(cmd_geodesic, "trace one time-minimizing path", (
         SURFACE, *SHARED, CSV, STRICT,
         Option("start", "--start", PAIR, REQUIRED, "chart point 'x,y'"),
         Option("dir", "--dir", PAIR, REQUIRED, "initial direction 'dx,dy'"),
         Option("length", "--length", FLOAT, 0.5, "F-arclength (travel time)"),
-        STEP,
+        Option("step", "--step", FLOAT, _default(gd.geodesic_shoot, "step")),
     )),
     "front": Command(cmd_front, "propagate a unit-speed front from a seed", (
         SURFACE, *SHARED, CSV, STRICT,
         Option("seed_point", "--seed-point", PAIR, REQUIRED, "chart point 'x,y'"),
         Option("time", "--time", FLOAT, 0.5, "total propagation time"),
-        Option("rays", "--rays", INT, 64),
-        STEP,
-        Option("fronts", "--fronts", INT, 1, "number of reported fronts"),
+        Option("rays", "--rays", INT, _default(gd.wavefront, "n_rays")),
+        Option("step", "--step", FLOAT, _default(gd.wavefront, "step")),
+        Option("fronts", "--fronts", INT, _default(gd.wavefront, "n_fronts"),
+               "number of reported fronts"),
     )),
 }
 

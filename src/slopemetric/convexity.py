@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     InsufficientDirections,
     SlopeMetricError,
 )
-from .metric import NORMALIZED, NavigationParams, _quotient
+from .metric import NORMALIZED, NavigationParams, _parts, _quotient
 from .surfaces import (
     ProfileCurve,
     SurfaceOfRevolution,
@@ -79,7 +79,7 @@ class Verdict(enum.Enum):
 # or NaN, and 3 for a point off the surface's domain (``verdict_codes``)
 _VERDICT_LABELS = np.array([v.value for v in (Verdict.CONVEX, Verdict.NOT_CONVEX,
                                               Verdict.INDETERMINATE)] + ["outside"])
-_OUTSIDE = np.uint8(3)
+_CONVEX, _NOT_CONVEX, _INDETERMINATE, _OUTSIDE = map(np.uint8, range(4))
 
 
 def convexity_threshold(nav: NavigationParams) -> float:
@@ -116,8 +116,8 @@ def verdict_codes(q, threshold: float, band: float = CRITERION_BAND, inside=None
     point off the surface's domain, whatever q is there.
     """
     q = np.asarray(q, dtype=float)
-    above = np.where(q > threshold + band, np.uint8(1), np.uint8(2))
-    codes = np.where(_convex(q, threshold, band), np.uint8(0), above)
+    above = np.where(q > threshold + band, _NOT_CONVEX, _INDETERMINATE)
+    codes = np.where(_convex(q, threshold, band), _CONVEX, above)
     if inside is not None:
         codes = np.where(inside, codes, _OUTSIDE)
     return _VERDICT_LABELS, codes
@@ -162,15 +162,13 @@ def trig_condition(t: TrigProfile, u):
 
 @dataclass(frozen=True)
 class ConvexityDomain:
-    """Radial intervals where the strong-convexity condition holds.
+    """Radial intervals where the strong-convexity condition phi'(s)^2 < threshold holds.
 
-    ``variable`` tags the parametrization: "s" for the Cartesian radius
-    (condition phi'^2 < threshold) or "u" for the height (m'^2 > 1/threshold).
-    ``boundary_roots`` carries (location, residual) with residual the
-    distance of the criterion from the threshold at the refined root.
+    The intervals and roots are Cartesian radii s, which ``to_dict`` names as
+    its "variable".  ``boundary_roots`` carries (location, residual) with
+    residual the distance of the criterion from the threshold at the refined root.
     """
 
-    variable: str
     intervals: tuple[tuple[float, float], ...]
     boundary_roots: tuple[tuple[float, float], ...]
     scan_range: tuple[float, float]
@@ -192,7 +190,7 @@ class ConvexityDomain:
 
     def to_dict(self) -> dict:
         return {
-            "variable": self.variable,
+            "variable": "s",
             "threshold": self.threshold,
             "intervals": [[a, b] for a, b in self.intervals],
             "boundary_roots": [{"location": r, "residual": res} for r, res in self.boundary_roots],
@@ -275,7 +273,6 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
                 intervals.append((a_rep, b))
     boundary = tuple((r, abs(crit(r))) for r in roots)
     return ConvexityDomain(
-        variable="s",
         intervals=tuple(intervals),
         boundary_roots=boundary,
         scan_range=(float(grid[0]), float(grid[-1])),
@@ -351,7 +348,7 @@ def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray
         i, j = k * n // blocks, (k + 1) * n // blocks
         dx = c * e1x[i:j, None] - s * uy[i:j, None]
         dy = c * e1y[i:j, None] + s * ux[i:j, None]
-        f = _quotient(fx[i:j, None], fy[i:j, None], dx, dy, nav)
+        f = _quotient(*_parts(fx[i:j, None], fy[i:j, None], dx, dy), nav)[0]
         verdicts[i:j] = np.all(f[0] - 2.0 * f[1] + f[2] + h * h * f[1] > 0.0, axis=1)
     return verdicts
 
@@ -421,17 +418,7 @@ class EquivalenceReport:
         return not self.disagreements
 
     def to_dict(self) -> dict:
-        return {
-            "surface": self.surface,
-            "samples": self.samples,
-            "band": self.band,
-            "seed": self.seed,
-            "agreements": self.agreements,
-            "disagreements": self.disagreements,
-            "indeterminate": self.indeterminate,
-            "trig_skipped": self.trig_skipped,
-            "worst_margin": self.worst_margin,
-        }
+        return asdict(self)
 
 
 def _revolution_sample_range(surf: SurfaceOfRevolution, plan: SamplePlan) -> tuple[float, float]:
@@ -545,9 +532,9 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan = SamplePlan(),
     s_arr = np.array(ss, dtype=float)
     fx, fy = surf.gradient(np.array(xs, dtype=float), np.array(ys, dtype=float))
     q = fx * fx + fy * fy
-    analytic = criterion_verdict(q, threshold)
-    definite = analytic != Verdict.INDETERMINATE.value
-    routes = [("analytic", definite, analytic == Verdict.CONVEX.value)]
+    analytic = verdict_codes(q, threshold)[1]
+    definite = analytic != _INDETERMINATE
+    routes = [("analytic", definite, analytic == _CONVEX)]
     report.indeterminate = int(np.count_nonzero(~definite))
     report.worst_margin = float(np.min(np.abs(q - threshold), initial=math.inf))
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .convexity import Verdict, _convex, _unit_directions, convexity_threshold, is_strongly_convex_at
 from .errors import OutOfDomain, StepTooLarge
-from .metric import (NORMALIZED, NavigationParams, _F, _parts, _parts_quotient, induced_metric,
+from .metric import (NORMALIZED, NavigationParams, _F, _parts, _quotient, induced_metric,
                      slope_metric_F)
 from .surfaces import SurfaceSpec
 
@@ -164,7 +164,7 @@ def _accel_at(surf, state, nav, out=None):
 def _node_F(fx, fy, y1, y2, nav):
     """F at accepted states, with the climb rate b and alpha that their spray reuses."""
     n2, b, a2 = _parts(fx, fy, y1, y2)
-    F, al = _parts_quotient(n2, b, a2, nav)
+    F, al = _quotient(n2, b, a2, nav)
     if np.isnan(F).any():
         # a zero velocity makes F NaN too, so only a failing batch pays for
         # _F's own tests, which raise its ZeroVector or DegenerateDenominator

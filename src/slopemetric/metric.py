@@ -215,13 +215,9 @@ def _denominator(n2, b, a2, nav: NavigationParams):
     return np.where(uphill, num / safe, va - wb), al
 
 
-def _quotient(fx, fy, vx, vy, nav: NavigationParams):
-    """alpha^2 / (v*alpha - w*beta) at gradient values; NaN where v*alpha - w*beta <= 0."""
-    return _parts_quotient(*_parts(fx, fy, vx, vy), nav)[0]
-
-
-def _parts_quotient(n2, b, a2, nav: NavigationParams):
-    """``_quotient`` from the values of ``_parts``, and alpha with it."""
+def _quotient(n2, b, a2, nav: NavigationParams):
+    """(F, alpha) from the values of ``_parts``: F = alpha^2 / (v*alpha - w*beta), NaN
+    where v*alpha - w*beta <= 0; floats for one value, else arrays."""
     denom, al = _denominator(n2, b, a2, nav)
     if not isinstance(denom, np.ndarray):
         return a2 / (denom if denom > 0.0 else np.nan), al
@@ -242,7 +238,7 @@ def slope_metric_F(surf: SurfaceSpec, x, y, tv, nav: NavigationParams = NORMALIZ
 def _F(fx, fy, tv, nav: NavigationParams):
     """``slope_metric_F`` at gradient values, with its errors."""
     vx, vy, e = _direction(tv)
-    F = _quotient(fx, fy, vx, vy, nav)
+    F = _quotient(*_parts(fx, fy, vx, vy), nav)[0]
     try:
         return _times_pow2(F, e)
     except DirectionOverflow:

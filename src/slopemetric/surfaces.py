@@ -250,10 +250,10 @@ def _chart_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
     One point comes back as two numpy scalars, without numpy's per-call cost
     on 0-d arrays; a closed form written in numpy functions gives them the
     bits and warnings it gives a batch (Python's ``**`` aside, see
-    ``ProfileCurve``).  Two floats (Python or numpy) become them directly.
+    ``ProfileCurve``).  Only a one-point ``hessian`` and a graph surface's
+    reads take one point through here: ``SurfaceOfRevolution.gradient``
+    reads two floats without it.
     """
-    if isinstance(x, float) and isinstance(y, float):
-        return np.float64(x), np.float64(y)
     x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x_arr.shape != y_arr.shape:
         x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
@@ -298,8 +298,6 @@ def _require_finite(values, error, message: str, *coords) -> None:
 
 def _check_finite_point(x, y) -> None:
     """Raise OutOfDomain where a chart point has a NaN or infinite coordinate, as radii do."""
-    if not x.ndim and math.isfinite(x) and math.isfinite(y):
-        return
     _require_finite(np.maximum(np.abs(x), np.abs(y)), OutOfDomain, "point {!r} is not finite", x, y)
 
 
@@ -542,9 +540,8 @@ class SurfaceOfRevolution:
         differentiates twice there.
         """
         s = np.hypot(x, y)
-        # one reduction finds any axis point, and one point needs none; NaN
-        # counts as nonzero
-        axis = s == 0.0 if s.ndim == 0 else np.count_nonzero(s) < s.size
+        # one reduction finds any axis point; NaN counts as nonzero
+        axis = np.count_nonzero(s) < s.size
         if axis:
             self._axis_slope()  # ApexSingularity unless the axis is smooth
             on_axis = s == 0.0

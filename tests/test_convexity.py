@@ -279,6 +279,24 @@ class TestConvexityDomain:
         with pytest.warns(DoubleRootWarning):
             convexity_domain(grazer, resolution=2048)
 
+    def test_tangent_root_joins_its_two_intervals(self):
+        # phi'^2 = (1 - (s - 1)^2)^2 / 3 touches 1/3 at the grid point s = 1
+        # (exactly, in doubles) and stays below it on either side: the root
+        # is reported, and the two intervals it cuts join into one
+        r = math.sqrt(1.0 / 3.0)
+        tangent = profile_from_callable(
+            lambda s: -r * (s - np.power(s - 1.0, 3) / 3.0), (0.0, math.inf),
+            dphi=lambda s: -r * (1.0 - np.square(s - 1.0)),
+            d2phi=lambda s: 2.0 * r * (s - 1.0),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dom = convexity_domain(tangent, resolution=64, s_max=2.0)
+        assert dom.intervals == ((0.0, 2.0),)
+        assert dom.boundary_roots == ((1.0, 0.0),)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (DoubleRootWarning, "criterion grazes the threshold near s=1; double root suspected")]
+
     @pytest.mark.parametrize("profile", window_profiles())
     def test_scans_the_window(self, profile):
         assert convexity_domain(profile).scan_range == _scan_window(profile)
@@ -499,7 +517,8 @@ def frame_directions(fx, fy, n_directions=64, h=DTHETA):
 def frame_curvature(fx, fy, nav, n_directions=64, h=DTHETA):
     """(n, n_directions) values f(t - h) - 2 f(t) + f(t + h) + h^2 f(t), one batch for all points."""
     d = frame_directions(fx, fy, n_directions, h)
-    f = metric._quotient(fx[:, None, None], fy[:, None, None], d[..., 0], d[..., 1], nav)
+    parts = metric._parts(fx[:, None, None], fy[:, None, None], d[..., 0], d[..., 1])
+    f = metric._quotient(*parts, nav)[0]
     return f[:, 0] - 2.0 * f[:, 1] + f[:, 2] + h * h * f[:, 1]
 
 
@@ -510,15 +529,21 @@ def one_shot_verdicts(fx, fy, nav, n_directions=64):
 
 
 def spy_quotient(monkeypatch):
-    """The (fx, fy, F) of every F batch the oracle evaluates from now on."""
-    calls = []
-    quotient = convexity._quotient
+    """The (fx, fy, F) of every F batch the oracle evaluates from now on: ``_parts``
+    takes the batch's gradient values, and the ``_quotient`` call after it gives F."""
+    calls, gradients = [], []
+    parts, quotient = convexity._parts, convexity._quotient
 
-    def spy(fx, fy, vx, vy, nav):
-        F = quotient(fx, fy, vx, vy, nav)
-        calls.append((fx, fy, F))
-        return F
+    def spy_parts(fx, fy, vx, vy):
+        gradients.append((fx, fy))
+        return parts(fx, fy, vx, vy)
 
+    def spy(n2, b, a2, nav):
+        F, al = quotient(n2, b, a2, nav)
+        calls.append((*gradients.pop(), F))
+        return F, al
+
+    monkeypatch.setattr(convexity, "_parts", spy_parts)
     monkeypatch.setattr(convexity, "_quotient", spy)
     return calls
 

@@ -498,7 +498,7 @@ def _pinned_okubo_digests() -> dict:
     """``okubo_digests`` at each of ``DIGESTS``' navs, from one child process run as
     the golden digests are: np.power and np.exp in the closed forms dispatch by the CPU."""
     navs = list(TestOkuboOnBenchmarkPairs.DIGESTS)
-    code = f"import json, test_metric as t; print(json.dumps([t.okubo_digests(nav) for nav in {navs!r}]))"
+    code = f"import json, test_metric; print(json.dumps([test_metric.okubo_digests(n) for n in {navs!r}]))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=pinned_env(), cwd=Path(__file__).parent)
     assert proc.returncode == 0, proc.stderr
@@ -579,10 +579,10 @@ class TestOkuboOnBenchmarkPairs:
         # and okubo_solve pair, counted by cProfile as
         # test_package_calls_per_step counts an RK4 step: two one-point
         # surface reads (5 calls each: gradient, profile_derivative, its
-        # domain check, _read and the closed form phi'), F (11: slope_metric_F
+        # domain check, _read and the closed form phi'), F (10: slope_metric_F
         # and _F, the direction check _direction, _split and _one_direction,
-        # the quotient's four kernels, _times_pow2 and _scalar), and the
-        # root-solve's prologue (5: okubo_solve, _one_direction, _parts,
+        # the kernels _parts, _quotient and _denominator, _times_pow2 and
+        # _scalar), and the root-solve's prologue (5: okubo_solve, _one_direction, _parts,
         # _denominator, _times_pow2) and four Newton iterations (_limacon and
         # _parts each, 8).  A one-point branch that became a function call of
         # its own, a wrapper round trip or a per-iteration closure shows here.
@@ -596,7 +596,7 @@ class TestOkuboOnBenchmarkPairs:
         profile.runcall(pair)
         stats = pstats.Stats(profile).stats
         assert sum(calls for (path, _, _), (_, calls, *_) in stats.items()
-                   if path.startswith(package)) == 34
+                   if path.startswith(package)) == 33
 
 
 def _consistency_surfaces():
@@ -796,7 +796,7 @@ class TestFundamentalTensor:
         nan = []
         for factor in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0):
             nav = NavigationParams(v=1.0, w=w_crit * factor)
-            nan.append(bool(np.isnan(metric._quotient(fx, fy, *tv, nav))))
+            nan.append(bool(np.isnan(metric._quotient(*metric._parts(fx, fy, *tv), nav)[0])))
             if nan[-1]:
                 with pytest.raises(DegenerateDenominator):
                     fundamental_tensor(parab_surface, 0.1, 0.0, tv, nav)
@@ -881,7 +881,8 @@ class TestFundamentalTensor:
         outcomes = set()
         for profile in builtin_profiles():
             surf, x, y, fx, fy, dirs = stencil_batch(profile)
-            F = metric._quotient(fx[:, None], fy[:, None], dirs[..., 0], dirs[..., 1], nav)
+            parts = metric._parts(fx[:, None], fy[:, None], dirs[..., 0], dirs[..., 1])
+            F = metric._quotient(*parts, nav)[0]
             for i in range(x.size):
                 left = bool(np.isnan(F[i]).any())
                 outcomes.add(left)
@@ -903,7 +904,8 @@ NINE_OFFSETS = np.array([
 
 def nine_node_hessian(fx, fy, dirs, nav, step=1e-4):
     h = step * np.linalg.norm(dirs, axis=-1)
-    E = [0.5 * np.square(metric._quotient(fx, fy, *metric._split(dirs + h[..., None] * off), nav))
+    E = [0.5 * np.square(metric._quotient(
+             *metric._parts(fx, fy, *metric._split(dirs + h[..., None] * off)), nav)[0])
          for off in NINE_OFFSETS]
     h2 = h * h
     g11 = (E[1] - 2.0 * E[0] + E[2]) / h2

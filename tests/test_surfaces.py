@@ -85,8 +85,12 @@ class TestProfileDerivative:
         assert profile_derivative(ellipsoid(1.0, 1.0), 0.0) == 0.0
 
     def test_waist_edge_rejected(self):
-        with pytest.raises(OutOfDomain):
-            profile_derivative(one_sheet_hyperboloid(0.5, 1.0), 1.0)
+        # the closed forms divide by zero at the waist s = |b|, which lies in the domain
+        p = one_sheet_hyperboloid(0.5, 1.0)
+        for derivative in (profile_derivative, profile_second_derivative):
+            for s in (1.0, np.array([2.0, 1.0, 3.0])):
+                with pytest.raises(OutOfDomain, match=r"^derivative undefined at the domain edge s=1\.0$"):
+                    derivative(p, s)
 
     @pytest.mark.parametrize("profile", CLOSED_FORM_PROFILES)
     def test_closed_vs_central_difference(self, profile):
