@@ -47,6 +47,6 @@ print(f"status: {out.status}, stopped at t = {out.t[-1]:.3f}, "
 
 print("\n=== the unit ball is a limacon ===")
 ind = indicatrix(surf, 0.1, 0.0, n=256)
-print(f"fit r(theta) = c0 + c1 cos(theta) in the steepest-descent frame:")
-print(f"c0 = {ind.fit.c0:.9f}  c1 = {ind.fit.c1:.9f}  max residual = {ind.fit.max_residual:.1e}")
-print(f"convex: {ind.convex} (strong convexity holds at this point)")
+print(f"r(theta) = c0 + c1 cos(theta) in the steepest-descent frame, c0 = v, c1 = w*b:")
+print(f"c0 = {ind.fit.c0:.9f}  c1 = {ind.fit.c1:.9f}  samples' max residual = {ind.fit.max_residual:.1e}")
+print(f"convex: {ind.convex} (the criterion q < threshold holds at this point)")

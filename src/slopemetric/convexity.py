@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (
+    BandCoversWindow,
     DerivativeBlowupWarning,
     DoubleRootWarning,
     InsufficientDirections,
@@ -136,9 +137,11 @@ def is_strongly_convex_at(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMA
 
 
 def cartesian_condition(p: ProfileCurve, s):
-    """phi'(s)^2; the metric is strongly convex at radius s iff this < the threshold."""
+    """phi'(s)^2, +inf without a warning where it overflows; the metric is strongly
+    convex at radius s iff this < the threshold."""
     d = profile_derivative(p, s)  # a float at one radius
-    return d * d
+    with np.errstate(over="ignore"):
+        return d * d
 
 
 def trig_condition(t: TrigProfile, u):
@@ -283,18 +286,15 @@ def convexity_domain(p: ProfileCurve, resolution: int = 1024, s_max: float | Non
 
 def condition_asymptote(p: ProfileCurve) -> dict | None:
     """Known large-s limit of phi'^2 for builtin profiles with unbounded domains."""
-    params = p.params
-    if p.kind == "cone":
-        return {"limit": params["a"] ** 2, "behavior": "constant"}
-    if p.kind == "hyperboloid2":
-        return {"limit": params["a"] ** 2, "behavior": "increasing to the limit"}
-    if p.kind == "hyperboloid1":
-        return {"limit": params["a"] ** 2, "behavior": "decreasing to the limit"}
-    if p.kind == "gaussian":
-        return {"limit": 0.0, "behavior": "decaying to zero"}
-    if p.kind == "paraboloid":
-        return {"limit": math.inf, "behavior": "unbounded growth"}
-    return None
+    a = p.params.get("a", 0.0)
+    # a * a overflows to inf, where a ** 2 raises OverflowError
+    limits = {"cone": (a * a, "constant"), "hyperboloid2": (a * a, "increasing to the limit"),
+              "hyperboloid1": (a * a, "decreasing to the limit"),
+              "gaussian": (0.0, "decaying to zero"), "paraboloid": (math.inf, "unbounded growth")}
+    if p.kind not in limits:
+        return None
+    limit, behavior = limits[p.kind]
+    return {"limit": limit, "behavior": behavior}
 
 
 def _unit_directions(n: int) -> np.ndarray:
@@ -316,11 +316,23 @@ _DTHETA = 1e-3
 _PD_BLOCK = 48
 
 
+def _a_frame(fx, fy):
+    """(b, e1, e2) at gradient value(s) fx, fy: b = |grad f| / sqrt(1 + q), the alpha-norm
+    of df, and the a-orthonormal frame e1 = grad f / (|grad f| sqrt(1 + q)) (steepest
+    uphill), e2 = grad f^perp / |grad f|; the chart axes where grad f = 0."""
+    # (ux, uy) = grad f / |grad f|, the x axis where grad f = 0; |e1| = 1/sqrt(1 + q)
+    grad = np.hypot(fx, fy)
+    flat = grad == 0.0
+    safe = np.where(flat, 1.0, grad)
+    ux, uy = np.where(flat, 1.0, fx / safe), fy / safe
+    sqrt1q = np.hypot(1.0, grad)
+    return grad / sqrt1q, (ux / sqrt1q, uy / sqrt1q), (-uy, ux)
+
+
 def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray:
     """``pd_oracle``'s verdict at each of the (n,) gradient values fx, fy.
 
-    In the a-orthonormal frame e1 = grad f / (|grad f| sqrt(1 + q)),
-    e2 = grad f^perp / |grad f| (the chart axes where grad f = 0),
+    In the a-orthonormal frame (e1, e2) of ``_a_frame``, e1 steepest uphill,
     f(theta) = F(cos(theta) e1 + sin(theta) e2) is read on the chart
     directions at theta_k - h, theta_k and theta_k + h, theta_k = 2 pi k /
     n_directions, h = ``_DTHETA``; a point is convex iff
@@ -334,20 +346,14 @@ def _pd_verdicts(fx, fy, nav: NavigationParams, n_directions: int) -> np.ndarray
     fan = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
     theta = np.stack([fan - h, fan, fan + h])[:, None, :]
     c, s = np.cos(theta), np.sin(theta)
-    # (ux, uy) = grad f / |grad f|, the x axis where grad f = 0; |e1| = 1/sqrt(1 + q)
-    grad = np.hypot(fx, fy)
-    flat = grad == 0.0
-    safe = np.where(flat, 1.0, grad)
-    ux, uy = np.where(flat, 1.0, fx / safe), fy / safe
-    sqrt1q = np.hypot(1.0, grad)
-    e1x, e1y = ux / sqrt1q, uy / sqrt1q
+    _, (e1x, e1y), (e2x, e2y) = _a_frame(fx, fy)
     n = fx.size
     blocks = -(-n // max(1, _PD_BLOCK * 64 // n_directions))
     verdicts = np.empty(n, dtype=bool)
     for k in range(blocks):
         i, j = k * n // blocks, (k + 1) * n // blocks
-        dx = c * e1x[i:j, None] - s * uy[i:j, None]
-        dy = c * e1y[i:j, None] + s * ux[i:j, None]
+        dx = c * e1x[i:j, None] + s * e2x[i:j, None]
+        dy = c * e1y[i:j, None] + s * e2y[i:j, None]
         f = _quotient(*_parts(fx[i:j, None], fy[i:j, None], dx, dy), nav)[0]
         verdicts[i:j] = np.all(f[0] - 2.0 * f[1] + f[2] + h * h * f[1] > 0.0, axis=1)
     return verdicts
@@ -482,7 +488,9 @@ def _sample_points(plan: SamplePlan, roots: tuple[float, ...], window=None, bbox
                 s = math.hypot(x, y)
             break
         else:
-            raise RuntimeError("could not sample a point outside the exclusion band")
+            raise BandCoversWindow(
+                f"could not sample a point outside the exclusion band {plan.band!r} around the "
+                f"convexity boundaries {list(roots)} in the sample window [{window[0]!r}, {window[1]!r}]")
         xs.append(x)
         ys.append(y)
         ss.append(s)
@@ -551,7 +559,9 @@ def verify_equivalence(surf: SurfaceSpec, plan: SamplePlan = SamplePlan(),
                           & (np.abs(u) >= np.finfo(float).tiny))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DerivativeBlowupWarning)
-                trig_convex[identified] = trig_condition(trig, u[identified]) > 1.0 / threshold
+                # a threshold that underflowed to 0 is never convex
+                trig_convex[identified] = (trig_condition(trig, u[identified])
+                                           > (1.0 / threshold if threshold > 0.0 else math.inf))
         report.trig_skipped = int(np.count_nonzero(~identified))
         routes.append(("trig", identified, trig_convex))
 

@@ -14,6 +14,7 @@ __all__ = [
     "StepTooLarge",
     "ConfigError",
     "InsufficientDirections",
+    "BandCoversWindow",
     "DoubleRootWarning",
     "DerivativeBlowupWarning",
 ]
@@ -69,6 +70,10 @@ class ConfigError(SlopeMetricError, ValueError):
 
 class InsufficientDirections(ConfigError):
     """Too few sample directions for a meaningful positive-definiteness sweep."""
+
+
+class BandCoversWindow(SlopeMetricError, RuntimeError):
+    """No sample point lies outside the exclusion band around the convexity boundaries."""
 
 
 class DoubleRootWarning(UserWarning):

@@ -9,7 +9,9 @@ surface gradient and Hessian (Matsumoto 1989; Chern & Shen,
 Paths run at unit F-speed, so arclength equals travel time, and they halt
 at the strong-convexity boundary where extremals stop being minimizers.
 ``indicatrix`` samples the unit F-curve at one point and reads it in the
-steepest-descent frame of the induced metric a_ij (``metric.induced_metric``).
+steepest-descent frame of the induced metric a_ij (``metric.induced_metric``)
+against its closed form, the limacon r = v + w*b*cos(theta); its convexity
+flag is the strong-convexity criterion's verdict, not a test of the samples.
 
 Rays of a front are independent; the integrator advances the live ones as
 one batch, which is equivalent to running them in parallel.  Each RK4
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import Verdict, _convex, _unit_directions, convexity_threshold, is_strongly_convex_at
+from .convexity import (Verdict, _a_frame, _convex, _unit_directions, convexity_threshold,
+                        is_strongly_convex_at)
 from .errors import OutOfDomain, StepTooLarge
 from .metric import (NORMALIZED, NavigationParams, _F, _parts, _quotient, induced_metric,
                      slope_metric_F)
@@ -366,7 +369,8 @@ def wavefront(surf: SurfaceSpec, seed, total_time: float, n_rays: int = 64,
 
 @dataclass(frozen=True)
 class LimaconFit:
-    """Least-squares fit r = c0 + c1*cos(theta) in the steepest-descent frame."""
+    """The unit curve's limacon r = c0 + c1*cos(theta) in the steepest-descent frame:
+    c0 = v, c1 = w*b in closed form; ``max_residual`` is the samples' largest distance from it."""
 
     c0: float
     c1: float
@@ -379,9 +383,9 @@ class Indicatrix:
 
     ``frame`` holds the rows (e1, e2): an orthonormal pair in the induced
     inner product with e1 along steepest descent, or None on level ground
-    (zero gradient), where the curve is a circle and the chart frame is used
-    for the fit.  ``convex`` is False when the sampled curve's discrete
-    curvature changes sign.
+    (zero gradient), where the curve is a circle and the chart frame is used.
+    ``convex`` is the strong-convexity criterion's verdict at the point: True
+    where ``criterion_verdict`` says "true", else False.
     """
 
     center: tuple[float, float]
@@ -392,55 +396,33 @@ class Indicatrix:
     max_F_residual: float
 
 
-def _discrete_convexity(samples: np.ndarray) -> bool:
-    rolled = np.roll(samples, -1, axis=0)
-    edges = rolled - samples
-    nxt = np.roll(edges, -1, axis=0)
-    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-    scale = np.linalg.norm(edges, axis=1) * np.linalg.norm(nxt, axis=1)
-    signif = np.abs(cross) > 1e-9 * scale
-    signs = np.sign(cross[signif])
-    return not (np.any(signs > 0) and np.any(signs < 0))
-
-
 def indicatrix(surf: SurfaceSpec, x, y, nav: NavigationParams = NORMALIZED,
                n: int = 256) -> Indicatrix:
-    """Sample n unit-F directions at (x, y) and fit the limacon polar profile.
+    """Sample n unit-F directions at (x, y) and read them as the limacon.
 
-    Directions are equally spaced in chart angle and scaled by 1/F.  On
-    sloped ground the samples, expressed in polar coordinates of the
-    steepest-descent frame, follow r = v + w*k*cos(theta) exactly (k grows
-    with the incline); the fit is reported along with a discrete convexity
-    flag, which goes False outside the strong-convexity domain.
+    Directions are equally spaced in chart angle and scaled by 1/F.  In polar
+    coordinates of the steepest-descent frame the unit curve is the limacon
+    r = v + w*b*cos(theta), with b = |grad f| / sqrt(1 + q) the alpha-norm of
+    df (Matsumoto 1989); ``fit`` holds its coefficients and the samples'
+    largest distance from it, and ``convex`` the criterion's verdict on q.
     """
     if n < 8:
         raise ValueError("need at least 8 samples")
     dirs = _unit_directions(n)
     fx, fy = surf.gradient(x, y)
     samples = dirs / _F(fx, fy, dirs, nav)[:, None]
-    max_res = float(np.max(np.abs(_F(fx, fy, samples, nav) - 1.0)))
-    q = fx * fx + fy * fy
+    b, e1, e2 = _a_frame(fx, fy)
+    # the oracle's frame has e1 steepest uphill; turned half round, downhill
+    frame = -np.array([e1, e2], dtype=float)
     a = induced_metric(surf, x, y)
-    if q > 0.0:
-        e1 = -np.array([fx, fy]) / math.sqrt(q * (1.0 + q))
-        e2 = np.array([fy, -fx]) / math.sqrt(q)
-        frame = np.stack([e1, e2])
-    else:
-        frame = None
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-    X = a.inner(samples, e1)
-    Y = a.inner(samples, e2)
-    theta = np.arctan2(Y, X)
-    r = np.hypot(X, Y)
-    A = np.stack([np.ones_like(theta), np.cos(theta)], axis=-1)
-    coef, *_ = np.linalg.lstsq(A, r, rcond=None)
-    resid = float(np.max(np.abs(A @ coef - r)))
+    X = a.inner(samples, frame[0])
+    r = np.hypot(X, a.inner(samples, frame[1]))
+    c0, c1 = float(nav.v), nav.w * float(b)
     return Indicatrix(
         center=(float(x), float(y)),
         samples=samples,
-        frame=frame,
-        fit=LimaconFit(c0=float(coef[0]), c1=float(coef[1]), max_residual=resid),
-        convex=_discrete_convexity(samples),
-        max_F_residual=max_res,
+        frame=frame if b > 0.0 else None,
+        fit=LimaconFit(c0=c0, c1=c1, max_residual=float(np.max(np.abs(r - (c0 + c1 * X / r))))),
+        convex=bool(_convex(fx * fx + fy * fy, convexity_threshold(nav))),
+        max_F_residual=float(np.max(np.abs(_F(fx, fy, samples, nav) - 1.0))),
     )

@@ -280,7 +280,7 @@ def _check_in_domain(p: ProfileCurve, s):
             raise OutOfDomain(f"s={float(s[~inside].flat[0])!r} outside profile domain [{lo}, {hi})")
         s = s[()]
     if lo <= s < hi:
-        return np.float64(s)
+        return s if isinstance(s, np.float64) else np.float64(s)
     raise OutOfDomain(f"s={float(s)!r} outside profile domain [{lo}, {hi})")
 
 

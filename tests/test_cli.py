@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slopemetric
@@ -648,6 +650,82 @@ class TestUnwritableOutput:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: cannot write output: [Errno 2]")
         assert one_error_line(proc.stderr)
+
+
+HOSTILE_PARAMS = {"paraboloid": ("h",), "cone": ("a",), "ellipsoid": ("a", "c"),
+                  "hyperboloid2": ("a", "b"), "hyperboloid1": ("a", "b"), "gaussian": ()}
+EXTREMES = [1e-300, 1e-9, 0.5, 1.0, 3.0, 1e9, 1e300]
+HOSTILE_POINTS = ["0,0", "1e-300,0", "0.1,0", "0.5,0.5", "2,1", "1e300,0"]
+
+
+@st.composite
+def hostile_argv(draw):
+    """A CLI call on a builtin with extreme params, maybe a tiny domain, any nav
+    and a chart point, with few rays, samples and steps."""
+    kind = draw(st.sampled_from(sorted(HOSTILE_PARAMS)))
+    desc = {"kind": kind, "params": {k: draw(st.sampled_from(EXTREMES)) for k in HOSTILE_PARAMS[kind]}}
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0]))
+        desc["domain"] = [lo, lo + draw(st.sampled_from([1e-300, 1e-12, 1e-6]))]
+    v = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e300]))
+    w = draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e300]))
+    at = draw(st.sampled_from(HOSTILE_POINTS))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    extra = {
+        "analyze": ["--resolution", "64"],
+        "domain": ["--resolution", "64"],
+        "verify": ["--samples", "3", "--directions", "8"],
+        "indicatrix": ["--at", at, "--n", "8"],
+        "geodesic": ["--start", at, "--dir", draw(st.sampled_from(["1,0", "0,1", "-1,1"])),
+                     "--length", "0.01", "--step", "0.005"],
+        "front": ["--seed-point", at, "--time", "0.01", "--rays", "3", "--step", "0.005"],
+    }[command]
+    return [command, "--surface", json.dumps(desc), "--nav", f"{v!r},{w!r}", *extra]
+
+
+class TestHostileInputs:
+    """No CLI input ends in a traceback: each run exits with a documented code."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hostile_argv())
+    @example(["verify", "--nav", "1e-300,1", "--samples", "3", "--directions", "8"])
+    @example(["domain", "--surface", '{"kind":"cone","params":{"a":1e300}}'])
+    @example(["verify", "--surface", '{"kind":"ellipsoid","params":{"a":1e-3,"c":1}}'])
+    def test_exit_code_is_documented(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        # the CLI runs under the interpreter's filters, where a numpy warning is
+        # a line on stderr, not the exception this suite's filter makes it
+        with warnings.catch_warnings(record=True), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("default", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert argv[0] == "verify" and json.loads(out.getvalue())["total_disagreements"] > 0
+        else:
+            assert code in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--nav", "1e-300,1"], 0),
+        (["domain", "--surface", '{"kind":"cone","params":{"a":1e300}}'], 0),
+        (["verify", "--surface", '{"kind":"ellipsoid","params":{"a":1e-3,"c":1}}'], 3),
+    ], ids=["zero threshold", "cone asymptote overflow", "band covers the window"])
+    def test_item_21_inputs(self, capsys, argv, code):
+        got, out, err = run(capsys, argv)
+        assert got == code
+        if code == 3:
+            assert one_error_line(err)
+            assert "exclusion band 0.001" in err and "sample window [0.0, 0.000999999999]" in err
+        else:
+            assert err == ""
+            d = json.loads(out)
+            if argv[0] == "verify":
+                assert d["threshold"] == 0.0 and d["total_disagreements"] == 0
+            else:
+                assert d["asymptote"]["limit"] == "inf"
 
 
 # README-like arguments that run each subcommand to its end, cut small

@@ -30,11 +30,15 @@ from slopemetric import (
 )
 import slopemetric
 from slopemetric import surfaces
+from conftest import builtin_profiles, interior_radii
+from slopemetric.convexity import convexity_threshold, criterion_verdict
 from slopemetric.geodesics import STATUS_LEFT_DOMAIN, _accel_at, _integrate
 
 # slope cosine coefficient at the paraboloid point (0.1, 0):
 # k = sqrt(q/(1+q)) with q = |grad f|^2 = 0.04
 K_PARAB = 0.19611613513818402
+# the paraboloid's convexity boundary radius at nav (1, 1)
+BOUNDARY_PARAB = 1.0 / math.sqrt(12.0)
 
 # 4th-order central-difference weights for the stencil oracle
 _D1_OFF = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -361,6 +365,33 @@ class TestIndicatrix:
         surf = SurfaceOfRevolution(cone(0.4))
         ind = indicatrix(surf, 1.0, 0.0, n=256)
         assert ind.convex
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_convex_flag_is_the_criterion_across_the_boundary(self, parab_surface, n):
+        # a sampled polygon's turning misjudged points up to 6.9e-4 outside the
+        # boundary at n = 64; the criterion's verdict needs no samples
+        threshold = convexity_threshold(NavigationParams())
+        definite = 0
+        for s in np.linspace(BOUNDARY_PARAB - 2e-3, BOUNDARY_PARAB + 2e-3, 401):
+            fx, fy = parab_surface.gradient(s, 0.0)
+            label = criterion_verdict(fx * fx + fy * fy, threshold)
+            if label != "indeterminate":
+                definite += 1
+                assert indicatrix(parab_surface, s, 0.0, n=n).convex is (label == "true")
+        assert definite >= 400
+
+    @pytest.mark.parametrize("nav", [NavigationParams(1.0, 1.0), NavigationParams(1.0, 0.5),
+                                     NavigationParams(2.0, 1.0)], ids=str)
+    @pytest.mark.parametrize("profile", builtin_profiles(), ids=lambda p: p.kind)
+    def test_fit_is_the_closed_form_limacon(self, profile, nav):
+        surf = SurfaceOfRevolution(profile)
+        for s in interior_radii(profile, 5):
+            x, y = 0.6 * s, -0.8 * s
+            ind = indicatrix(surf, x, y, nav, n=64)
+            grad = np.hypot(*surf.gradient(x, y))
+            assert ind.fit.c0 == nav.v
+            assert ind.fit.c1 == nav.w * (grad / np.hypot(1.0, grad))
+            assert ind.fit.max_residual <= 1e-13
 
 
 @pytest.mark.parametrize("shoot", [

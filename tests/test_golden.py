@@ -209,11 +209,11 @@ GOLDEN_CLI = {
     ),
     "indicatrix README, nav 1,1": (
         README_INDICATRIX,
-        "f6022969269682bb457b09c799a95ee980f5f8c4ef0e8a348377e67e903df5b7",
+        "01e2381b593ce10bbcc6c4b53cb2d5a754f736c7787b443e185b7d319ef0dd8f",
     ),
     "indicatrix README, nav 1,0.5": (
         README_INDICATRIX + ["--nav", "1,0.5"],
-        "476f0bfbf73218f0708684f47fd44d05545091c136feab0717ab6e1d8018ca75",
+        "0ef352d6bd7e0dd4a8c3a2936ec646675b5745ace147e3b7541e63991f5d2a60",
     ),
     "analyze README, csv, nav 1,1": (
         README_ANALYZE + ["--format", "csv"],
@@ -300,7 +300,7 @@ GOLDEN_DEMOS = {
     "02_slope_metric.py": "d718131e9bc667454da0bbb9a636f63b7f6dd8e99c5bade6a862407b3ce6d352",
     "03_convexity_domains.py": "ad60a7b9dcc2f198dc7e4a3fd0a62016535bb7bb40859907b2e9e927d8470ce7",
     "04_hessian_oracle.py": "29d603942f8ed1c0227709451c512daf385d13ffaa368ca0fbbc9c0bd68a5892",
-    "05_geodesics.py": "2cf0d7a63331fe86addd26224a423c2e21e5131f46a9beff11d49c085d02939c",
+    "05_geodesics.py": "b8e0c6f92616f262fa47a7dd437f153ef237ab4ac72803f1ca4c78b0529783eb",
     "06_propagating_fronts.py": "973080b67d583c6074c387ad8bd3ccbb0a03eac47492f00e1b8bf83f8396e8bd",
 }
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
